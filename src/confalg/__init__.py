@@ -12,14 +12,11 @@ from .algebra import (
     PolynomialAlgebra,
     ScalarAlgebra,
     Subalgebra,
-    alg_mul,
     derivation_restricts,
-    derive,
     element_nilpotency_index,
     kernel_decompose,
     kernel_reconstruct,
     nilpotency_index,
-    ore_mul,
     random_element,
 )
 from .conformal import (
@@ -30,20 +27,17 @@ from .conformal import (
     check_axioms,
     coeff_matrix,
     locality_degree,
-    nprod,
     sample_celement,
-    structural_bound,
 )
 from .constructions import (
     ClosureProfile,
-    enumerate_towers,
     generate_closure,
     make_cend,
     make_current,
     make_differential,
     product_table,
 )
-from .growth import RankProfile, gk_profile, span_rank
+from .growth import RankProfile, gk_profile
 from .oracle import (
     Distribution,
     OracleError,
@@ -62,13 +56,11 @@ from .structure import (
     UntwistResult,
     component_slices,
     dual_identity_consistency,
-    extract_current_components,
     ideal_lift,
     ideal_restrict,
     is_conformal_identity,
     is_current,
     nilpotency_check,
-    slices_rebuild,
     unital_split,
     untwist,
 )

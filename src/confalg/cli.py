@@ -89,8 +89,6 @@ def _cmd_check_axioms(data, args):
 def _cmd_product(data, args):
     a = _resolve_cel(data, args.left)
     b = _resolve_cel(data, args.right)
-    if args.order < 0:
-        raise CommandError("order must be >= 0")
     v = data.conformal.nprod(a, b, args.order)
     report = {
         "left": args.left,
@@ -245,6 +243,20 @@ def _cmd_gk(data, args):
     return report, 0
 
 
+def _at_least(lo):
+    """argparse type: an integer no smaller than lo."""
+
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError("must be an integer >= %d, got %d" % (lo, value))
+        return value
+
+    # argparse names the type in its message for text that is not a number
+    parse.__name__ = "int"
+    return parse
+
+
 def _add_common(p):
     p.add_argument("spec", help="JSON structure description")
     fmt = p.add_mutually_exclusive_group()
@@ -262,15 +274,15 @@ def build_parser():
 
     p = sub.add_parser("check-axioms", help="randomized shift-rule check")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=_at_least(0), default=4)
     p.set_defaults(fn=_cmd_check_axioms)
 
     p = sub.add_parser("product", help="one n-product")
     _add_common(p)
     p.add_argument("left")
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=_at_least(0))
     p.add_argument("right")
     p.set_defaults(fn=_cmd_product)
 
@@ -282,34 +294,34 @@ def build_parser():
     _add_common(p)
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_at_least(0), default=None)
     p.set_defaults(fn=_cmd_locality)
 
     p = sub.add_parser("oracle-check", help="two-route product agreement")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=int, default=8)
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--window", type=_at_least(0), default=8)
+    p.add_argument("--degree", type=_at_least(0), default=4)
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("assoc-check", help="twisted Laurent ring associativity")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--power", type=int, default=2)
+    p.add_argument("--degree", type=_at_least(0), default=3)
+    p.add_argument("--power", type=_at_least(0), default=2)
     p.set_defaults(fn=_cmd_assoc_check)
 
     p = sub.add_parser("untwist", help="inner twist to pure currents")
     _add_common(p)
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_at_least(0), default=2)
     p.set_defaults(fn=_cmd_untwist)
 
     p = sub.add_parser("is-current", help="currentness over a subalgebra slice")
     _add_common(p)
     p.add_argument("element")
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_at_least(0), default=2)
     p.set_defaults(fn=_cmd_is_current)
 
     p = sub.add_parser("dual-identity", help="component-side identity check")
@@ -321,14 +333,14 @@ def build_parser():
     p = sub.add_parser("ideal-check", help="ideal transfer and nilpotency")
     _add_common(p)
     p.add_argument("ideal")
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--cap", type=int, default=8)
+    p.add_argument("--degree", type=_at_least(0), default=4)
+    p.add_argument("--cap", type=_at_least(1), default=8)
     p.set_defaults(fn=_cmd_ideal_check)
 
     p = sub.add_parser("unital-split", help="split under the order-0 action")
     _add_common(p)
     p.add_argument("identity")
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=_at_least(0), default=4)
     p.set_defaults(fn=_cmd_unital_split)
 
     p = sub.add_parser("kernel-decompose", help="derivation-kernel components")
@@ -338,7 +350,7 @@ def build_parser():
 
     p = sub.add_parser("gk", help="growth classification of a closure")
     _add_common(p)
-    p.add_argument("--rmax", type=int, default=12)
+    p.add_argument("--rmax", type=_at_least(1), default=12)
     p.set_defaults(fn=_cmd_gk)
 
     return ap
@@ -350,10 +362,7 @@ def main(argv=None):
     try:
         data = load_spec(args.spec)
         report, code = args.fn(data, args)
-    except (SpecError, CommandError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except AlgebraError as exc:
+    except (SpecError, CommandError, AlgebraError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     _emit(report, args)

@@ -76,7 +76,7 @@ class ConformalAlgebra:
             unit = None
             if "_" in body:
                 body, unit = body.split("_", 1)
-            if body.isdigit():
+            if body.isdecimal():
                 k = int(body)
                 if self.base.kind == "poly" and unit is None:
                     return self.tilde(self.base.basis_element(k))
@@ -84,7 +84,7 @@ class ConformalAlgebra:
                     if unit is None:
                         diag = {(k, i, i): Fraction(1) for i in range(1, self.base.n + 1)}
                         return self.tilde(Element(self.base, diag))
-                    if len(unit) == 3 and unit[0] == "e" and unit[1:].isdigit():
+                    if len(unit) == 3 and unit[0] == "e" and unit[1:].isdecimal():
                         i, j = int(unit[1]), int(unit[2])
                         if 1 <= i <= self.base.n and 1 <= j <= self.base.n:
                             return self.tilde(self.base.basis_element((k, i, j)))
@@ -271,14 +271,6 @@ class CElement:
         return " + ".join(parts)
 
 
-def structural_bound(c, a, b):
-    return c.structural_bound(a, b)
-
-
-def nprod(c, a, b, n):
-    return c.nprod(a, b, n)
-
-
 def locality_degree(c, a, b, cap=None):
     """Largest order with a nonzero product, or "none" when all orders vanish.
 
@@ -372,8 +364,6 @@ __all__ = [
     "LocalityIndeterminate",
     "ConformalAlgebra",
     "CElement",
-    "structural_bound",
-    "nprod",
     "locality_degree",
     "sample_celement",
     "check_axioms",

@@ -5,10 +5,9 @@ single basis table serves every construction; what changes is which carrier
 and derivation get installed.
 """
 
-from fractions import Fraction
-
 from .algebra import AlgebraError, Derivation, MatrixPolyAlgebra
-from .conformal import CElement, ConformalAlgebra
+from .conformal import ConformalAlgebra
+from .linalg import Echelon
 from .rings import RatFunc
 
 
@@ -48,48 +47,20 @@ def product_table(c, named_gens):
     return entries
 
 
-class SpanReducer:
-    """Incremental echelon form over the fraction field Q(D), sparse rows
-    keyed by base basis keys. Rank over Q(D) equals the free-module rank of
-    the Q[D]-span, which is what the closure and growth profiles count."""
+class SpanReducer(Echelon):
+    """Echelon form over the fraction field Q(D) of conformal elements,
+    sparse rows keyed by base basis keys. Rank over Q(D) equals the
+    free-module rank of the Q[D]-span, which is what the closure and growth
+    profiles count."""
 
-    def __init__(self):
-        self.rows = []
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def _reduce(self, vec):
-        for pivot, row in self.rows:
-            c = vec.get(pivot)
-            if c is None or not c:
-                continue
-            for k, v in row.items():
-                cur = vec.get(k, RatFunc.const(0, "D"))
-                cur = cur - c * v
-                if cur:
-                    vec[k] = cur
-                else:
-                    vec.pop(k, None)
-        return vec
+    __slots__ = ()
 
     def contains(self, elem):
-        vec = {k: RatFunc(p) for k, p in elem.items.items()}
-        return not self._reduce(vec)
+        return not self.reduce({k: RatFunc(p) for k, p in elem.items.items()})
 
     def add(self, elem):
         """Insert an element; True when it raised the rank."""
-        vec = {k: RatFunc(p) for k, p in elem.items.items()}
-        vec = self._reduce(vec)
-        if not vec:
-            return False
-        pivot = min(vec)
-        inv = vec[pivot]
-        vec = {k: v / inv for k, v in vec.items()}
-        self.rows.append((pivot, vec))
-        self.rows.sort(key=lambda r: r[0])
-        return True
+        return super().add({k: RatFunc(p) for k, p in elem.items.items()})
 
 
 class ClosureProfile:
@@ -100,9 +71,6 @@ class ClosureProfile:
         self.ranks = ranks
         self.frontier_sizes = frontier_sizes
         self.stabilized = stabilized
-
-    def rank_after(self, r):
-        return self.ranks[r - 1]
 
 
 def generate_closure(c, gens, rounds=4):
@@ -141,24 +109,6 @@ def generate_closure(c, gens, rounds=4):
     return ClosureProfile(spanning, ranks, sizes, stabilized)
 
 
-def enumerate_towers(c, gens, length):
-    """Every product of the generators with every bracketing, up to the given
-    factor count, at all nonzero orders. Exponential; test-scale only."""
-    by_len = {1: list(gens)}
-    for l in range(2, length + 1):
-        out = []
-        for split in range(1, l):
-            for u in by_len[split]:
-                for v in by_len[l - split]:
-                    for n, w in sorted(c.nprod_all(u, v).items()):
-                        out.append(w)
-        by_len[l] = out
-    all_elems = []
-    for l in range(1, length + 1):
-        all_elems.extend(by_len[l])
-    return all_elems
-
-
 __all__ = [
     "make_current",
     "make_differential",
@@ -167,5 +117,4 @@ __all__ = [
     "SpanReducer",
     "ClosureProfile",
     "generate_closure",
-    "enumerate_towers",
 ]

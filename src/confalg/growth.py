@@ -4,19 +4,7 @@ log-log slope estimate of how that rank scales."""
 import math
 import statistics
 
-from .conformal import coeff_matrix
 from .constructions import generate_closure
-from .linalg import bareiss_rank
-
-
-def span_rank(elems):
-    """Free-module rank of the Q[D]-span, via a fraction-free determinant
-    sweep over the coefficient matrix."""
-    live = [e for e in elems if not e.is_zero()]
-    if not live:
-        return 0
-    _, rows = coeff_matrix(live)
-    return bareiss_rank(rows)
 
 
 class RankProfile:
@@ -72,4 +60,4 @@ def gk_profile(c, gens, rmax=12):
     return RankProfile(ranks, rmax, window, exponent, classification, closure.stabilized)
 
 
-__all__ = ["span_rank", "RankProfile", "gk_profile"]
+__all__ = ["RankProfile", "gk_profile"]

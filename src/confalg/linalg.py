@@ -1,96 +1,115 @@
-"""Exact linear algebra: field elimination, fraction-free rank, polynomial modules.
+"""Exact linear algebra: one sparse echelon kernel, its dense entry points,
+and a fraction-free rank kept as an independent reference.
 
-Field routines are generic over the entry type (Fraction or RatFunc): entries
-must support +, -, *, / and truth testing. Module routines work over Q[var]
-with Poly entries and never leave the polynomial ring.
+The kernel is generic over the entry field (Fraction or RatFunc): entries
+must support +, -, unary -, *, / and truth testing. Vectors are sparse
+{key: entry} maps over orderable keys; every elimination in the package
+goes through Echelon.
 """
 
+from bisect import insort
 from fractions import Fraction
+from operator import itemgetter
 
 from .rings import Poly
 
 
-def rref(rows, zero):
-    """Reduced row echelon form. Returns (matrix, pivot column list)."""
-    m = [list(r) for r in rows]
-    pivots = []
-    if not m:
-        return m, pivots
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        p = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                p = i
-                break
-        if p is None:
+def _eliminate(vec, rows):
+    """Subtract from vec, in place, the multiple of each (pivot, row) that
+    clears vec at the pivot. Each row is 1 at its pivot and 0 at the pivots
+    of the rows before it, so one pass leaves vec 0 at every pivot."""
+    for pivot, row in rows:
+        c = vec.get(pivot)
+        if not c:
             continue
-        m[r], m[p] = m[p], m[r]
-        piv = m[r][c]
-        m[r] = [e / piv for e in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+        for k, v in row.items():
+            cur = vec.get(k)
+            cur = -c * v if cur is None else cur - c * v
+            if cur:
+                vec[k] = cur
+            else:
+                vec.pop(k, None)
+    return vec
 
 
-def mat_rank(rows, zero):
-    return len(rref(rows, zero)[1])
+class Echelon:
+    """Incremental row echelon form over a field.
+
+    Rows are sparse maps normalized to 1 at their minimal key, their pivot,
+    and kept sorted by pivot. A row's entries all sit at keys >= its pivot,
+    so one increasing pass over the rows reduces any vector."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, vectors=()):
+        self.rows = []
+        for vec in vectors:
+            self.add(vec)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        """Residual of vec modulo the rows, as a new map; empty exactly when
+        vec lies in their span."""
+        return _eliminate(dict(vec), self.rows)
+
+    def add(self, vec):
+        """Insert a vector; True when it raised the rank."""
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        pivot = min(vec)
+        inv = vec[pivot]
+        insort(self.rows, (pivot, {k: v / inv for k, v in vec.items()}), key=itemgetter(0))
+        return True
+
+    def basis(self):
+        """The reduced basis sorted by pivot: every pivot entry is 1 and is
+        the only nonzero entry of its key across the basis."""
+        done = []
+        for pivot, row in reversed(self.rows):
+            done.append((pivot, _eliminate(dict(row), done)))
+        done.reverse()
+        return done
 
 
-def solve_right(a, b, zero, one):
-    """Least solution of A x = b with free variables set to zero, or None."""
-    if not a:
-        return [] if not any(b) else None
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    m, pivots = rref(aug, zero)
-    ncols = len(a[0])
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
-    return x
+def rref(rows):
+    """Reduced row echelon form of a dense Fraction matrix. Returns the
+    nonzero reduced rows and their pivot columns."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    basis = Echelon({j: e for j, e in enumerate(r) if e} for r in rows).basis()
+    zero = Fraction(0)
+    return (
+        [[row.get(j, zero) for j in range(ncols)] for _, row in basis],
+        [pivot for pivot, _ in basis],
+    )
 
 
-def nullspace_right(a, zero, one):
-    """Basis of {x : A x = 0}."""
+def solve_right(a, b):
+    """Least solution of A x = b over Q with free unknowns set to zero, or
+    None when the system is inconsistent."""
+    if len(b) != len(a):
+        raise ValueError("%d equations but %d right-hand sides" % (len(a), len(b)))
     if not a:
         return []
     ncols = len(a[0])
-    m, pivots = rref(a, zero)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for i, c in enumerate(pivots):
-            v[c] = -m[i][f]
-        basis.append(v)
-    return basis
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
-def solve_combination(vectors, target, zero, one):
-    """Coefficients x with sum x_i vectors[i] = target, or None."""
-    if not vectors:
-        return [] if not any(target) else None
-    return solve_right(transpose(vectors), target, zero, one)
+    m, pivots = rref([list(row) + [bv] for row, bv in zip(a, b)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(m, pivots):
+        x[c] = row[ncols]
+    return x
 
 
 def bareiss_rank(rows):
     """Rank of a Poly matrix over the fraction field, by fraction-free
     elimination. Intermediate entries stay in the polynomial ring; every
-    division is exact."""
+    division is exact. An independent reference for the kernel's rank."""
     m = [list(r) for r in rows]
     nr = len(m)
     if nr == 0:
@@ -121,139 +140,47 @@ def bareiss_rank(rows):
     return rank
 
 
-def pol_echelon(rows):
-    """Row echelon basis of the Q[var]-module spanned by Poly rows.
-
-    Euclidean elimination in each pivot column; pivots monic, entries above
-    pivots reduced. Returns (echelon rows, pivot columns)."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return [], []
-    nc = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(nc):
-        while True:
-            nz = [i for i in range(r, len(m)) if m[i][c]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: m[i][c].degree())
-            b, a = nz[0], nz[1]
-            q = divmod(m[a][c], m[b][c])[0]
-            m[a] = [x - q * y for x, y in zip(m[a], m[b])]
-        nz = [i for i in range(r, len(m)) if m[i][c]]
-        if not nz:
-            continue
-        m[r], m[nz[0]] = m[nz[0]], m[r]
-        lead = m[r][c].leading()
-        if lead != 1:
-            inv = 1 / lead
-            m[r] = [x.scale(inv) for x in m[r]]
-        for i in range(r):
-            q = divmod(m[i][c], m[r][c])[0]
-            if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def pol_member(v, echelon, pivots):
-    """Whether v lies in the module spanned by an echelon basis."""
-    v = list(v)
-    for row, c in zip(echelon, pivots):
-        if v[c]:
-            q, rem = divmod(v[c], row[c])
-            if rem:
-                return False
-            v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
-
-
-def pol_module_equal(rows1, rows2):
-    e1, p1 = pol_echelon(rows1)
-    e2, p2 = pol_echelon(rows2)
-    return all(pol_member(v, e2, p2) for v in e1) and all(
-        pol_member(v, e1, p1) for v in e2
-    )
-
-
 def pol_constant_intersection(rows):
-    """Spanning set, over Q, of the constant vectors inside the Q[var]-module
-    spanned by the rows.
+    """Reduced basis, over Q, of the constant vectors inside the
+    Q[var]-module spanned by the rows.
 
     Combination coefficients of polynomial degree at most
     nrows * maxdeg + 1 suffice: back substitution in echelon form raises the
-    degree by at most maxdeg per step."""
+    degree by at most maxdeg per step. Each unknown coefficient (row i,
+    power t) contributes one vector: its share of every positive-degree
+    coefficient, keyed (0, column, degree), then its share of the constant
+    term, keyed (1, column). Echelon rows with a pivot in the second block
+    vanish on the first, and they span exactly the constant vectors."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return []
     nc = len(rows[0])
-    maxdeg = max(max((p.degree() for p in row), default=0) for row in rows)
-    maxdeg = max(maxdeg, 0)
+    maxdeg = max(p.degree() for row in rows for p in row)
     bound = len(rows) * maxdeg + 1
-    nvars = len(rows) * (bound + 1)
-
-    def vidx(i, t):
-        return i * (bound + 1) + t
-
-    constraints = []
-    for c in range(nc):
-        for d in range(1, bound + maxdeg + 1):
-            con = [Fraction(0)] * nvars
-            hit = False
-            for i, row in enumerate(rows):
-                p = row[c]
-                for t in range(bound + 1):
+    ech = Echelon()
+    for row in rows:
+        for t in range(bound + 1):
+            vec = {}
+            for c, p in enumerate(row):
+                for d in range(max(1, t), t + p.degree() + 1):
                     coef = p.coeff(d - t)
                     if coef:
-                        con[vidx(i, t)] += coef
-                        hit = True
-            if hit:
-                constraints.append(con)
-    if constraints:
-        sols = nullspace_right(constraints, Fraction(0), Fraction(1))
-    else:
-        sols = [
-            [Fraction(1) if k == vidx(i, 0) else Fraction(0) for k in range(nvars)]
-            for i in range(len(rows))
-        ]
-    vecs = []
-    for y in sols:
-        v = [Fraction(0)] * nc
-        for c in range(nc):
-            for i, row in enumerate(rows):
-                p = row[c]
-                for t in range(bound + 1):
-                    co = p.coeff(0 - t)
-                    if co:
-                        v[c] += y[vidx(i, t)] * co
-        if any(v):
-            vecs.append(v)
-    if not vecs:
-        return []
-    reduced, pivots = rref(vecs, Fraction(0))
-    return reduced[: len(pivots)]
-
-
-def eval_rows(rows, value):
-    """Evaluate a Poly matrix at a rational point."""
-    return [[p(value) for p in row] for row in rows]
+                        vec[(0, c, d)] = coef
+                if t == 0 and p.coeff(0):
+                    vec[(1, c)] = p.coeff(0)
+            ech.add(vec)
+    zero = Fraction(0)
+    return [
+        [row.get((1, c), zero) for c in range(nc)]
+        for pivot, row in ech.basis()
+        if pivot[0] == 1
+    ]
 
 
 __all__ = [
+    "Echelon",
     "rref",
-    "mat_rank",
     "solve_right",
-    "nullspace_right",
-    "transpose",
-    "solve_combination",
     "bareiss_rank",
-    "pol_echelon",
-    "pol_member",
-    "pol_module_equal",
     "pol_constant_intersection",
-    "eval_rows",
 ]

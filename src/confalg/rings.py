@@ -59,10 +59,6 @@ class Poly:
     def gen(cls, var="x"):
         return cls((0, 1), var)
 
-    @classmethod
-    def monomial(cls, c, k, var="x"):
-        return cls((0,) * k + (frac(c),), var)
-
     def is_zero(self):
         return not self.coeffs
 
@@ -190,12 +186,14 @@ class Poly:
 
     @classmethod
     def from_map(cls, m, var="x"):
-        if not m:
-            return cls.zero(var)
-        top = max(int(k) for k in m)
-        cs = [Fraction(0)] * (top + 1)
-        for k, v in m.items():
-            cs[int(k)] = frac(v)
+        if not isinstance(m, dict):
+            raise TypeError("a polynomial map must be an object, got %r" % (m,))
+        powers = {int(k): frac(v) for k, v in m.items()}
+        if any(k < 0 for k in powers):
+            raise ValueError("negative power in %r" % (m,))
+        cs = [Fraction(0)] * (max(powers, default=-1) + 1)
+        for k, v in powers.items():
+            cs[k] = v
         return cls(cs, var)
 
     def text(self):
@@ -244,10 +242,6 @@ class RatFunc:
             den = Poly.one(den.var)
         self.num = num
         self.den = den
-
-    @classmethod
-    def const(cls, c, var="x"):
-        return cls(Poly.const(c, var))
 
     def is_zero(self):
         return self.num.is_zero()

@@ -75,6 +75,10 @@ class _Ctx:
         raise SpecError(message, path=path, line=line, col=col, invariant=invariant)
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _want(node, path, ctx, kind=dict):
     if not isinstance(node, kind):
         ctx.fail("expected %s" % kind.__name__, path=path)
@@ -90,7 +94,7 @@ def _build_base(node, path, ctx, allow_sub=True):
         return PolynomialAlgebra()
     if kind in ("matrix", "matrix_poly"):
         n = node.get("n")
-        if not isinstance(n, int):
+        if not _is_int(n):
             ctx.fail("%s needs an integer n" % kind, path=path + ".n", token="n")
         try:
             return MatrixAlgebra(n) if kind == "matrix" else MatrixPolyAlgebra(n)
@@ -121,10 +125,13 @@ def _build_base(node, path, ctx, allow_sub=True):
                 _parse_base_element(parent, m, "%s.spanning[%d]" % (path, i), ctx)
             )
         degree = node.get("degree", 4)
-        if not isinstance(degree, int) or degree < 0:
+        if not _is_int(degree) or degree < 0:
             ctx.fail("degree must be a nonnegative integer", path=path + ".degree", token="degree")
+        unital = node.get("unital", False)
+        if not isinstance(unital, bool):
+            ctx.fail("unital must be true or false", path=path + ".unital", token="unital")
         try:
-            sub = Subalgebra(parent, spanning, unital=node.get("unital", False), degree=degree)
+            sub = Subalgebra(parent, spanning, unital=unital, degree=degree)
             sub.check_closure()
         except AlgebraError as exc:
             ctx.fail(str(exc), path=path + ".spanning", token="spanning", invariant="closure")
@@ -136,7 +143,7 @@ def _parse_base_element(alg, mapping, path, ctx):
     _want(mapping, path, ctx)
     try:
         return alg.parse_element(mapping)
-    except (AlgebraError, ValueError, TypeError) as exc:
+    except (AlgebraError, ValueError, TypeError, ZeroDivisionError) as exc:
         ctx.fail(str(exc), path=path)
 
 
@@ -144,7 +151,7 @@ def _parse_celement(conf, mapping, path, ctx):
     _want(mapping, path, ctx)
     try:
         return conf.from_map(mapping)
-    except (AlgebraError, ValueError, TypeError) as exc:
+    except (AlgebraError, ValueError, TypeError, ZeroDivisionError) as exc:
         ctx.fail(str(exc), path=path)
 
 
@@ -163,12 +170,15 @@ def _build_derivation(node, alg, path, ctx):
             return Derivation.ad(r)
         if kind == "table":
             degree = node.get("degree")
-            if not isinstance(degree, int):
+            if not _is_int(degree):
                 ctx.fail("table derivation needs a degree", path=path + ".degree", token="degree")
             images_node = _want(node.get("images", {}), path + ".images", ctx)
             images = {}
             for name, m in images_node.items():
-                key = alg.parse_key(name)
+                try:
+                    key = alg.parse_key(name)
+                except AlgebraError as exc:
+                    ctx.fail(str(exc), path="%s.images.%s" % (path, name), token=name)
                 images[key] = _parse_base_element(alg, m, "%s.images.%s" % (path, name), ctx)
             for key in alg.basis_upto(degree):
                 if key not in images:
@@ -228,9 +238,9 @@ def load_spec_text(text):
     vnode = _want(doc.get("validate", {}), "$.validate", ctx)
     vdegree = vnode.get("degree", 8)
     cap = vnode.get("cap", 12)
-    if not isinstance(vdegree, int) or vdegree < 0:
+    if not _is_int(vdegree) or vdegree < 0:
         ctx.fail("validate.degree must be a nonnegative integer", path="$.validate.degree")
-    if not isinstance(cap, int) or cap < 1:
+    if not _is_int(cap) or cap < 1:
         ctx.fail("validate.cap must be a positive integer", path="$.validate.cap")
 
     if "base" not in doc:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from .algebra import AlgebraError, Element, element_nilpotency_index
 from .conformal import CElement, coeff_matrix
 from .constructions import SpanReducer, make_current, product_table
-from .linalg import bareiss_rank, pol_constant_intersection, rref, solve_right
+from .linalg import Echelon, pol_constant_intersection, solve_right
 from .rings import Poly, inv_factorial
 
 
@@ -27,38 +27,6 @@ def component_slices(a):
             if c:
                 out.setdefault(i, {})[key] = c
     return {i: Element(base, m) for i, m in sorted(out.items())}
-
-
-def slices_rebuild(c, comps):
-    out = c.zero()
-    for k, a_k in comps.items():
-        out = out.add(c.tilde(a_k).dapply(k))
-    return out
-
-
-def extract_current_components(c, a):
-    """Recover the slices through products against the canonical identity:
-    a (n) 1~ = (-1)^n n! (a_n)~. Only the image of the base identity works
-    here, so the carrier must be unital."""
-    if not c.base.is_unital():
-        raise StructureError("component extraction needs a unital carrier")
-    e = c.tilde(c.base.one())
-    out = {}
-    fact = Fraction(1)
-    for n in range(a.pdeg() + 1):
-        if n:
-            fact *= n
-        v = c.nprod(a, e, n)
-        if v.is_zero():
-            continue
-        sign = Fraction(-1 if n % 2 else 1) / fact
-        items = {}
-        for key, p in v.items.items():
-            if p.degree() > 0:
-                raise StructureError("non-constant residue in component extraction")
-            items[key] = p.coeff(0) * sign
-        out[n] = Element(c.base, items)
-    return out
 
 
 class IdentityCandidate:
@@ -258,7 +226,7 @@ def is_current(sub, a, degree):
         for key in keys:
             rows.append([w.items.get(key, Fraction(0)) for w in comms])
             rhs.append(target.items.get(key, Fraction(0)))
-    sol = solve_right(rows, rhs, Fraction(0), Fraction(1))
+    sol = solve_right(rows, rhs)
     if sol is None:
         return CurrentnessVerdict(degree, False, None)
     witness = sub.parent.zero()
@@ -268,18 +236,9 @@ def is_current(sub, a, degree):
 
 
 def _echelon_elements(alg, elems):
-    """Canonical Q-spanning list for a set of base elements."""
-    live = [e for e in elems if not e.is_zero()]
-    if not live:
-        return []
-    keys = sorted(set().union(*[set(e.items) for e in live]))
-    rows = [[e.items.get(k, Fraction(0)) for k in keys] for e in live]
-    red, pivots = rref(rows, Fraction(0))
-    out = []
-    for i in range(len(pivots)):
-        items = {k: red[i][j] for j, k in enumerate(keys) if red[i][j]}
-        out.append(Element(alg, items))
-    return out
+    """Canonical Q-spanning list for a set of base elements: the reduced
+    echelon basis, sorted by pivot key."""
+    return [Element(alg, row) for _, row in Echelon(e.items for e in elems).basis()]
 
 
 class IdealPair:
@@ -326,14 +285,10 @@ def ideal_lift(c, gens, degree=4, within=None):
                     raw.append(p)
     raw = [p for p in raw if p.degree() <= degree]
     span = _echelon_elements(base, raw)
+    ech = Echelon(u.items for u in span)
 
     def member(v):
-        if v.is_zero():
-            return True
-        keys = sorted(set().union(set(v.items), *[set(w.items) for w in span]))
-        rows = [[w.items.get(k, Fraction(0)) for k in keys] for w in span]
-        target = [v.items.get(k, Fraction(0)) for k in keys]
-        return solve_right(rows, target, Fraction(0), Fraction(1)) is not None
+        return not ech.reduce(v.items)
 
     delta_stable = all(member(c.der.apply(u)) for u in span)
     two_sided = True
@@ -348,17 +303,9 @@ def ideal_lift(c, gens, degree=4, within=None):
 
 def ideal_restrict(c, celems):
     """Constant part of the module span: all base elements b with b~ in the
-    Q[D]-span of the given conformal elements."""
-    live = [e for e in celems if not e.is_zero()]
-    if not live:
-        return []
-    keys, rows = coeff_matrix(live)
-    consts = pol_constant_intersection(rows)
-    out = []
-    for vec in consts:
-        items = {k: vec[j] for j, k in enumerate(keys) if vec[j]}
-        out.append(Element(c.base, items))
-    return _echelon_elements(c.base, out)
+    Q[D]-span of the given conformal elements, as a reduced echelon basis."""
+    keys, rows = coeff_matrix(list(celems))
+    return [Element(c.base, dict(zip(keys, vec))) for vec in pol_constant_intersection(rows)]
 
 
 def nilpotency_check(c, gens, degree=4, cap=8, within=None):
@@ -417,12 +364,10 @@ def unital_split(c, e, degree=4):
     else:
         cert = is_conformal_identity(c, e, degree)
     keys = c.base.basis_upto(degree)
-    images = [c.nprod(e, c.tilde(c.base.basis_element(k)), 0) for k in keys]
-    live = [v for v in images if not v.is_zero()]
-    image_rank = 0
-    if live:
-        _, rows = coeff_matrix(live)
-        image_rank = bareiss_rank(rows)
+    image = SpanReducer()
+    for k in keys:
+        image.add(c.nprod(e, c.tilde(c.base.basis_element(k)), 0))
+    image_rank = image.rank
     module_rank = len(keys)
     return {
         "degree": degree,
@@ -436,8 +381,6 @@ def unital_split(c, e, degree=4):
 __all__ = [
     "StructureError",
     "component_slices",
-    "slices_rebuild",
-    "extract_current_components",
     "IdentityCandidate",
     "is_conformal_identity",
     "UntwistResult",

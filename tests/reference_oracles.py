@@ -1,0 +1,58 @@
+"""Independent reference computations the tests cross-check the library
+against. They are deliberately naive and share no code with the routines
+they check."""
+
+from fractions import Fraction
+
+from confalg.algebra import Element
+from confalg.structure import StructureError
+
+
+def enumerate_towers(c, gens, length):
+    """Every product of the generators with every bracketing, up to the given
+    factor count, at all nonzero orders. Exponential; test-scale only."""
+    by_len = {1: list(gens)}
+    for l in range(2, length + 1):
+        out = []
+        for split in range(1, l):
+            for u in by_len[split]:
+                for v in by_len[l - split]:
+                    for n, w in sorted(c.nprod_all(u, v).items()):
+                        out.append(w)
+        by_len[l] = out
+    all_elems = []
+    for l in range(1, length + 1):
+        all_elems.extend(by_len[l])
+    return all_elems
+
+
+def slices_rebuild(c, comps):
+    out = c.zero()
+    for k, a_k in comps.items():
+        out = out.add(c.tilde(a_k).dapply(k))
+    return out
+
+
+def extract_current_components(c, a):
+    """Recover the slices through products against the canonical identity:
+    a (n) 1~ = (-1)^n n! (a_n)~. Only the image of the base identity works
+    here, so the carrier must be unital."""
+    if not c.base.is_unital():
+        raise StructureError("component extraction needs a unital carrier")
+    e = c.tilde(c.base.one())
+    out = {}
+    fact = Fraction(1)
+    for n in range(a.pdeg() + 1):
+        if n:
+            fact *= n
+        v = c.nprod(a, e, n)
+        if v.is_zero():
+            continue
+        sign = Fraction(-1 if n % 2 else 1) / fact
+        items = {}
+        for key, p in v.items.items():
+            if p.degree() > 0:
+                raise StructureError("non-constant residue in component extraction")
+            items[key] = p.coeff(0) * sign
+        out[n] = Element(c.base, items)
+    return out

@@ -196,3 +196,24 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "x.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle-check", "cend1.json", "--samples", "-3"),
+        ("check-axioms", "cur_matrix2.json", "--degree", "-1"),
+        ("is-current", "noncur.json", "a", "--degree", "-1"),
+        ("gk", "cend1.json", "--rmax", "0"),
+        ("assoc-check", "cend1.json", "--power", "-1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    command, name, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, spec(name), *rest])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be an integer >=" in err

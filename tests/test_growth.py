@@ -1,9 +1,16 @@
 import pytest
 
 from confalg.algebra import MatrixAlgebra
-from confalg.constructions import make_cend, make_current
-from confalg.growth import gk_profile, span_rank
+from confalg.constructions import SpanReducer, make_cend, make_current
+from confalg.growth import gk_profile
 from confalg.rings import Poly
+
+
+def span_rank(elems):
+    reducer = SpanReducer()
+    for e in elems:
+        reducer.add(e)
+    return reducer.rank
 
 
 def test_span_rank_counts_free_directions():

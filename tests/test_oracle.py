@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -109,20 +110,44 @@ def test_ore_associativity_check_passes_on_the_honest_ring():
     assert report["ok"]
 
 
-def test_ore_associativity_check_catches_a_flipped_commutation_sign():
-    class BrokenOre(OreElement):
-        _pos_sign = 1
+def ore_product(sign):
+    """Product of B[t, t^-1; d] built from t b = b t + sign d(b); sign -1 is
+    the honest ring. Negative powers use the library's expansion."""
 
+    def mul(x, y):
+        out = OreElement(x.base, x.der, {})
+        for p, a in x.items.items():
+            for q, b in y.items.items():
+                if p > 0:
+                    terms = {
+                        p - k: x.der.iterate(b, k).scale(sign**k * comb(p, k))
+                        for k in range(p + 1)
+                    }
+                else:
+                    terms = x.commute_t(p, b)
+                for pw, coef in terms.items():
+                    out = out.add(OreElement(x.base, x.der, {pw + q: a.mul(coef)}))
+        return out
+
+    return mul
+
+
+def test_ore_associativity_check_catches_a_flipped_commutation_sign():
     base = MatrixPolyAlgebra(1)
     der = Derivation.ddx(base)
-    report = coeff_assoc_check(base, der, samples=50, seed=0, cls=BrokenOre)
+    honest, flipped = ore_product(-1), ore_product(1)
+    rng = random.Random(2)
+    for _ in range(10):
+        x, y = sample_ore(base, der, rng), sample_ore(base, der, rng)
+        assert honest(x, y) == x.mul(y)
+    report = coeff_assoc_check(base, der, samples=50, seed=0, mul=flipped)
     assert not report["ok"]
     assert report["violation"] is not None
     # pinpoint one witness: with the wrong sign, t (t^-1 x) != (t t^-1) x
-    t = BrokenOre.from_element(der, base.one(), power=1)
-    tinv = BrokenOre.from_element(der, base.one(), power=-1)
-    x = BrokenOre.from_element(der, base.parse_element({"x": "1"}))
-    assert t.mul(tinv.mul(x)) != t.mul(tinv).mul(x)
+    t = OreElement.from_element(der, base.one(), power=1)
+    tinv = OreElement.from_element(der, base.one(), power=-1)
+    x = OreElement.from_element(der, base.parse_element({"x": "1"}))
+    assert flipped(t, flipped(tinv, x)) != flipped(flipped(t, tinv), x)
 
 
 def test_sample_ore_deterministic():

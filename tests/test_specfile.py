@@ -184,3 +184,53 @@ def test_subalgebra_description_exposes_both_views():
     assert data.sub is not None
     assert data.carrier.kind == "matrix"
     assert data.conformal.base is data.carrier
+
+
+def scalar_poly_spec(**extra):
+    doc = {"name": "p", "base": {"kind": "poly"}, "derivation": {"kind": "ddx"}}
+    doc.update(extra)
+    return json.dumps(doc)
+
+
+def test_a_zero_denominator_is_refused():
+    text = scalar_poly_spec(base_elements={"b": {"x": "1/0"}})
+    with pytest.raises(SpecError) as exc:
+        load_spec_text(text)
+    assert exc.value.path == "$.base_elements.b"
+
+
+@pytest.mark.parametrize("powers", [{"-1": "1"}, {"-1": "1", "2": "1"}], ids=["alone", "mixed"])
+def test_a_negative_d_power_is_refused(powers):
+    text = scalar_poly_spec(elements={"a": {"x": powers}})
+    with pytest.raises(SpecError) as exc:
+        load_spec_text(text)
+    assert exc.value.path == "$.elements.a"
+
+
+def test_a_malformed_derivation_image_key_is_refused():
+    text = scalar_poly_spec(
+        derivation={"kind": "table", "degree": 1, "images": {"1": {}, "x": {"1": "1"}, "x^a": {}}}
+    )
+    with pytest.raises(SpecError) as exc:
+        load_spec_text(text)
+    assert exc.value.path == "$.derivation.images.x^a"
+    assert exc.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text,path",
+    [
+        ('{"name": "m", "base": {"kind": "matrix", "n": true}}', "$.base.n"),
+        ('{"name": "p", "base": {"kind": "poly"}, "validate": {"degree": true}}', "$.validate.degree"),
+        (
+            '{"name": "s", "base": {"kind": "subalgebra", "parent": {"kind": "poly"},'
+            ' "spanning": [{"1": "1"}], "degree": 0, "unital": "no"}}',
+            "$.base.unital",
+        ),
+    ],
+    ids=["matrix_n", "validate_degree", "unital_flag"],
+)
+def test_booleans_and_integers_are_not_interchangeable(text, path):
+    with pytest.raises(SpecError) as exc:
+        load_spec_text(text)
+    assert exc.value.path == path

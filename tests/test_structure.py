@@ -16,16 +16,15 @@ from confalg.structure import (
     StructureError,
     component_slices,
     dual_identity_consistency,
-    extract_current_components,
     ideal_lift,
     ideal_restrict,
     is_conformal_identity,
     is_current,
     nilpotency_check,
-    slices_rebuild,
     unital_split,
     untwist,
 )
+from reference_oracles import extract_current_components, slices_rebuild
 
 
 def twisted_m2():
@@ -202,6 +201,25 @@ def test_ideal_lift_inside_the_triangular_subalgebra():
     assert pair.two_sided
     # restriction undoes the lift
     assert ideal_restrict(c, pair.conf_span) == pair.base_span
+
+
+def test_ideal_lift_sees_a_derivative_leaving_the_slice():
+    # d/dx (x e11) = e11, and e11 is not in the ideal slice generated by x e11
+    c = make_cend(2)
+    pair = ideal_lift(c, [c.base.parse_element({"x*e11": "1"})], degree=2)
+    assert pair.delta_stable is False
+    assert pair.two_sided is True
+
+
+def test_ideal_lift_of_the_scalar_x_ideal_is_stable_and_two_sided():
+    mp = MatrixPolyAlgebra(2)
+    c = make_current(mp)
+    g = mp.parse_element({"x*e11": "1", "x*e22": "1"})
+    for degree in range(3, 7):
+        pair = ideal_lift(c, [g], degree=degree)
+        assert len(pair.base_span) == 4 * degree
+        assert pair.delta_stable is True
+        assert pair.two_sided is True
 
 
 def test_ideal_generators_are_membership_checked():
