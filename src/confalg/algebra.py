@@ -6,7 +6,6 @@ kind, so they sort deterministically. Subalgebras are views on a parent:
 their elements are parent elements and membership is a linear solve.
 """
 
-from fractions import Fraction
 from math import comb
 
 from .linalg import Echelon
@@ -24,6 +23,8 @@ class BaseAlgebra:
         raise NotImplementedError
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, BaseAlgebra) and self.descriptor() == other.descriptor()
 
     def __hash__(self):
@@ -63,7 +64,7 @@ class BaseAlgebra:
         return Element(self, {})
 
     def basis_element(self, key):
-        return Element(self, {key: Fraction(1)})
+        return Element(self, {key: 1})
 
     def element(self, items):
         return Element(self, items)
@@ -87,7 +88,7 @@ class ScalarAlgebra(BaseAlgebra):
         return [0]
 
     def mul_keys(self, k1, k2):
-        return {0: Fraction(1)}
+        return {0: 1}
 
     def key_name(self, key):
         return "1"
@@ -119,7 +120,7 @@ class PolynomialAlgebra(BaseAlgebra):
         return list(range(degree + 1))
 
     def mul_keys(self, k1, k2):
-        return {k1 + k2: Fraction(1)}
+        return {k1 + k2: 1}
 
     def key_name(self, key):
         if key == 0:
@@ -149,7 +150,7 @@ class PolynomialAlgebra(BaseAlgebra):
     def ddx_key(self, key):
         if key == 0:
             return {}
-        return {key - 1: Fraction(key)}
+        return {key - 1: key}
 
     def shift_key(self, key, k):
         return key + k
@@ -177,7 +178,7 @@ class MatrixAlgebra(BaseAlgebra):
     def mul_keys(self, k1, k2):
         if k1[1] != k2[0]:
             return {}
-        return {(k1[0], k2[1]): Fraction(1)}
+        return {(k1[0], k2[1]): 1}
 
     def key_name(self, key):
         return "e%d%d" % key
@@ -193,7 +194,7 @@ class MatrixAlgebra(BaseAlgebra):
         return True
 
     def one(self):
-        return Element(self, {(i, i): Fraction(1) for i in range(1, self.n + 1)})
+        return Element(self, {(i, i): 1 for i in range(1, self.n + 1)})
 
 
 class MatrixPolyAlgebra(BaseAlgebra):
@@ -223,7 +224,7 @@ class MatrixPolyAlgebra(BaseAlgebra):
     def mul_keys(self, k1, k2):
         if k1[2] != k2[1]:
             return {}
-        return {(k1[0] + k2[0], k1[1], k2[2]): Fraction(1)}
+        return {(k1[0] + k2[0], k1[1], k2[2]): 1}
 
     def key_name(self, key):
         k, i, j = key
@@ -254,7 +255,7 @@ class MatrixPolyAlgebra(BaseAlgebra):
         return True
 
     def one(self):
-        return Element(self, {(0, i, i): Fraction(1) for i in range(1, self.n + 1)})
+        return Element(self, {(0, i, i): 1 for i in range(1, self.n + 1)})
 
     def supports_ddx(self):
         return True
@@ -263,7 +264,7 @@ class MatrixPolyAlgebra(BaseAlgebra):
         k, i, j = key
         if k == 0:
             return {}
-        return {(k - 1, i, j): Fraction(k)}
+        return {(k - 1, i, j): k}
 
     def shift_key(self, key, k):
         return (key[0] + k, key[1], key[2])
@@ -414,7 +415,8 @@ class Subalgebra(BaseAlgebra):
 
 
 class Element:
-    """Sparse rational combination of basis keys of one concrete algebra."""
+    """Sparse rational combination of basis keys of one concrete algebra.
+    Coefficients are stored as int when integral and Fraction otherwise."""
 
     __slots__ = ("alg", "items")
 
@@ -446,7 +448,7 @@ class Element:
         self._compat(other)
         out = dict(self.items)
         for k, c in other.items.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return Element(self.alg, out)
 
     def sub(self, other):
@@ -465,7 +467,7 @@ class Element:
         for k1, c1 in self.items.items():
             for k2, c2 in other.items.items():
                 for k, c in self.alg.mul_keys(k1, k2).items():
-                    out[k] = out.get(k, Fraction(0)) + c1 * c2 * c
+                    out[k] = out.get(k, 0) + c1 * c2 * c
         return Element(self.alg, out)
 
     def power(self, m):
@@ -511,7 +513,10 @@ class Element:
 
 
 class Derivation:
-    """A derivation descriptor: zero, ddx, ad(r), or an explicit basis table."""
+    """A derivation descriptor: zero, ddx, ad(r), or an explicit basis table.
+
+    ore_table memoises the monomial products of the twisted Laurent ring
+    over this derivation; OreElement fills it."""
 
     def __init__(self, alg, kind, r=None, images=None, table_degree=None):
         self.alg = alg
@@ -519,6 +524,7 @@ class Derivation:
         self.r = r
         self.images = images
         self.table_degree = table_degree
+        self.ore_table = {}
 
     @classmethod
     def zero(cls, alg):
@@ -556,6 +562,8 @@ class Derivation:
         return (self.kind, self.alg.descriptor(), extra)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Derivation) and self.descriptor() == other.descriptor()
 
     def __hash__(self):
@@ -570,7 +578,7 @@ class Derivation:
             out = {}
             for k, c in x.items.items():
                 for kk, cc in x.alg.ddx_key(k).items():
-                    out[kk] = out.get(kk, Fraction(0)) + c * cc
+                    out[kk] = out.get(kk, 0) + c * cc
             return Element(x.alg, out)
         if self.kind == "ad":
             return self.r.mul(x).sub(x.mul(self.r))
@@ -710,7 +718,7 @@ def derivation_restricts(a, d, degree):
 def random_element(alg, rng, degree, terms=3, coeff_bound=5):
     keys = alg.basis_upto(degree)
     picked = rng.sample(keys, min(rng.randint(1, terms), len(keys)))
-    return Element(alg, {k: Fraction(rng.randint(-coeff_bound, coeff_bound)) for k in picked})
+    return Element(alg, {k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
 
 
 class OreElement:
@@ -789,24 +797,44 @@ class OreElement:
                     raise AlgebraError("runaway expansion; derivation not nilpotent?")
         return out
 
+    def monomial_product(self, k1, p, k2):
+        """(b_k1 t^p) b_k2 as a list of (power, key, coefficient), built from
+        commute_t and mul_keys and memoised in the derivation's ore_table
+        under (k1, p, k2). A right factor t^q only shifts every power by q."""
+        key = (k1, p, k2)
+        got = self.der.ore_table.get(key)
+        if got is None:
+            mul_keys = self.base.mul_keys
+            got = []
+            for pw, coef in self.commute_t(p, self.base.basis_element(k2)).items():
+                acc = {}
+                for kk, cc in coef.items.items():
+                    for k, c in mul_keys(k1, kk).items():
+                        acc[k] = acc.get(k, 0) + cc * c
+                got.extend((pw, k, c) for k, c in acc.items() if c)
+            self.der.ore_table[key] = got
+        return got
+
     def mul(self, other):
         if self.base != other.base or self.der != other.der:
             raise AlgebraError("Ore elements over different rings")
         # raw accumulation, power -> key -> coefficient; building Elements
         # per partial product would dominate the runtime
         out = {}
-        mul_keys = self.base.mul_keys
+        table = self.der.ore_table
         for p, a in self.items.items():
             for q, b in other.items.items():
-                for pw, coef in self.commute_t(p, b).items():
-                    slot = out.setdefault(pw + q, {})
-                    for k1, c1 in a.items.items():
-                        for k2, c2 in coef.items.items():
-                            c12 = c1 * c2
-                            for k, c in mul_keys(k1, k2).items():
-                                c = c12 if c == 1 else c12 * c
-                                cur = slot.get(k)
-                                slot[k] = c if cur is None else cur + c
+                for k1, c1 in a.items.items():
+                    for k2, c2 in b.items.items():
+                        terms = table.get((k1, p, k2))
+                        if terms is None:
+                            terms = self.monomial_product(k1, p, k2)
+                        c12 = c1 * c2
+                        for pw, k, c in terms:
+                            slot = out.setdefault(pw + q, {})
+                            c *= c12
+                            cur = slot.get(k)
+                            slot[k] = c if cur is None else cur + c
         return type(self)(
             self.base, self.der, {p: Element(self.base, s) for p, s in out.items()}
         )

@@ -55,9 +55,6 @@ class SpanReducer(Echelon):
 
     __slots__ = ()
 
-    def contains(self, elem):
-        return not self.reduce({k: RatFunc(p) for k, p in elem.items.items()})
-
     def add(self, elem):
         """Insert an element; True when it raised the rank."""
         return super().add({k: RatFunc(p) for k, p in elem.items.items()})

@@ -1,17 +1,17 @@
 """Exact linear algebra: one sparse echelon kernel, its dense entry points,
 and a fraction-free rank kept as an independent reference.
 
-The kernel is generic over the entry field (Fraction or RatFunc): entries
-must support +, -, unary -, *, / and truth testing. Vectors are sparse
+The kernel is generic over the entry field (rationals, stored as int or
+Fraction, or RatFunc): entries must support +, -, unary -, *, / and truth
+testing, and every division goes through rings.div. Vectors are sparse
 {key: entry} maps over orderable keys; every elimination in the package
 goes through Echelon.
 """
 
 from bisect import insort
-from fractions import Fraction
 from operator import itemgetter
 
-from .rings import Poly
+from .rings import Poly, div
 
 
 def _eliminate(vec, rows):
@@ -62,7 +62,7 @@ class Echelon:
             return False
         pivot = min(vec)
         inv = vec[pivot]
-        insort(self.rows, (pivot, {k: v / inv for k, v in vec.items()}), key=itemgetter(0))
+        insort(self.rows, (pivot, {k: div(v, inv) for k, v in vec.items()}), key=itemgetter(0))
         return True
 
     def basis(self):
@@ -76,15 +76,14 @@ class Echelon:
 
 
 def rref(rows):
-    """Reduced row echelon form of a dense Fraction matrix. Returns the
+    """Reduced row echelon form of a dense rational matrix. Returns the
     nonzero reduced rows and their pivot columns."""
     if not rows:
         return [], []
     ncols = len(rows[0])
     basis = Echelon({j: e for j, e in enumerate(r) if e} for r in rows).basis()
-    zero = Fraction(0)
     return (
-        [[row.get(j, zero) for j in range(ncols)] for _, row in basis],
+        [[row.get(j, 0) for j in range(ncols)] for _, row in basis],
         [pivot for pivot, _ in basis],
     )
 
@@ -100,7 +99,7 @@ def solve_right(a, b):
     m, pivots = rref([list(row) + [bv] for row, bv in zip(a, b)])
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for row, c in zip(m, pivots):
         x[c] = row[ncols]
     return x
@@ -169,9 +168,8 @@ def pol_constant_intersection(rows):
                 if t == 0 and p.coeff(0):
                     vec[(1, c)] = p.coeff(0)
             ech.add(vec)
-    zero = Fraction(0)
     return [
-        [row.get((1, c), zero) for c in range(nc)]
+        [row.get((1, c), 0) for c in range(nc)]
         for pivot, row in ech.basis()
         if pivot[0] == 1
     ]

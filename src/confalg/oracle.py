@@ -8,7 +8,6 @@ the two routes is evidence for both.
 """
 
 import random
-from fractions import Fraction
 from math import comb
 
 from .algebra import AlgebraError, Element, OreElement
@@ -76,20 +75,15 @@ def to_distribution(a, window):
     der = a.conf.der
     vals = {}
     for n in range(-window, window + 1):
-        items = {}
+        # power -> key -> coefficient, one Element per power; each (key, i)
+        # lands on its own (power, key) slot, so nothing needs summing
+        acc = {}
         for k, p in a.items.items():
-            b = base.basis_element(k)
-            for i in range(p.degree() + 1):
-                ci = p.coeff(i)
-                if not ci:
-                    continue
-                c = ci * falling(n, i) * (-1 if i % 2 else 1)
-                if not c:
-                    continue
-                pw = n - i
-                term = b.scale(c)
-                items[pw] = items[pw].add(term) if pw in items else term
-        vals[n] = OreElement(base, der, items)
+            for i, ci in enumerate(p.coeffs):
+                c = ci * falling(n, i)
+                if c:
+                    acc.setdefault(n - i, {})[k] = -c if i % 2 else c
+        vals[n] = OreElement(base, der, {pw: Element(base, s) for pw, s in acc.items()})
     return Distribution(base, der, -window, window, vals)
 
 
@@ -118,7 +112,7 @@ def dist_nprod(f, g, m, cache=None):
             term = pr(m - j, n + j)
             if term.is_zero():
                 continue
-            c = Fraction(comb(m, j) * (-1 if j % 2 else 1))
+            c = -comb(m, j) if j % 2 else comb(m, j)
             for p, el in term.items.items():
                 slot = acc.setdefault(p, {})
                 for k, v in el.items.items():
@@ -134,7 +128,9 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
     """Randomized two-route agreement check: for sampled pairs and every
     order up to one past the structural bound, the distribution of the
     closed-form product must match the ring-side residue product on the
-    whole valid window."""
+    whole valid window. A check of no samples is refused, not reported ok."""
+    if samples < 1:
+        raise OracleError("samples must be >= 1, got %d" % samples)
     rng = random.Random(seed)
     report = {
         "ok": True,
@@ -178,14 +174,17 @@ def sample_ore(base, der, rng, degree=3, power=2, terms=2, coeff_bound=5):
         p = rng.randint(-power, power)
         keys = base.basis_upto(degree)
         picked = rng.sample(keys, min(rng.randint(1, 2), len(keys)))
-        el = base.element({k: Fraction(rng.randint(-coeff_bound, coeff_bound)) for k in picked})
+        el = base.element({k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
         items[p] = items[p].add(el) if p in items else el
     return OreElement(base, der, items)
 
 
 def coeff_assoc_check(base, der, samples=100, seed=0, degree=3, power=2, mul=None):
     """Randomized associativity check for the twisted Laurent ring, mixing
-    positive and negative powers of t. mul may override the product."""
+    positive and negative powers of t. mul may override the product. A
+    check of no samples is refused, not reported ok."""
+    if samples < 1:
+        raise OracleError("samples must be >= 1, got %d" % samples)
     if mul is None:
         mul = OreElement.mul
     rng = random.Random(seed)

@@ -5,14 +5,28 @@ from math import comb, factorial
 
 
 def frac(v):
-    """Coerce to an exact rational. Floats are refused on purpose."""
-    if isinstance(v, Fraction):
+    """Coerce to an exact rational: an int when the value is integral, a
+    Fraction otherwise. Floats and bools are refused on purpose."""
+    t = type(v)
+    if t is int:
         return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise TypeError("not an exact rational: %r" % (v,))
+    if t is str:
+        v = Fraction(v)
+    elif t is not Fraction:
+        raise TypeError("not an exact rational: %r" % (v,))
+    return v.numerator if v.denominator == 1 else v
+
+
+def div(a, b):
+    """Exact quotient a / b. Two ints give an int when b divides a and a
+    Fraction otherwise, never a float; other field elements (Fraction,
+    RatFunc) divide as they define it, integral Fractions becoming ints."""
+    if type(a) is int and type(b) is int:
+        return a // b if a % b == 0 else Fraction(a, b)
+    q = a / b
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
 
 
 def falling(n, k):
@@ -24,11 +38,11 @@ def falling(n, k):
 
 
 def inv_factorial(k):
-    return Fraction(1, factorial(k))
+    return div(1, factorial(k))
 
 
 class Poly:
-    """Dense polynomial with Fraction coefficients and a variable tag.
+    """Dense polynomial with rational coefficients and a variable tag.
 
     Coefficients are indexed by degree with no trailing zeros; the zero
     polynomial has an empty coefficient tuple.
@@ -72,10 +86,10 @@ class Poly:
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeffs[-1] if self.coeffs else 0
 
     def _join_var(self, other):
         if self.coeffs and other.coeffs and self.var != other.var:
@@ -111,7 +125,7 @@ class Poly:
         var = self._join_var(other)
         if not self.coeffs or not other.coeffs:
             return Poly.zero(var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -134,15 +148,6 @@ class Poly:
             return self
         return Poly((0,) * k + self.coeffs, self.var)
 
-    def deriv(self):
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.var)
-
-    def __call__(self, value):
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return out
-
     def __divmod__(self, other):
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
@@ -151,13 +156,13 @@ class Poly:
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Poly.zero(var), self
-        q = [Fraction(0)] * (dq + 1)
+        q = [0] * (dq + 1)
         lead = other.leading()
         for k in range(dq, -1, -1):
             top = rem[k + other.degree()]
             if top == 0:
                 continue
-            f = top / lead
+            f = div(top, lead)
             q[k] = f
             for j, b in enumerate(other.coeffs):
                 rem[k + j] -= f * b
@@ -172,7 +177,7 @@ class Poly:
     def monic(self):
         if not self.coeffs:
             return self
-        return self.scale(1 / self.leading())
+        return self.scale(div(1, self.leading()))
 
     @staticmethod
     def gcd(a, b):
@@ -191,7 +196,7 @@ class Poly:
         powers = {int(k): frac(v) for k, v in m.items()}
         if any(k < 0 for k in powers):
             raise ValueError("negative power in %r" % (m,))
-        cs = [Fraction(0)] * (max(powers, default=-1) + 1)
+        cs = [0] * (max(powers, default=-1) + 1)
         for k, v in powers.items():
             cs[k] = v
         return cls(cs, var)
@@ -236,8 +241,9 @@ class RatFunc:
                 den = den.exact_div(g)
             lead = den.leading()
             if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+                inv = div(1, lead)
+                num = num.scale(inv)
+                den = den.scale(inv)
         else:
             den = Poly.one(den.var)
         self.num = num
@@ -280,4 +286,4 @@ class RatFunc:
         return "RatFunc((%s)/(%s))" % (self.num.text(), self.den.text())
 
 
-__all__ = ["frac", "falling", "inv_factorial", "comb", "Poly", "RatFunc"]
+__all__ = ["frac", "div", "falling", "inv_factorial", "comb", "Poly", "RatFunc"]

@@ -3,7 +3,6 @@ structures to pure currents, currentness certificates, the dual identity on
 component slices, ideal transfer in both directions, and nilpotency indices.
 """
 
-from fractions import Fraction
 
 from .algebra import AlgebraError, Element, element_nilpotency_index
 from .conformal import CElement, coeff_matrix
@@ -224,8 +223,8 @@ def is_current(sub, a, degree):
         target = a.mul(u).sub(u.mul(a))
         keys = sorted(set().union(set(target.items), *[set(w.items) for w in comms]))
         for key in keys:
-            rows.append([w.items.get(key, Fraction(0)) for w in comms])
-            rhs.append(target.items.get(key, Fraction(0)))
+            rows.append([w.items.get(key, 0) for w in comms])
+            rhs.append(target.items.get(key, 0))
     sol = solve_right(rows, rhs)
     if sol is None:
         return CurrentnessVerdict(degree, False, None)

@@ -4,7 +4,7 @@ they check."""
 
 from fractions import Fraction
 
-from confalg.algebra import Element
+from confalg.algebra import Element, OreElement
 from confalg.structure import StructureError
 
 
@@ -56,3 +56,19 @@ def extract_current_components(c, a):
             items[key] = p.coeff(0) * sign
         out[n] = Element(c.base, items)
     return out
+
+
+def naive_ore_mul(x, y):
+    """Product in B[t, t^-1; d] term by term, with nothing memoised: every
+    t^p b is expanded by commute_t and every pair of basis keys goes through
+    mul_keys."""
+    out = {}
+    for p, a in x.items.items():
+        for q, b in y.items.items():
+            for pw, coef in x.commute_t(p, b).items():
+                slot = out.setdefault(pw + q, {})
+                for k1, c1 in a.items.items():
+                    for k2, c2 in coef.items.items():
+                        for k, c in x.base.mul_keys(k1, k2).items():
+                            slot[k] = slot.get(k, 0) + c1 * c2 * c
+    return OreElement(x.base, x.der, {p: Element(x.base, s) for p, s in out.items()})

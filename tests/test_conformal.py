@@ -164,7 +164,7 @@ def test_celement_enforces_the_d_variable():
         CElement(c, {(1, 2): Poly.gen("x")})
     # plain numbers coerce to constants
     v = CElement(c, {(1, 2): 3})
-    assert v.coeff_of((1, 2)) == Poly.const(Fraction(3), "D")
+    assert v.items == {(1, 2): Poly.const(Fraction(3), "D")}
 
 
 def test_nprod_all_collects_exactly_the_nonzero_orders():
@@ -188,3 +188,12 @@ def test_sample_celement_deterministic():
     assert sample_celement(c, random.Random(1), 3) == sample_celement(
         c, random.Random(1), 3
     )
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_check_axioms_refuses_an_empty_sample(samples):
+    def product(a, b, n):
+        raise AssertionError("no product may run")
+
+    with pytest.raises(ConformalError, match="samples"):
+        check_axioms(make_cend(1), samples=samples, product=product)

@@ -156,3 +156,16 @@ def test_sample_ore_deterministic():
     assert sample_ore(base, der, random.Random(4)) == sample_ore(
         base, der, random.Random(4)
     )
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_oracle_checks_refuse_an_empty_sample(samples):
+    c = make_cend(1)
+
+    def mul(x, y):
+        raise AssertionError("no product may run")
+
+    with pytest.raises(OracleError, match="samples"):
+        oracle_check(c, samples=samples)
+    with pytest.raises(OracleError, match="samples"):
+        coeff_assoc_check(c.base, c.der, samples=samples, mul=mul)

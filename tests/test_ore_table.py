@@ -1,0 +1,102 @@
+"""The per-derivation table of Ore monomial products against the naive
+term-by-term product, on cold tables, warm tables, and distinct
+derivations with equal descriptors."""
+
+from hypothesis import given, settings, strategies as st
+
+from confalg.algebra import (
+    Derivation,
+    Element,
+    MatrixAlgebra,
+    MatrixPolyAlgebra,
+    OreElement,
+)
+from confalg.constructions import make_cend, make_current
+from reference_oracles import naive_ore_mul
+
+
+def _cend1():
+    c = make_cend(1)
+    return c.base, c.der
+
+
+def _cur_matrix2():
+    c = make_current(MatrixAlgebra(2))
+    return c.base, c.der
+
+
+def _dif_matrix_poly2_ad_e12():
+    base = MatrixPolyAlgebra(2)
+    return base, Derivation.ad(base.parse_element({"e12": "1"}))
+
+
+def _table_ddx_plus_ad_e12():
+    # d/dx + ad(e12) on 2x2 matrices over Q[x], written out as a basis table
+    # up to degree 3; its images have several terms, so a table entry can
+    # hold several keys at one power
+    base = MatrixPolyAlgebra(2)
+    ddx, ad = Derivation.ddx(base), Derivation.ad(base.parse_element({"e12": "1"}))
+    images = {}
+    for k in base.basis_upto(3):
+        b = base.basis_element(k)
+        images[k] = ddx.apply(b).add(ad.apply(b))
+    return base, Derivation.table(base, images, degree=3)
+
+
+# criterion 3's three structures, plus a table derivation; each call builds
+# a fresh derivation whose table is empty
+FACTORIES = {
+    "cend1": _cend1,
+    "cur_matrix2": _cur_matrix2,
+    "dif_matrix_poly2_ad_e12": _dif_matrix_poly2_ad_e12,
+    "table_ddx_plus_ad_e12": _table_ddx_plus_ad_e12,
+}
+
+# one derivation per structure kept across examples, so its table is warm
+WARM = {name: make() for name, make in FACTORIES.items()}
+
+COEFFS = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
+
+
+def draw_ore(data, base, der):
+    keys = base.basis_upto(3)
+    items = {}
+    for p in data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)):
+        picked = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+        items[p] = Element(base, {k: data.draw(COEFFS) for k in picked})
+    return OreElement(base, der, items)
+
+
+def rebase(x, base, der):
+    return OreElement(base, der, {p: Element(base, e.items) for p, e in x.items.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(FACTORIES)), data=st.data())
+def test_table_product_matches_the_naive_product(name, data):
+    base, der = FACTORIES[name]()
+    x, y = draw_ore(data, base, der), draw_ore(data, base, der)
+    expected = naive_ore_mul(x, y)
+    assert not der.ore_table
+    # cold table, then the same product on the table it just filled
+    assert x.mul(y) == expected
+    assert x.mul(y) == expected
+    wbase, wder = WARM[name]
+    assert rebase(x, wbase, wder).mul(rebase(y, wbase, wder)) == expected
+    # a second derivation with an equal descriptor has its own table
+    base2, der2 = FACTORIES[name]()
+    assert der2 == der and der2 is not der
+    x2, y2 = rebase(x, base2, der2), rebase(y, base2, der2)
+    assert x2.mul(y2) == expected
+    assert x.mul(y2) == expected
+    assert x2.mul(y) == expected
+
+
+def test_table_entries_shift_with_the_right_power():
+    base, der = _cend1()
+    x = OreElement.from_element(der, base.parse_element({"x^2": "1"}), power=-1)
+    for q in range(-2, 3):
+        y = OreElement.from_element(der, base.parse_element({"x^3": "2"}), power=q)
+        assert x.mul(y) == naive_ore_mul(x, y)
+    # every right power reused the single entry for (x^2, -1, x^3)
+    assert list(der.ore_table) == [((2, 1, 1), -1, (3, 1, 1))]

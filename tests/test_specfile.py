@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from confalg.cli import main
 from confalg.specfile import SpecError, load_spec, load_spec_text
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -234,3 +235,22 @@ def test_booleans_and_integers_are_not_interchangeable(text, path):
     with pytest.raises(SpecError) as exc:
         load_spec_text(text)
     assert exc.value.path == path
+
+
+@pytest.mark.parametrize(
+    "extra,path",
+    [
+        ({"base_elements": {"b": {"x": True}}}, "$.base_elements.b"),
+        ({"elements": {"a": {"x": {"0": True}}}}, "$.elements.a"),
+    ],
+    ids=["base_coefficient", "d_polynomial_coefficient"],
+)
+def test_a_json_boolean_is_not_a_coefficient(extra, path, tmp_path, capsys):
+    text = scalar_poly_spec(**extra)
+    with pytest.raises(SpecError) as exc:
+        load_spec_text(text)
+    assert exc.value.path == path
+    spec = tmp_path / "bool.json"
+    spec.write_text(text)
+    assert main(["table", str(spec)]) == 2
+    assert path in capsys.readouterr().err
