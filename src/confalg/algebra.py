@@ -423,7 +423,8 @@ class Element:
     def __init__(self, alg, items):
         clean = {}
         for k, c in items.items():
-            c = frac(c)
+            if type(c) is not int:
+                c = frac(c)
             if c:
                 clean[k] = c
         self.alg = alg

@@ -7,6 +7,7 @@ usage and description errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -356,9 +357,16 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser main uses, built once per process: parse_args keeps no
+    state between calls, and building the tree costs more than most
+    commands."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         data = load_spec(args.spec)
         report, code = args.fn(data, args)

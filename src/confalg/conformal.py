@@ -39,6 +39,9 @@ class ConformalAlgebra:
         self._der_pow = {}
         self._table = {}
         self._nilp = {}
+        # (j, r) -> [C(j,s) ff(r,s) for s <= min(j, r)], the weights of nprod;
+        # bounded by the D-degrees and orders the products reach
+        self._weights = {}
 
     def descriptor(self):
         return ("conformal", self.tag, self.base.descriptor(), self.der.descriptor())
@@ -102,14 +105,10 @@ class ConformalAlgebra:
         return got
 
     def basis_nprod(self, k1, k2, m):
-        """Order-m product of two basis symbols, as a key -> coefficient map."""
-        got = self._table.get((k1, k2, m))
-        if got is None:
-            dm = self._delta_pow(k2, m)
-            prod = self.base.basis_element(k1).mul(dm)
-            got = {k: -c for k, c in prod.items.items()} if m % 2 else prod.items
-            self._table[(k1, k2, m)] = got
-        return got
+        """Order-m product of two basis symbols, as a key -> coefficient map.
+        Computed afresh on each call; nprod memoises it in self._table."""
+        prod = self.base.basis_element(k1).mul(self._delta_pow(k2, m))
+        return {k: -c for k, c in prod.items.items()} if m % 2 else prod.items
 
     def nilp_key(self, key, cap=64):
         got = self._nilp.get(key)
@@ -140,37 +139,47 @@ class ConformalAlgebra:
         #                        D^(j-s) [u (n-i-s) v]
         # with ff the falling factorial; each ff vanishes exactly when its
         # step count exceeds its argument, so orders never go negative.
-        acc = {}
+        # The right factor's nonzero terms are listed once per call and the
+        # weights C(j,s) ff(r,s), r = n - i, once per algebra; results are
+        # gathered per D-power.
+        right = [
+            (k2, j, qj) for k2, q in b.items.items() for j, qj in enumerate(q.coeffs) if qj
+        ]
+        width = max(j for _, j, _ in right) + 1
+        weights = self._weights
+        table = self._table
+        acc = [{} for _ in range(width)]
         for k1, p in a.items.items():
-            for i in range(p.degree() + 1):
-                pi = p.coeff(i)
-                if not pi or i > n:
+            for i, pi in enumerate(p.coeffs[: n + 1]):
+                if not pi:
                     continue
-                head = pi * falling(n, i) * (-1 if i % 2 else 1)
-                if not head:
-                    continue
-                for k2, q in b.items.items():
-                    for j in range(q.degree() + 1):
-                        qj = q.coeff(j)
-                        if not qj:
+                r = n - i
+                head = pi * falling(n, i)
+                if i % 2:
+                    head = -head
+                for k2, j, qj in right:
+                    ws = weights.get((j, r))
+                    if ws is None:
+                        ws = [comb(j, s) * falling(r, s) for s in range(min(j, r) + 1)]
+                        weights[(j, r)] = ws
+                    hq = head * qj
+                    for s, w in enumerate(ws):
+                        key = (k1, k2, r - s)
+                        entry = table.get(key)
+                        if entry is None:
+                            entry = table[key] = self.basis_nprod(k1, k2, r - s)
+                        if not entry:
                             continue
-                        for s in range(min(j, n - i) + 1):
-                            c = head * qj * comb(j, s) * falling(n - i, s)
-                            if not c:
-                                continue
-                            table = self.basis_nprod(k1, k2, n - i - s)
-                            if not table:
-                                continue
-                            for bk, bc in table.items():
-                                slot = acc.setdefault(bk, {})
-                                pw = j - s
-                                slot[pw] = slot.get(pw, 0) + c * bc
-        items = {}
-        for bk, slot in acc.items():
-            top = max(slot)
-            coeffs = [slot.get(t, 0) for t in range(top + 1)]
-            items[bk] = Poly(coeffs, "D")
-        return CElement(self, items)
+                        c = hq * w
+                        slot = acc[j - s]
+                        get = slot.get
+                        for bk, bc in entry.items():
+                            slot[bk] = get(bk, 0) + c * bc
+        coeffs = {}
+        for pw, slot in enumerate(acc):
+            for bk, v in slot.items():
+                coeffs.setdefault(bk, [0] * width)[pw] = v
+        return CElement(self, {bk: Poly(cs, "D") for bk, cs in coeffs.items()})
 
     def nprod_all(self, a, b):
         """All nonzero orders of a (n) b, as a dict order -> element."""
@@ -323,8 +332,10 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
         bound = c.structural_bound(a, b)
         top = 1 if bound is None else bound + 1
         n = rng.randint(0, max(top, 1))
+        # (Da) (n) b enters both rules; it is computed once
+        da_b = product(a.dapply(), b, n)
         lhs = product(a, b, n).dapply()
-        rhs = product(a.dapply(), b, n).add(product(a, b.dapply(), n))
+        rhs = da_b.add(product(a, b.dapply(), n))
         if lhs != rhs:
             report["ok"] = False
             report["violation"] = {
@@ -334,9 +345,8 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
                 "b": b.to_map(),
             }
             return report
-        lhs = product(a.dapply(), b, n)
         rhs = c.zero() if n == 0 else product(a, b, n - 1).scale(-n)
-        if lhs != rhs:
+        if da_b != rhs:
             report["ok"] = False
             report["violation"] = {
                 "axiom": "shift",

@@ -51,7 +51,7 @@ class Poly:
     __slots__ = ("var", "coeffs")
 
     def __init__(self, coeffs, var="x"):
-        cs = [frac(c) for c in coeffs]
+        cs = [c if type(c) is int else frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

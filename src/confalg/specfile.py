@@ -54,16 +54,20 @@ class SpecError(Exception):
         super().__init__(message)
 
 
-def _locate(text, token):
-    """Line and column of the first occurrence of a quoted key."""
-    if text is None or token is None:
-        return None, None
-    pos = text.find('"%s"' % token)
+def _position(text, pos):
+    """Line and column of an offset into the text, or None, None for -1."""
     if pos < 0:
         return None, None
     line = text.count("\n", 0, pos) + 1
     col = pos - (text.rfind("\n", 0, pos) + 1) + 1
     return line, col
+
+
+def _locate(text, token):
+    """Line and column of the first occurrence of a quoted key."""
+    if text is None or token is None:
+        return None, None
+    return _position(text, text.find('"%s"' % token))
 
 
 class _Ctx:
@@ -219,17 +223,28 @@ def load_spec(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError("cannot read %s: %s" % (path, exc))
     return load_spec_text(text)
 
 
 def load_spec_text(text):
     ctx = _Ctx(text)
+
+    def parse_int(literal):
+        # int() refuses a literal longer than the interpreter's digit limit
+        try:
+            return int(literal)
+        except ValueError as exc:
+            line, col = _position(text, text.find(literal))
+            raise SpecError("invalid JSON: %s" % exc, line=line, col=col)
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise SpecError("invalid JSON: %s" % exc.msg, line=exc.lineno, col=exc.colno)
+    except RecursionError:
+        raise SpecError("invalid JSON: nested deeper than the parser allows", path="$")
     _want(doc, "$", ctx)
     for key in doc:
         if key not in _TOP_KEYS:

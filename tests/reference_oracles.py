@@ -3,8 +3,11 @@ against. They are deliberately naive and share no code with the routines
 they check."""
 
 from fractions import Fraction
+from math import comb
 
 from confalg.algebra import Element, OreElement
+from confalg.conformal import CElement
+from confalg.rings import Poly, falling
 from confalg.structure import StructureError
 
 
@@ -72,3 +75,42 @@ def naive_ore_mul(x, y):
                         for k, c in x.base.mul_keys(k1, k2).items():
                             slot[k] = slot.get(k, 0) + c1 * c2 * c
     return OreElement(x.base, x.der, {p: Element(x.base, s) for p, s in out.items()})
+
+
+def naive_nprod(c, a, b, n):
+    """Closed-form n-product term by term: one basis_nprod, falling and comb
+    call per (k1, i, k2, j, s), with no hoisting and no shared table."""
+    bound = c.structural_bound(a, b)
+    if bound is None or n > bound:
+        return c.zero()
+    acc = {}
+    for k1, p in a.items.items():
+        for i in range(p.degree() + 1):
+            pi = p.coeff(i)
+            if not pi or i > n:
+                continue
+            head = pi * falling(n, i) * (-1 if i % 2 else 1)
+            if not head:
+                continue
+            for k2, q in b.items.items():
+                for j in range(q.degree() + 1):
+                    qj = q.coeff(j)
+                    if not qj:
+                        continue
+                    for s in range(min(j, n - i) + 1):
+                        coef = head * qj * comb(j, s) * falling(n - i, s)
+                        if not coef:
+                            continue
+                        table = c.basis_nprod(k1, k2, n - i - s)
+                        if not table:
+                            continue
+                        for bk, bc in table.items():
+                            slot = acc.setdefault(bk, {})
+                            pw = j - s
+                            slot[pw] = slot.get(pw, 0) + coef * bc
+    items = {}
+    for bk, slot in acc.items():
+        top = max(slot)
+        coeffs = [slot.get(t, 0) for t in range(top + 1)]
+        items[bk] = Poly(coeffs, "D")
+    return CElement(c, items)

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import confalg
 from confalg.cli import main
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -217,3 +220,35 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "must be an integer >=" in err
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    cend1, cur = spec("cend1.json"), spec("cur_matrix2.json")
+    code, out, _ = run(capsys, "table", cend1, "--text")
+    assert code == 0
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+    code, out, _ = run(capsys, "table", cend1)
+    assert code == 0
+    assert json.loads(out)["generators"] == ["L0", "L1"]
+
+    code, out, _ = run(capsys, "check-axioms", cur, "--samples", "5")
+    assert json.loads(out)["samples"] == 5
+    code, out, _ = run(capsys, "check-axioms", cur)
+    assert code == 0
+    assert json.loads(out)["samples"] == 200
+
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate", cend1])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "product", cend1, "L1", "1", "L1")
+    assert code == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(confalg.__file__)))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "confalg.cli", "product", cend1, "L1", "1", "L1"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    assert fresh.stdout.decode("utf-8") == out

@@ -197,3 +197,32 @@ def test_check_axioms_refuses_an_empty_sample(samples):
 
     with pytest.raises(ConformalError, match="samples"):
         check_axioms(make_cend(1), samples=samples, product=product)
+
+
+@pytest.mark.parametrize("make", STRUCTURES)
+def test_check_axioms_computes_each_product_once(make):
+    c = make()
+    orders = []
+
+    def counted(a, b, n):
+        orders.append(n)
+        return c.nprod(a, b, n)
+
+    report = check_axioms(c, samples=60, seed=3, product=counted)
+    assert report == check_axioms(c, samples=60, seed=3)
+    # replay the orders check_axioms draws from its seed
+    rng = random.Random(3)
+    drawn = []
+    for _ in range(60):
+        a = sample_celement(c, rng, 4, 2)
+        b = sample_celement(c, rng, 4, 2)
+        bound = c.structural_bound(a, b)
+        drawn.append(rng.randint(0, 1 if bound is None else bound + 1))
+    assert 0 in drawn and max(drawn) > 0
+    # per sample: a (n) b, (Da) (n) b, a (n) (Db), and a (n-1) b unless n == 0
+    pos = 0
+    for n in drawn:
+        count = 3 if n == 0 else 4
+        assert sorted(orders[pos : pos + count]) == sorted([n] * 3 + [n - 1] * (count - 3))
+        pos += count
+    assert pos == len(orders)
