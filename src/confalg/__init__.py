@@ -12,12 +12,10 @@ from .algebra import (
     PolynomialAlgebra,
     ScalarAlgebra,
     Subalgebra,
-    derivation_restricts,
     element_nilpotency_index,
     kernel_decompose,
     kernel_reconstruct,
     nilpotency_index,
-    random_element,
 )
 from .conformal import (
     CElement,

@@ -9,7 +9,7 @@ their elements are parent elements and membership is a linear solve.
 from math import comb
 
 from .linalg import Echelon
-from .rings import Poly, frac
+from .rings import frac, inv_factorial
 
 
 class AlgebraError(Exception):
@@ -65,9 +65,6 @@ class BaseAlgebra:
 
     def basis_element(self, key):
         return Element(self, {key: 1})
-
-    def element(self, items):
-        return Element(self, items)
 
     def parse_element(self, mapping):
         return Element(self, {self.parse_key(k): frac(v) for k, v in mapping.items()})
@@ -326,20 +323,13 @@ class DirectSum(BaseAlgebra):
         s = key[0]
         return {(s, k): c for k, c in self.summands[s].ddx_key(key[1]).items()}
 
-    def embed(self, s, elem):
-        if elem.alg != self.summands[s]:
-            raise AlgebraError("element does not belong to summand %d" % s)
-        return Element(self, {(s, k): c for k, c in elem.items.items()})
 
-
-class Subalgebra(BaseAlgebra):
+class Subalgebra:
     """A subalgebra view: spanning elements per degree inside a parent algebra.
 
     Elements of a subalgebra are parent elements; the view only answers
     membership, degree slices, and the product-closure check.
     """
-
-    kind = "subalgebra"
 
     def __init__(self, parent, spanning, unital=False, degree=4):
         if isinstance(parent, Subalgebra):
@@ -353,33 +343,6 @@ class Subalgebra(BaseAlgebra):
         self.unital = bool(unital)
         self.degree = degree
         self._ech = {}
-
-    def descriptor(self):
-        span = tuple(
-            tuple(sorted((k, str(c)) for k, c in v.items.items())) for v in self.spanning
-        )
-        return ("subalgebra", self.parent.descriptor(), span, self.unital)
-
-    def key_degree(self, key):
-        return self.parent.key_degree(key)
-
-    def basis_upto(self, degree):
-        return self.parent.basis_upto(degree)
-
-    def mul_keys(self, k1, k2):
-        return self.parent.mul_keys(k1, k2)
-
-    def key_name(self, key):
-        return self.parent.key_name(key)
-
-    def parse_key(self, name):
-        return self.parent.parse_key(name)
-
-    def is_unital(self):
-        return self.unital
-
-    def one(self):
-        return self.parent.one()
 
     def span_upto(self, degree):
         return [v for v in self.spanning if v.degree() <= degree]
@@ -470,14 +433,6 @@ class Element:
                 for k, c in self.alg.mul_keys(k1, k2).items():
                     out[k] = out.get(k, 0) + c1 * c2 * c
         return Element(self.alg, out)
-
-    def power(self, m):
-        if m < 1:
-            raise AlgebraError("power expects m >= 1")
-        out = self
-        for _ in range(m - 1):
-            out = out.mul(self)
-        return out
 
     def degree(self):
         if not self.items:
@@ -595,13 +550,6 @@ class Derivation:
             return out
         raise AlgebraError("unknown derivation kind %r" % self.kind)
 
-    def iterate(self, x, m):
-        for _ in range(m):
-            if x.is_zero():
-                break
-            x = self.apply(x)
-        return x
-
     def validate(self, degree=8, cap=12):
         """Leibniz on basis pairs up to degree; local nilpotency within cap.
         Raises AlgebraError naming the failed invariant and a witness."""
@@ -677,49 +625,10 @@ def kernel_decompose(a, d):
 
 
 def kernel_reconstruct(alg, comps):
-    from .rings import inv_factorial
-
     out = alg.zero()
     for k, a_k in comps:
         out = out.add(a_k.shift(k).scale(inv_factorial(k)))
     return out
-
-
-def derivation_restricts(a, d, degree):
-    """Check that a derivation of a direct sum restricts to every summand and
-    kills the summand identities."""
-    if not isinstance(a, DirectSum):
-        raise AlgebraError("derivation_restricts expects a direct sum")
-    for sub in a.summands:
-        if not sub.is_unital():
-            raise AlgebraError("non-unital summand")
-    restricts = True
-    killed = True
-    violations = []
-    for s, sub in enumerate(a.summands):
-        im = d.apply(a.embed(s, sub.one()))
-        if not im.is_zero():
-            killed = False
-            violations.append({"check": "identity", "summand": s, "image": im.to_map()})
-        for key in sub.basis_upto(degree):
-            v = d.apply(a.basis_element((s, key)))
-            if any(kk[0] != s for kk in v.items):
-                restricts = False
-                violations.append(
-                    {
-                        "check": "restriction",
-                        "summand": s,
-                        "basis": a.key_name((s, key)),
-                        "image": v.to_map(),
-                    }
-                )
-    return {"restricts": restricts, "killed_identities": killed, "violations": violations}
-
-
-def random_element(alg, rng, degree, terms=3, coeff_bound=5):
-    keys = alg.basis_upto(degree)
-    picked = rng.sample(keys, min(rng.randint(1, terms), len(keys)))
-    return Element(alg, {k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
 
 
 class OreElement:
@@ -737,10 +646,6 @@ class OreElement:
         self.base = base
         self.der = der
         self.items = dict(sorted(clean.items()))
-
-    @classmethod
-    def from_element(cls, der, el, power=0):
-        return cls(el.alg, der, {power: el})
 
     def is_zero(self):
         return not self.items
@@ -871,6 +776,4 @@ __all__ = [
     "element_nilpotency_index",
     "kernel_decompose",
     "kernel_reconstruct",
-    "derivation_restricts",
-    "random_element",
 ]

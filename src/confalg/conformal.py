@@ -10,7 +10,7 @@ nilpotent derivation delta, with delta = 0 giving the pure current case.
 import random
 from math import comb
 
-from .algebra import AlgebraError, Derivation, Element, nilpotency_index
+from .algebra import AlgebraError, Element, nilpotency_index
 from .rings import Poly, falling, frac
 
 
@@ -61,15 +61,12 @@ class ConformalAlgebra:
         """Image of a base element under b -> b~."""
         if elem.alg != self.base:
             raise ConformalError("element is not in the carrier algebra")
-        return CElement(self, {k: Poly.const(c, "D") for k, c in elem.items.items()})
-
-    def element(self, items):
-        return CElement(self, items)
+        return CElement(self, {k: Poly.const(c) for k, c in elem.items.items()})
 
     def from_map(self, mapping):
         items = {}
         for name, polymap in mapping.items():
-            items[self.base.parse_key(name)] = Poly.from_map(polymap, "D")
+            items[self.base.parse_key(name)] = Poly.from_map(polymap)
         return CElement(self, items)
 
     def named_element(self, name):
@@ -179,7 +176,7 @@ class ConformalAlgebra:
         for pw, slot in enumerate(acc):
             for bk, v in slot.items():
                 coeffs.setdefault(bk, [0] * width)[pw] = v
-        return CElement(self, {bk: Poly(cs, "D") for bk, cs in coeffs.items()})
+        return CElement(self, {bk: Poly(cs) for bk, cs in coeffs.items()})
 
     def nprod_all(self, a, b):
         """All nonzero orders of a (n) b, as a dict order -> element."""
@@ -203,9 +200,7 @@ class CElement:
         clean = {}
         for k, p in items.items():
             if not isinstance(p, Poly):
-                p = Poly.const(frac(p), "D")
-            elif p.var != "D" and not p.is_zero():
-                raise ConformalError("coefficient polynomials must use the variable D")
+                p = Poly.const(frac(p))
             if not p.is_zero():
                 clean[k] = p
         self.conf = conf
@@ -247,12 +242,6 @@ class CElement:
         """Multiply by D^k."""
         return CElement(self.conf, {key: p.shift(k) for key, p in self.items.items()})
 
-    def pmul(self, g):
-        """Multiply by a polynomial in D."""
-        if g.var != "D" and not g.is_zero():
-            raise ConformalError("multiplier must be a polynomial in D")
-        return CElement(self.conf, {key: p * g for key, p in self.items.items()})
-
     def pdeg(self):
         if not self.items:
             return -1
@@ -270,7 +259,7 @@ class CElement:
             if any(ch in name for ch in "*^:"):
                 name = "(%s)" % name
             name += "~"
-            if p == Poly.one("D"):
+            if p == Poly.one():
                 parts.append(name)
             else:
                 parts.append("(%s)*%s" % (p.text(), name))
@@ -303,7 +292,7 @@ def sample_celement(c, rng, degree, pdeg=2, terms=3, coeff_bound=5):
     items = {}
     for k in picked:
         coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(pdeg + 1)]
-        items[k] = Poly(coeffs, "D")
+        items[k] = Poly(coeffs)
     return CElement(c, items)
 
 
@@ -364,7 +353,7 @@ def coeff_matrix(elems):
     keys = sorted(set().union(*[set(e.items) for e in elems])) if elems else []
     rows = []
     for e in elems:
-        rows.append([e.items.get(k, Poly.zero("D")) for k in keys])
+        rows.append([e.items.get(k, Poly.zero()) for k in keys])
     return keys, rows
 
 

@@ -130,7 +130,7 @@ def bareiss_rank(rows):
             for j in range(c + 1, nc):
                 num = m[i][j] * m[r][c] - m[i][c] * m[r][j]
                 m[i][j] = num if prev is None else num.exact_div(prev)
-            m[i][c] = Poly.zero(m[i][c].var)
+            m[i][c] = Poly.zero()
         prev = m[r][c]
         r += 1
         rank += 1
@@ -141,7 +141,7 @@ def bareiss_rank(rows):
 
 def pol_constant_intersection(rows):
     """Reduced basis, over Q, of the constant vectors inside the
-    Q[var]-module spanned by the rows.
+    Q[D]-module spanned by the rows.
 
     Combination coefficients of polynomial degree at most
     nrows * maxdeg + 1 suffice: back substitution in echelon form raises the

@@ -174,7 +174,7 @@ def sample_ore(base, der, rng, degree=3, power=2, terms=2, coeff_bound=5):
         p = rng.randint(-power, power)
         keys = base.basis_upto(degree)
         picked = rng.sample(keys, min(rng.randint(1, 2), len(keys)))
-        el = base.element({k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
+        el = Element(base, {k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
         items[p] = items[p].add(el) if p in items else el
     return OreElement(base, der, items)
 

@@ -1,7 +1,7 @@
 """Exact univariate polynomial arithmetic over the rationals."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 
 def frac(v):
@@ -42,36 +42,35 @@ def inv_factorial(k):
 
 
 class Poly:
-    """Dense polynomial with rational coefficients and a variable tag.
+    """Dense polynomial in D with rational coefficients.
 
     Coefficients are indexed by degree with no trailing zeros; the zero
     polynomial has an empty coefficient tuple.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, var="x"):
+    def __init__(self, coeffs):
         cs = [c if type(c) is int else frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self.var = var
 
     @classmethod
-    def zero(cls, var="x"):
-        return cls((), var)
+    def zero(cls):
+        return cls(())
 
     @classmethod
-    def one(cls, var="x"):
-        return cls((1,), var)
+    def one(cls):
+        return cls((1,))
 
     @classmethod
-    def const(cls, c, var="x"):
-        return cls((frac(c),), var)
+    def const(cls, c):
+        return cls((frac(c),))
 
     @classmethod
-    def gen(cls, var="x"):
-        return cls((0, 1), var)
+    def gen(cls):
+        return cls((0, 1))
 
     def is_zero(self):
         return not self.coeffs
@@ -91,40 +90,30 @@ class Poly:
     def leading(self):
         return self.coeffs[-1] if self.coeffs else 0
 
-    def _join_var(self, other):
-        if self.coeffs and other.coeffs and self.var != other.var:
-            raise ValueError("mixed variables %r and %r" % (self.var, other.var))
-        return self.var if self.coeffs else other.var
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs and not other.coeffs:
-            return True
-        return self.var == other.var and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.var if self.coeffs else "", self.coeffs))
+        return hash(self.coeffs)
 
     def __add__(self, other):
-        var = self._join_var(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)], var)
+        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __sub__(self, other):
-        var = self._join_var(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) - other.coeff(i) for i in range(n)], var)
+        return Poly([self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.var)
+        return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        var = self._join_var(other)
         if not self.coeffs or not other.coeffs:
-            return Poly.zero(var)
+            return Poly.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -132,30 +121,29 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] += a * b
-        return Poly(out, var)
+        return Poly(out)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = frac(c)
         if c == 0:
-            return Poly.zero(self.var)
-        return Poly([a * c for a in self.coeffs], self.var)
+            return Poly.zero()
+        return Poly([a * c for a in self.coeffs])
 
     def shift(self, k):
-        """Multiply by var^k."""
+        """Multiply by D^k."""
         if not self.coeffs:
             return self
-        return Poly((0,) * k + self.coeffs, self.var)
+        return Poly((0,) * k + self.coeffs)
 
     def __divmod__(self, other):
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        var = self._join_var(other)
         rem = list(self.coeffs)
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
-            return Poly.zero(var), self
+            return Poly.zero(), self
         q = [0] * (dq + 1)
         lead = other.leading()
         for k in range(dq, -1, -1):
@@ -166,7 +154,7 @@ class Poly:
             q[k] = f
             for j, b in enumerate(other.coeffs):
                 rem[k + j] -= f * b
-        return Poly(q, var), Poly(rem, var)
+        return Poly(q), Poly(rem)
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -190,7 +178,7 @@ class Poly:
         return {str(i): str(c) for i, c in enumerate(self.coeffs) if c}
 
     @classmethod
-    def from_map(cls, m, var="x"):
+    def from_map(cls, m):
         if not isinstance(m, dict):
             raise TypeError("a polynomial map must be an object, got %r" % (m,))
         powers = {int(k): frac(v) for k, v in m.items()}
@@ -199,7 +187,7 @@ class Poly:
         cs = [0] * (max(powers, default=-1) + 1)
         for k, v in powers.items():
             cs[k] = v
-        return cls(cs, var)
+        return cls(cs)
 
     def text(self):
         if not self.coeffs:
@@ -212,7 +200,7 @@ class Poly:
             if i == 0:
                 term = str(c)
             else:
-                v = self.var if i == 1 else "%s^%d" % (self.var, i)
+                v = "D" if i == 1 else "D^%d" % i
                 term = v if c == 1 else ("-" + v if c == -1 else "%s*%s" % (c, v))
             parts.append(term)
         out = parts[0]
@@ -225,13 +213,13 @@ class Poly:
 
 
 class RatFunc:
-    """Rational function num/den over one variable; den is monic and nonzero."""
+    """Rational function num/den in D; den is monic and nonzero."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if den is None:
-            den = Poly.one(num.var)
+            den = Poly.one()
         if not den.coeffs:
             raise ZeroDivisionError("zero denominator")
         if num.coeffs:
@@ -245,7 +233,7 @@ class RatFunc:
                 num = num.scale(inv)
                 den = den.scale(inv)
         else:
-            den = Poly.one(den.var)
+            den = Poly.one()
         self.num = num
         self.den = den
 
@@ -281,9 +269,9 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __repr__(self):
-        if self.den == Poly.one(self.den.var):
+        if self.den == Poly.one():
             return "RatFunc(%s)" % self.num.text()
         return "RatFunc((%s)/(%s))" % (self.num.text(), self.den.text())
 
 
-__all__ = ["frac", "div", "falling", "inv_factorial", "comb", "Poly", "RatFunc"]
+__all__ = ["frac", "div", "falling", "inv_factorial", "Poly", "RatFunc"]

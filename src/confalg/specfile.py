@@ -22,6 +22,13 @@ from .algebra import (
 )
 from .constructions import make_cend, make_current, make_differential
 
+# Largest D-power, validate.degree and table-derivation degree a description
+# may use. Poly.from_map allocates a coefficient list up to the largest
+# D-power, and validation and table coverage walk every basis symbol up to a
+# degree, so a larger value is refused before any of that work starts. The
+# shipped descriptions use at most 8.
+MAX_DEGREE = 64
+
 _TOP_KEYS = {
     "name",
     "description",
@@ -153,6 +160,14 @@ def _parse_base_element(alg, mapping, path, ctx):
 
 def _parse_celement(conf, mapping, path, ctx):
     _want(mapping, path, ctx)
+    for polymap in mapping.values():
+        for k in polymap if isinstance(polymap, dict) else ():
+            try:
+                power = int(k)
+            except ValueError:
+                continue  # from_map reports the malformed key
+            if power > MAX_DEGREE:
+                ctx.fail("D-powers must be at most %d" % MAX_DEGREE, path=path, token=k)
     try:
         return conf.from_map(mapping)
     except (AlgebraError, ValueError, TypeError, ZeroDivisionError) as exc:
@@ -176,6 +191,12 @@ def _build_derivation(node, alg, path, ctx):
             degree = node.get("degree")
             if not _is_int(degree):
                 ctx.fail("table derivation needs a degree", path=path + ".degree", token="degree")
+            if degree > MAX_DEGREE:
+                ctx.fail(
+                    "table derivation degree must be at most %d" % MAX_DEGREE,
+                    path=path + ".degree",
+                    token="degree",
+                )
             images_node = _want(node.get("images", {}), path + ".images", ctx)
             images = {}
             for name, m in images_node.items():
@@ -205,13 +226,10 @@ class SpecData:
         "conformal",
         "carrier",
         "sub",
-        "derivation",
         "elements",
         "base_elements",
         "generators",
         "ideals",
-        "validate_degree",
-        "nilpotency_cap",
     )
 
     def __init__(self, **kw):
@@ -255,6 +273,8 @@ def load_spec_text(text):
     cap = vnode.get("cap", 12)
     if not _is_int(vdegree) or vdegree < 0:
         ctx.fail("validate.degree must be a nonnegative integer", path="$.validate.degree")
+    if vdegree > MAX_DEGREE:
+        ctx.fail("validate.degree must be at most %d" % MAX_DEGREE, path="$.validate.degree")
     if not _is_int(cap) or cap < 1:
         ctx.fail("validate.cap must be a positive integer", path="$.validate.cap")
 
@@ -350,14 +370,11 @@ def load_spec_text(text):
         conformal=conf,
         carrier=carrier,
         sub=sub,
-        derivation=der,
         elements=elements,
         base_elements=base_elements,
         generators=generators,
         ideals=ideals,
-        validate_degree=vdegree,
-        nilpotency_cap=cap,
     )
 
 
-__all__ = ["SpecError", "SpecData", "load_spec", "load_spec_text"]
+__all__ = ["MAX_DEGREE", "SpecError", "SpecData", "load_spec", "load_spec_text"]

@@ -8,7 +8,7 @@ from .algebra import AlgebraError, Element, element_nilpotency_index
 from .conformal import CElement, coeff_matrix
 from .constructions import SpanReducer, make_current, product_table
 from .linalg import Echelon, pol_constant_intersection, solve_right
-from .rings import Poly, inv_factorial
+from .rings import inv_factorial
 
 
 class StructureError(AlgebraError):

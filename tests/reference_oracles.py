@@ -29,6 +29,14 @@ def enumerate_towers(c, gens, length):
     return all_elems
 
 
+def random_element(alg, rng, degree, terms=3, coeff_bound=5):
+    """A seeded base element: up to `terms` basis symbols of degree at most
+    `degree`, with integer coefficients in [-coeff_bound, coeff_bound]."""
+    keys = alg.basis_upto(degree)
+    picked = rng.sample(keys, min(rng.randint(1, terms), len(keys)))
+    return Element(alg, {k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
+
+
 def slices_rebuild(c, comps):
     out = c.zero()
     for k, a_k in comps.items():
@@ -112,5 +120,5 @@ def naive_nprod(c, a, b, n):
     for bk, slot in acc.items():
         top = max(slot)
         coeffs = [slot.get(t, 0) for t in range(top + 1)]
-        items[bk] = Poly(coeffs, "D")
+        items[bk] = Poly(coeffs)
     return CElement(c, items)

@@ -13,7 +13,6 @@ from confalg.algebra import (
     Subalgebra,
     kernel_decompose,
     kernel_reconstruct,
-    random_element,
 )
 from confalg.conformal import check_axioms, locality_degree
 from confalg.constructions import make_cend, make_current, make_differential, product_table
@@ -28,6 +27,7 @@ from confalg.structure import (
     unital_split,
     untwist,
 )
+from reference_oracles import random_element
 
 
 def _done(n, t0, budget, detail):

@@ -6,7 +6,6 @@ import pytest
 from confalg.algebra import Derivation, MatrixAlgebra, MatrixPolyAlgebra
 from confalg.conformal import (
     CElement,
-    ConformalAlgebra,
     ConformalError,
     LocalityIndeterminate,
     check_axioms,
@@ -156,15 +155,11 @@ def test_elements_of_different_structures_do_not_mix():
         a.tilde(a.base.one()).add(b.tilde(b.base.one()))
 
 
-def test_celement_enforces_the_d_variable():
+def test_celement_coerces_plain_numbers_to_constants():
     from confalg.rings import Poly
 
-    c = cur_m2()
-    with pytest.raises(ConformalError):
-        CElement(c, {(1, 2): Poly.gen("x")})
-    # plain numbers coerce to constants
-    v = CElement(c, {(1, 2): 3})
-    assert v.items == {(1, 2): Poly.const(Fraction(3), "D")}
+    v = CElement(cur_m2(), {(1, 2): 3})
+    assert v.items == {(1, 2): Poly.const(Fraction(3))}
 
 
 def test_nprod_all_collects_exactly_the_nonzero_orders():

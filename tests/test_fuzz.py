@@ -32,7 +32,8 @@ WORDS = [
     "1", "0", "2", "-1", "1/2", "1/0", "x", "x^2", "x^a", "e11", "e12", "e21", "x*e12",
     "x^2*e22", "0:x", "1:e12", "L0", "L1", "L1_e12", "one", "a", "J", "n12", "",
 ]
-# integers stay small: a large size or degree is a cost to limit, not a parse error
+# integers stay small here: a matrix_poly size near its limit of 9 makes loading
+# take seconds, not fail; the integers the loader bounds are drawn large below
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -92,6 +93,28 @@ def mutated_specs(draw):
 @settings(max_examples=300, deadline=None)
 @given(text=mutated_specs())
 def test_a_mutated_description_fails_only_with_a_spec_error(text):
+    _load(text)
+
+
+@st.composite
+def large_degree_specs(draw):
+    """A shipped description with a D-power, validate.degree or table
+    derivation degree drawn up to 10**12."""
+    doc = copy.deepcopy(SPECS[draw(st.sampled_from(sorted(SPECS)))])
+    n = draw(st.integers(0, 10**12))
+    field = draw(st.sampled_from(["d_power", "validate", "table"]))
+    if field == "d_power":
+        doc.setdefault("elements", {})["big"] = {"e11": {str(n): "1"}}
+    elif field == "validate":
+        doc["validate"] = {"degree": n}
+    else:
+        doc["derivation"] = {"kind": "table", "degree": n, "images": {}}
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=large_degree_specs())
+def test_a_large_degree_fails_only_with_a_spec_error(text):
     _load(text)
 
 

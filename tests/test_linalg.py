@@ -64,8 +64,8 @@ def test_solve_right_rejects_a_right_hand_side_of_the_wrong_length():
 
 
 def test_bareiss_rank_on_polynomial_matrix():
-    x = Poly.gen("x")
-    one = Poly.one("x")
+    x = Poly.gen()
+    one = Poly.one()
     rows = [[one, x], [x, x * x]]
     assert bareiss_rank(rows) == 1
     rows = [[one, x], [x, x * x + one]]
@@ -144,8 +144,8 @@ def test_kernel_agrees_with_sympy(system):
 
 
 def test_pol_constant_intersection():
-    x = Poly.gen("x")
-    one = Poly.one("x")
+    x = Poly.gen()
+    one = Poly.one()
     # module generated by (x, 1) and (x^2, x): x*(x,1) - (x^2,x) = 0, so
     # constants come only from the first row scaled, none exist
     vecs = pol_constant_intersection([[x, one], [x * x, x]])

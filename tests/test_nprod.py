@@ -49,7 +49,7 @@ def draw_celement(data, c):
     picked = data.draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
     items = {}
     for k in picked:
-        items[k] = Poly(data.draw(st.lists(COEFFS, min_size=1, max_size=4)), "D")
+        items[k] = Poly(data.draw(st.lists(COEFFS, min_size=1, max_size=4)))
     return CElement(c, items)
 
 

@@ -94,9 +94,9 @@ def test_table_product_matches_the_naive_product(name, data):
 
 def test_table_entries_shift_with_the_right_power():
     base, der = _cend1()
-    x = OreElement.from_element(der, base.parse_element({"x^2": "1"}), power=-1)
+    x = OreElement(base, der, {-1: base.parse_element({"x^2": "1"})})
     for q in range(-2, 3):
-        y = OreElement.from_element(der, base.parse_element({"x^3": "2"}), power=q)
+        y = OreElement(base, der, {q: base.parse_element({"x^3": "2"})})
         assert x.mul(y) == naive_ore_mul(x, y)
     # every right power reused the single entry for (x^2, -1, x^3)
     assert list(der.ore_table) == [((2, 1, 1), -1, (3, 1, 1))]

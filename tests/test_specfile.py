@@ -5,7 +5,7 @@ import os
 import pytest
 
 from confalg.cli import main
-from confalg.specfile import SpecError, load_spec, load_spec_text
+from confalg.specfile import MAX_DEGREE, SpecError, load_spec, load_spec_text
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 
@@ -206,6 +206,29 @@ def test_a_negative_d_power_is_refused(powers):
     with pytest.raises(SpecError) as exc:
         load_spec_text(text)
     assert exc.value.path == "$.elements.a"
+
+
+@pytest.mark.parametrize(
+    "extra,path",
+    [
+        ({"validate": {"degree": MAX_DEGREE + 1}}, "$.validate.degree"),
+        (
+            {"derivation": {"kind": "table", "degree": MAX_DEGREE + 1, "images": {}}},
+            "$.derivation.degree",
+        ),
+        ({"elements": {"a": {"x": {str(MAX_DEGREE + 1): "1"}}}}, "$.elements.a"),
+    ],
+    ids=["validate_degree", "table_degree", "d_power"],
+)
+def test_a_degree_just_above_the_cap_is_refused(extra, path):
+    with pytest.raises(SpecError, match="at most %d" % MAX_DEGREE) as exc:
+        load_spec_text(scalar_poly_spec(**extra))
+    assert exc.value.path == path
+
+
+def test_a_d_power_at_the_cap_loads():
+    data = load_spec_text(scalar_poly_spec(elements={"a": {"x": {str(MAX_DEGREE): "1"}}}))
+    assert data.elements["a"].pdeg() == MAX_DEGREE
 
 
 def test_a_malformed_derivation_image_key_is_refused():
