@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .algebra import AlgebraError, kernel_decompose, kernel_reconstruct
+from .algebra import MAX_DEGREE, AlgebraError, kernel_decompose, kernel_reconstruct
 from .conformal import LocalityIndeterminate, check_axioms, locality_degree
 from .constructions import product_table
 from .growth import gk_profile
@@ -28,6 +28,17 @@ from .structure import (
 )
 
 
+# Upper limits of the size options, checked while the arguments are parsed.
+# Every --degree shares MAX_DEGREE with the description loader. The work of a
+# check grows linearly with --samples and, in oracle-check, with --window; at
+# the limits a command on a shipped description ends within seconds.
+MAX_SAMPLES = 10000
+MAX_WINDOW = 64
+MAX_RMAX = 64
+MAX_POWER = 64
+MAX_CAP = 64
+
+
 class CommandError(Exception):
     pass
 
@@ -37,8 +48,8 @@ def _resolve_cel(data, name):
         return data.elements[name]
     try:
         return data.conformal.named_element(name)
-    except AlgebraError:
-        raise CommandError("unknown element %r" % name)
+    except AlgebraError as exc:
+        raise CommandError("unknown element %r: %s" % (name, exc))
 
 
 def _resolve_base(data, name):
@@ -46,8 +57,8 @@ def _resolve_base(data, name):
         return data.base_elements[name]
     try:
         return data.carrier.basis_element(data.carrier.parse_key(name))
-    except AlgebraError:
-        raise CommandError("unknown base element %r" % name)
+    except AlgebraError as exc:
+        raise CommandError("unknown base element %r: %s" % (name, exc))
 
 
 def _text_lines(obj, indent=0):
@@ -244,13 +255,16 @@ def _cmd_gk(data, args):
     return report, 0
 
 
-def _at_least(lo):
-    """argparse type: an integer no smaller than lo."""
+def _at_least(lo, hi=None):
+    """argparse type: an integer no smaller than lo and, given hi, no
+    larger than hi."""
 
     def parse(text):
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError("must be an integer >= %d, got %d" % (lo, value))
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError("must be an integer <= %d, got %d" % (hi, value))
         return value
 
     # argparse names the type in its message for text that is not a number
@@ -275,9 +289,9 @@ def build_parser():
 
     p = sub.add_parser("check-axioms", help="randomized shift-rule check")
     _add_common(p)
-    p.add_argument("--samples", type=_at_least(1), default=200)
+    p.add_argument("--samples", type=_at_least(1, MAX_SAMPLES), default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree", type=_at_least(0), default=4)
+    p.add_argument("--degree", type=_at_least(0, MAX_DEGREE), default=4)
     p.set_defaults(fn=_cmd_check_axioms)
 
     p = sub.add_parser("product", help="one n-product")
@@ -295,34 +309,34 @@ def build_parser():
     _add_common(p)
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--cap", type=_at_least(0), default=None)
+    p.add_argument("--cap", type=_at_least(0, MAX_CAP), default=None)
     p.set_defaults(fn=_cmd_locality)
 
     p = sub.add_parser("oracle-check", help="two-route product agreement")
     _add_common(p)
-    p.add_argument("--samples", type=_at_least(1), default=100)
+    p.add_argument("--samples", type=_at_least(1, MAX_SAMPLES), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=_at_least(0), default=8)
-    p.add_argument("--degree", type=_at_least(0), default=4)
+    p.add_argument("--window", type=_at_least(0, MAX_WINDOW), default=8)
+    p.add_argument("--degree", type=_at_least(0, MAX_DEGREE), default=4)
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("assoc-check", help="twisted Laurent ring associativity")
     _add_common(p)
-    p.add_argument("--samples", type=_at_least(1), default=100)
+    p.add_argument("--samples", type=_at_least(1, MAX_SAMPLES), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree", type=_at_least(0), default=3)
-    p.add_argument("--power", type=_at_least(0), default=2)
+    p.add_argument("--degree", type=_at_least(0, MAX_DEGREE), default=3)
+    p.add_argument("--power", type=_at_least(0, MAX_POWER), default=2)
     p.set_defaults(fn=_cmd_assoc_check)
 
     p = sub.add_parser("untwist", help="inner twist to pure currents")
     _add_common(p)
-    p.add_argument("--degree", type=_at_least(0), default=2)
+    p.add_argument("--degree", type=_at_least(0, MAX_DEGREE), default=2)
     p.set_defaults(fn=_cmd_untwist)
 
     p = sub.add_parser("is-current", help="currentness over a subalgebra slice")
     _add_common(p)
     p.add_argument("element")
-    p.add_argument("--degree", type=_at_least(0), default=2)
+    p.add_argument("--degree", type=_at_least(0, MAX_DEGREE), default=2)
     p.set_defaults(fn=_cmd_is_current)
 
     p = sub.add_parser("dual-identity", help="component-side identity check")
@@ -334,14 +348,14 @@ def build_parser():
     p = sub.add_parser("ideal-check", help="ideal transfer and nilpotency")
     _add_common(p)
     p.add_argument("ideal")
-    p.add_argument("--degree", type=_at_least(0), default=4)
-    p.add_argument("--cap", type=_at_least(1), default=8)
+    p.add_argument("--degree", type=_at_least(0, MAX_DEGREE), default=4)
+    p.add_argument("--cap", type=_at_least(1, MAX_CAP), default=8)
     p.set_defaults(fn=_cmd_ideal_check)
 
     p = sub.add_parser("unital-split", help="split under the order-0 action")
     _add_common(p)
     p.add_argument("identity")
-    p.add_argument("--degree", type=_at_least(0), default=4)
+    p.add_argument("--degree", type=_at_least(0, MAX_DEGREE), default=4)
     p.set_defaults(fn=_cmd_unital_split)
 
     p = sub.add_parser("kernel-decompose", help="derivation-kernel components")
@@ -351,7 +365,7 @@ def build_parser():
 
     p = sub.add_parser("gk", help="growth classification of a closure")
     _add_common(p)
-    p.add_argument("--rmax", type=_at_least(1), default=12)
+    p.add_argument("--rmax", type=_at_least(1, MAX_RMAX), default=12)
     p.set_defaults(fn=_cmd_gk)
 
     return ap

@@ -10,7 +10,7 @@ nilpotent derivation delta, with delta = 0 giving the pure current case.
 import random
 from math import comb
 
-from .algebra import AlgebraError, Element, nilpotency_index
+from .algebra import AlgebraError, Element, nilpotency_index, parse_exponent
 from .rings import Poly, falling, frac
 
 
@@ -78,7 +78,7 @@ class ConformalAlgebra:
             if "_" in body:
                 body, unit = body.split("_", 1)
             if body.isdecimal():
-                k = int(body)
+                k = parse_exponent(body, name)
                 if self.base.kind == "poly" and unit is None:
                     return self.tilde(self.base.basis_element(k))
                 if self.base.kind == "matrix_poly":
@@ -107,10 +107,10 @@ class ConformalAlgebra:
         prod = self.base.basis_element(k1).mul(self._delta_pow(k2, m))
         return {k: -c for k, c in prod.items.items()} if m % 2 else prod.items
 
-    def nilp_key(self, key, cap=64):
+    def nilp_key(self, key):
         got = self._nilp.get(key)
         if got is None:
-            got = nilpotency_index(self.der, self.base.basis_element(key), cap)
+            got = nilpotency_index(self.der, self.base.basis_element(key))
             self._nilp[key] = got
         return got
 

@@ -2,15 +2,17 @@
 
 A description names a carrier, a derivation, a construction, and optional
 named elements, generators, and ideal generators. Loading refuses anything
-it cannot verify: derivations must satisfy Leibniz and be locally nilpotent
-on a degree window, subalgebra spans must be closed, and every name must
-resolve. Errors carry the best position available: exact line and column
-for syntax errors, the key's first occurrence for semantic ones.
+it cannot verify: an `ad` derivation must be locally nilpotent, a `table`
+derivation must also satisfy Leibniz where it is defined, subalgebra spans
+must be closed, and every name must resolve. Errors carry the best position
+available: exact line and column for syntax errors, the key's first
+occurrence for semantic ones.
 """
 
 import json
 
 from .algebra import (
+    MAX_DEGREE,
     AlgebraError,
     Derivation,
     DirectSum,
@@ -22,12 +24,10 @@ from .algebra import (
 )
 from .constructions import make_cend, make_current, make_differential
 
-# Largest D-power, validate.degree and table-derivation degree a description
-# may use. Poly.from_map allocates a coefficient list up to the largest
-# D-power, and validation and table coverage walk every basis symbol up to a
-# degree, so a larger value is refused before any of that work starts. The
-# shipped descriptions use at most 8.
-MAX_DEGREE = 64
+# Most basis keys a table derivation may cover. Its Leibniz check multiplies
+# every pair of covered keys, so the work grows with the square of this count;
+# the count is refused before that check starts.
+MAX_TABLE_KEYS = 256
 
 _TOP_KEYS = {
     "name",
@@ -39,7 +39,6 @@ _TOP_KEYS = {
     "base_elements",
     "generators",
     "ideals",
-    "validate",
 }
 
 
@@ -205,6 +204,13 @@ def _build_derivation(node, alg, path, ctx):
                 except AlgebraError as exc:
                     ctx.fail(str(exc), path="%s.images.%s" % (path, name), token=name)
                 images[key] = _parse_base_element(alg, m, "%s.images.%s" % (path, name), ctx)
+            if len(images) > MAX_TABLE_KEYS:
+                ctx.fail(
+                    "table derivation covers %d keys, at most %d"
+                    % (len(images), MAX_TABLE_KEYS),
+                    path=path + ".images",
+                    token="images",
+                )
             for key in alg.basis_upto(degree):
                 if key not in images:
                     ctx.fail(
@@ -268,16 +274,6 @@ def load_spec_text(text):
         if key not in _TOP_KEYS:
             ctx.fail("unknown top-level key %r" % key, path="$.%s" % key, token=key)
 
-    vnode = _want(doc.get("validate", {}), "$.validate", ctx)
-    vdegree = vnode.get("degree", 8)
-    cap = vnode.get("cap", 12)
-    if not _is_int(vdegree) or vdegree < 0:
-        ctx.fail("validate.degree must be a nonnegative integer", path="$.validate.degree")
-    if vdegree > MAX_DEGREE:
-        ctx.fail("validate.degree must be at most %d" % MAX_DEGREE, path="$.validate.degree")
-    if not _is_int(cap) or cap < 1:
-        ctx.fail("validate.cap must be a positive integer", path="$.validate.cap")
-
     if "base" not in doc:
         ctx.fail("missing base", path="$.base")
     base = _build_base(doc["base"], "$.base", ctx)
@@ -285,14 +281,16 @@ def load_spec_text(text):
     carrier = base.parent if sub is not None else base
 
     der = _build_derivation(doc.get("derivation"), carrier, "$.derivation", ctx)
-    try:
-        der.validate(degree=vdegree, cap=cap)
-    except AlgebraError as exc:
-        ctx.fail(str(exc), path="$.derivation", token="derivation", invariant="derivation")
-
     construction = doc.get("construction")
     if construction is None:
         construction = "current" if der.kind == "zero" else "differential"
+    if construction == "cend" and der.kind not in ("zero", "ddx"):
+        ctx.fail("cend fixes its own derivation", path="$.derivation", token="derivation")
+    try:
+        der.validate()
+    except AlgebraError as exc:
+        ctx.fail(str(exc), path="$.derivation", token="derivation", invariant="derivation")
+
     if construction == "current":
         if der.kind != "zero":
             ctx.fail(
@@ -307,10 +305,6 @@ def load_spec_text(text):
         if carrier.kind != "matrix_poly":
             ctx.fail(
                 "cend needs a matrix_poly carrier", path="$.base.kind", token="kind"
-            )
-        if der.kind not in ("zero", "ddx"):
-            ctx.fail(
-                "cend fixes its own derivation", path="$.derivation", token="derivation"
             )
         conf = make_cend(carrier.n)
     else:
@@ -342,8 +336,12 @@ def load_spec_text(text):
             continue
         try:
             generators.append((name, conf.named_element(name)))
-        except AlgebraError:
-            ctx.fail("unresolvable generator %r" % name, path="$.generators[%d]" % i, token=name)
+        except AlgebraError as exc:
+            ctx.fail(
+                "unresolvable generator %r: %s" % (name, exc),
+                path="$.generators[%d]" % i,
+                token=name,
+            )
 
     ideals = {}
     for iname, gen_list in _want(doc.get("ideals", {}), "$.ideals", ctx).items():
@@ -377,4 +375,4 @@ def load_spec_text(text):
     )
 
 
-__all__ = ["MAX_DEGREE", "SpecError", "SpecData", "load_spec", "load_spec_text"]
+__all__ = ["MAX_DEGREE", "MAX_TABLE_KEYS", "SpecError", "SpecData", "load_spec", "load_spec_text"]

@@ -37,6 +37,35 @@ def random_element(alg, rng, degree, terms=3, coeff_bound=5):
     return Element(alg, {k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
 
 
+def leibniz_violation(d, degree):
+    """A basis pair up to the degree window on which d(ab) = d(a) b + a d(b)
+    fails, or None. Every pair is checked, including those whose product
+    leaves the window."""
+    alg = d.alg
+    basis = alg.basis_upto(degree)
+    for k1 in basis:
+        b1 = alg.basis_element(k1)
+        d1 = d.apply(b1)
+        for k2 in basis:
+            b2 = alg.basis_element(k2)
+            if d.apply(b1.mul(b2)) != d1.mul(b2).add(b1.mul(d.apply(b2))):
+                return k1, k2
+    return None
+
+
+def nilpotent_by_iteration(d, keys, cap):
+    """Whether every basis key dies within cap applications of d."""
+    for k in keys:
+        v = d.alg.basis_element(k)
+        for _ in range(cap):
+            v = d.apply(v)
+            if v.is_zero():
+                break
+        else:
+            return False
+    return True
+
+
 def slices_rebuild(c, comps):
     out = c.zero()
     for k, a_k in comps.items():

@@ -222,6 +222,60 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     assert "must be an integer >=" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-axioms", "cur_matrix2.json", "--degree", "65"),
+        ("check-axioms", "cur_matrix2.json", "--samples", "10001"),
+        ("oracle-check", "cend1.json", "--window", "65"),
+        ("assoc-check", "cend1.json", "--power", "65"),
+        ("gk", "cend1.json", "--rmax", "65"),
+        ("ideal-check", "ideal_triangular.json", "J", "--cap", "65"),
+    ],
+    ids=lambda argv: argv[-2],
+)
+def test_size_options_just_above_their_limits_are_usage_errors(capsys, argv):
+    command, name, *rest = argv
+    # argparse exits before the description is loaded
+    with pytest.raises(SystemExit) as exc:
+        main([command, spec(name), *rest])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be an integer <= %d" % (int(rest[-1]) - 1) in err
+
+
+def test_the_degree_limit_is_reachable(capsys):
+    code, out, _ = run(capsys, "unital-split", spec("cend1.json"), "one", "--degree", "64")
+    assert code == 0
+    report = json.loads(out)
+    assert report["identity_certified"]
+    assert (report["module_rank"], report["image_rank"], report["kernel_rank"]) == (65, 65, 0)
+    code, out, _ = run(capsys, "product", spec("cend1.json"), "L0", "0", "x^64")
+    assert code == 0
+    assert json.loads(out)["result"] == {"x^64": {"0": "1"}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel-decompose", "x^{k}"),
+        ("product", "L0", "0", "x^{k}"),
+        ("product", "L{k}", "0", "L0"),
+    ],
+    ids=["kernel_decompose", "product_basis_name", "product_generator_name"],
+)
+def test_exponents_in_names_stop_at_the_degree_limit(capsys, argv):
+    command, *names = argv
+    code, out, _ = run(capsys, command, spec("cend1.json"), *[n.format(k=64) for n in names])
+    assert code == 0
+    assert out
+    code, out, err = run(capsys, command, spec("cend1.json"), *[n.format(k=65) for n in names])
+    assert code == 2
+    assert out == ""
+    assert "must be at most 64" in err
+
+
 def test_the_shared_parser_keeps_no_state_between_calls(capsys):
     cend1, cur = spec("cend1.json"), spec("cur_matrix2.json")
     code, out, _ = run(capsys, "table", cend1, "--text")

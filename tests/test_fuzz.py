@@ -98,15 +98,15 @@ def test_a_mutated_description_fails_only_with_a_spec_error(text):
 
 @st.composite
 def large_degree_specs(draw):
-    """A shipped description with a D-power, validate.degree or table
+    """A shipped description with a D-power, generator exponent or table
     derivation degree drawn up to 10**12."""
     doc = copy.deepcopy(SPECS[draw(st.sampled_from(sorted(SPECS)))])
     n = draw(st.integers(0, 10**12))
-    field = draw(st.sampled_from(["d_power", "validate", "table"]))
+    field = draw(st.sampled_from(["d_power", "generator", "table"]))
     if field == "d_power":
         doc.setdefault("elements", {})["big"] = {"e11": {str(n): "1"}}
-    elif field == "validate":
-        doc["validate"] = {"degree": n}
+    elif field == "generator":
+        doc["generators"] = ["L%d" % n]
     else:
         doc["derivation"] = {"kind": "table", "degree": n, "images": {}}
     return json.dumps(doc)

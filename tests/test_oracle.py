@@ -114,7 +114,7 @@ def ore_product(sign):
     the honest ring. Negative powers use the library's expansion."""
 
     def mul(x, y):
-        out = OreElement(x.base, x.der, {})
+        out = {}
         for p, a in x.items.items():
             for q, b in y.items.items():
                 if p > 0:
@@ -126,8 +126,9 @@ def ore_product(sign):
                 else:
                     terms = x.commute_t(p, b)
                 for pw, coef in terms.items():
-                    out = out.add(OreElement(x.base, x.der, {pw + q: a.mul(coef)}))
-        return out
+                    term = a.mul(coef)
+                    out[pw + q] = out[pw + q].add(term) if pw + q in out else term
+        return OreElement(x.base, x.der, out)
 
     return mul
 

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from confalg.cli import main
-from confalg.specfile import MAX_DEGREE, SpecError, load_spec, load_spec_text
+from confalg.specfile import MAX_DEGREE, MAX_TABLE_KEYS, SpecError, load_spec, load_spec_text
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 
@@ -69,7 +69,6 @@ def test_non_nilpotent_table_derivation_is_refused():
                 for k in range(0, 9)
             },
         },
-        "validate": {"degree": 2, "cap": 6},
     }
     with pytest.raises(SpecError) as exc:
         load_spec_text(json.dumps(doc))
@@ -211,14 +210,15 @@ def test_a_negative_d_power_is_refused(powers):
 @pytest.mark.parametrize(
     "extra,path",
     [
-        ({"validate": {"degree": MAX_DEGREE + 1}}, "$.validate.degree"),
         (
             {"derivation": {"kind": "table", "degree": MAX_DEGREE + 1, "images": {}}},
             "$.derivation.degree",
         ),
         ({"elements": {"a": {"x": {str(MAX_DEGREE + 1): "1"}}}}, "$.elements.a"),
+        ({"base_elements": {"b": {"x^%d" % (MAX_DEGREE + 1): "1"}}}, "$.base_elements.b"),
+        ({"generators": ["L%d" % (MAX_DEGREE + 1)]}, "$.generators[0]"),
     ],
-    ids=["validate_degree", "table_degree", "d_power"],
+    ids=["table_degree", "d_power", "basis_exponent", "generator_exponent"],
 )
 def test_a_degree_just_above_the_cap_is_refused(extra, path):
     with pytest.raises(SpecError, match="at most %d" % MAX_DEGREE) as exc:
@@ -245,14 +245,13 @@ def test_a_malformed_derivation_image_key_is_refused():
     "text,path",
     [
         ('{"name": "m", "base": {"kind": "matrix", "n": true}}', "$.base.n"),
-        ('{"name": "p", "base": {"kind": "poly"}, "validate": {"degree": true}}', "$.validate.degree"),
         (
             '{"name": "s", "base": {"kind": "subalgebra", "parent": {"kind": "poly"},'
             ' "spanning": [{"1": "1"}], "degree": 0, "unital": "no"}}',
             "$.base.unital",
         ),
     ],
-    ids=["matrix_n", "validate_degree", "unital_flag"],
+    ids=["matrix_n", "unital_flag"],
 )
 def test_booleans_and_integers_are_not_interchangeable(text, path):
     with pytest.raises(SpecError) as exc:
@@ -277,3 +276,91 @@ def test_a_json_boolean_is_not_a_coefficient(extra, path, tmp_path, capsys):
     spec.write_text(text)
     assert main(["table", str(spec)]) == 2
     assert path in capsys.readouterr().err
+
+
+def poly_name(k):
+    return "1" if k == 0 else "x" if k == 1 else "x^%d" % k
+
+
+def poly_table(degree, image):
+    """A table derivation on Q[x] up to the degree, image(k) giving the
+    image of x^k as a basis name -> coefficient map."""
+    return {
+        "kind": "table",
+        "degree": degree,
+        "images": {poly_name(k): image(k) for k in range(degree + 1)},
+    }
+
+
+def test_d_dx_written_as_a_degree_8_table_loads():
+    # Leibniz is checked only on pairs whose product stays in the table
+    ddx = poly_table(8, lambda k: {poly_name(k - 1): str(k)} if k else {})
+    data = load_spec_text(json.dumps({"name": "t", "base": {"kind": "poly"}, "derivation": ddx}))
+    assert data.conformal.der.kind == "table"
+    assert data.conformal.nilp_key(8) == 9
+
+
+def test_ad_of_the_7x7_jordan_block_loads():
+    r = {"e%d%d" % (i, i + 1): "1" for i in range(1, 7)}
+    doc = {"name": "j", "base": {"kind": "matrix", "n": 7}, "derivation": {"kind": "ad", "r": r}}
+    data = load_spec_text(json.dumps(doc))
+    assert data.conformal.nilp_key((7, 1)) == 13
+
+
+@pytest.mark.parametrize(
+    "base,derivation,message",
+    [
+        # d(x) = 1 forces d(x^2) = 2x
+        ({"kind": "poly"}, poly_table(2, lambda k: {"1": "1"} if k == 1 else {}), "Leibniz"),
+        ({"kind": "matrix", "n": 2}, {"kind": "ad", "r": {"e11": "1"}}, "not locally nilpotent"),
+        # x^2 d/dx satisfies Leibniz inside the window but maps x^2 out of it
+        (
+            {"kind": "poly"},
+            poly_table(2, lambda k: {poly_name(k + 1): str(k)} if k else {}),
+            "outside the covered span: x\\^3",
+        ),
+    ],
+    ids=["leibniz", "ad_e11", "leaves_window"],
+)
+def test_derivations_that_fail_a_check_are_refused(base, derivation, message):
+    doc = {"name": "bad", "base": base, "derivation": derivation}
+    with pytest.raises(SpecError, match=message) as exc:
+        load_spec_text(json.dumps(doc))
+    assert exc.value.invariant == "derivation"
+
+
+def test_a_table_covering_more_keys_than_the_limit_is_refused():
+    # x^k e_ij for k <= 63 covers MAX_TABLE_KEYS keys; one more key is refused
+    names = ["x^%d*e%d%d" % (k, i, j) for k in range(64) for i in (1, 2) for j in (1, 2)]
+    assert len(names) == MAX_TABLE_KEYS
+    names.append("x^64*e11")
+    derivation = {"kind": "table", "degree": 63, "images": {name: {} for name in names}}
+    doc = {"name": "big", "base": {"kind": "matrix_poly", "n": 2}, "derivation": derivation}
+    with pytest.raises(SpecError, match="at most %d" % MAX_TABLE_KEYS) as exc:
+        load_spec_text(json.dumps(doc))
+    assert exc.value.path == "$.derivation.images"
+
+
+def test_cend_refuses_a_foreign_derivation_before_validating_it():
+    # the Euler operator x d/dx is not nilpotent; cend would discard it anyway
+    euler = poly_table(4, lambda k: {poly_name(k): str(k)} if k else {})
+    doc = {
+        "name": "c",
+        "base": {"kind": "matrix_poly", "n": 1},
+        "derivation": euler,
+        "construction": "cend",
+    }
+    with pytest.raises(SpecError, match="cend fixes its own derivation"):
+        load_spec_text(json.dumps(doc))
+
+
+def test_the_validate_key_is_an_unknown_top_level_key(tmp_path, capsys):
+    text = scalar_poly_spec(validate={"degree": 2, "cap": 6})
+    with pytest.raises(SpecError, match="unknown top-level key 'validate'") as exc:
+        load_spec_text(text)
+    assert exc.value.path == "$.validate"
+    assert exc.value.line == 1
+    spec = tmp_path / "validate.json"
+    spec.write_text(text)
+    assert main(["table", str(spec)]) == 2
+    assert "$.validate" in capsys.readouterr().err
