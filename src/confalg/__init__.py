@@ -21,7 +21,6 @@ from .conformal import (
     CElement,
     ConformalAlgebra,
     ConformalError,
-    LocalityIndeterminate,
     check_axioms,
     coeff_matrix,
     locality_degree,

@@ -2,8 +2,7 @@
 and prints a deterministic report, JSON by default.
 
 Exit codes: 0 for a concluded computation or a passing property check, 1 for
-a verified property violation (or an inconclusive locality scan), 2 for
-usage and description errors.
+a verified property violation, 2 for usage and description errors.
 """
 
 import argparse
@@ -12,7 +11,7 @@ import json
 import sys
 
 from .algebra import MAX_DEGREE, AlgebraError, kernel_decompose, kernel_reconstruct
-from .conformal import LocalityIndeterminate, check_axioms, locality_degree
+from .conformal import check_axioms, locality_degree
 from .constructions import product_table
 from .growth import gk_profile
 from .oracle import coeff_assoc_check, oracle_check
@@ -36,7 +35,6 @@ MAX_SAMPLES = 10000
 MAX_WINDOW = 64
 MAX_RMAX = 64
 MAX_POWER = 64
-MAX_CAP = 64
 
 
 class CommandError(Exception):
@@ -61,11 +59,18 @@ def _resolve_base(data, name):
         raise CommandError("unknown base element %r: %s" % (name, exc))
 
 
+def _text_order(key):
+    """--text order: integer keys (ranks, orders, powers) numerically, ahead
+    of the other keys in string order."""
+    s = str(key)
+    return (0, int(s), "") if s.removeprefix("-").isdecimal() else (1, 0, s)
+
+
 def _text_lines(obj, indent=0):
     pad = "  " * indent
     lines = []
     if isinstance(obj, dict):
-        for k in sorted(obj, key=str):
+        for k in sorted(obj, key=_text_order):
             v = obj[k]
             if isinstance(v, (dict, list)):
                 lines.append("%s%s:" % (pad, k))
@@ -122,22 +127,12 @@ def _cmd_table(data, args):
 def _cmd_locality(data, args):
     a = _resolve_cel(data, args.left)
     b = _resolve_cel(data, args.right)
-    bound = data.conformal.structural_bound(a, b)
-    try:
-        n = locality_degree(data.conformal, a, b, cap=args.cap)
-    except LocalityIndeterminate as exc:
-        report = {
-            "error": "indeterminate",
-            "cap": args.cap,
-            "structural_bound": exc.structural_bound,
-        }
-        return report, 1
     report = {
         "left": args.left,
         "right": args.right,
-        "locality": n,
+        "locality": locality_degree(data.conformal, a, b),
         "certified": True,
-        "structural_bound": bound,
+        "structural_bound": data.conformal.structural_bound(a, b),
     }
     return report, 0
 
@@ -208,9 +203,7 @@ def _cmd_ideal_check(data, args):
     pair = ideal_lift(data.conformal, gens, degree=args.degree, within=data.sub)
     back = ideal_restrict(data.conformal, pair.conf_span)
     roundtrip_ok = back == pair.base_span
-    nil = nilpotency_check(
-        data.conformal, gens, degree=args.degree, cap=args.cap, within=data.sub
-    )
+    nil = nilpotency_check(data.conformal, gens, degree=args.degree, within=data.sub)
     report = {
         "ideal": args.ideal,
         "degree": args.degree,
@@ -309,7 +302,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--cap", type=_at_least(0, MAX_CAP), default=None)
     p.set_defaults(fn=_cmd_locality)
 
     p = sub.add_parser("oracle-check", help="two-route product agreement")
@@ -349,7 +341,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("ideal")
     p.add_argument("--degree", type=_at_least(0, MAX_DEGREE), default=4)
-    p.add_argument("--cap", type=_at_least(1, MAX_CAP), default=8)
     p.set_defaults(fn=_cmd_ideal_check)
 
     p = sub.add_parser("unital-split", help="split under the order-0 action")

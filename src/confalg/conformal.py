@@ -18,15 +18,6 @@ class ConformalError(AlgebraError):
     pass
 
 
-class LocalityIndeterminate(ConformalError):
-    """A locality scan hit its cap before certifying; structural_bound is the
-    order below which the true value is known to sit."""
-
-    def __init__(self, message, structural_bound):
-        super().__init__(message)
-        self.structural_bound = structural_bound
-
-
 class ConformalAlgebra:
     """Carrier for the n-products; owns the basis table and its caches."""
 
@@ -266,22 +257,14 @@ class CElement:
         return " + ".join(parts)
 
 
-def locality_degree(c, a, b, cap=None):
+def locality_degree(c, a, b):
     """Largest order with a nonzero product, or "none" when all orders vanish.
-
-    The scan starts at the structural bound, so the result is always exact;
-    a cap only limits what the caller is willing to accept, and a true value
-    above it raises LocalityIndeterminate."""
+    The scan starts at the structural bound, so the result is exact."""
     bound = c.structural_bound(a, b)
     if bound is None:
         return "none"
     for n in range(bound, -1, -1):
         if not c.nprod(a, b, n).is_zero():
-            if cap is not None and n > cap:
-                raise LocalityIndeterminate(
-                    "locality exceeds cap %d (structural bound %d)" % (cap, bound),
-                    bound,
-                )
             return n
     return "none"
 
@@ -359,7 +342,6 @@ def coeff_matrix(elems):
 
 __all__ = [
     "ConformalError",
-    "LocalityIndeterminate",
     "ConformalAlgebra",
     "CElement",
     "locality_degree",

@@ -218,7 +218,7 @@ def _build_derivation(node, alg, path, ctx):
                         path=path + ".images",
                         token="images",
                     )
-            return Derivation.table(alg, images, degree)
+            return Derivation.table(alg, images)
     except AlgebraError as exc:
         ctx.fail(str(exc), path=path)
     ctx.fail("unknown derivation kind %r" % kind, path=path + ".kind", token="kind")

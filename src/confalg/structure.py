@@ -4,7 +4,7 @@ component slices, ideal transfer in both directions, and nilpotency indices.
 """
 
 
-from .algebra import AlgebraError, Element, element_nilpotency_index
+from .algebra import MAX_UNTWIST_KEYS, AlgebraError, Element, element_nilpotency_index, rank_0
 from .conformal import CElement, coeff_matrix
 from .constructions import SpanReducer, make_current, product_table
 from .linalg import Echelon, pol_constant_intersection, solve_right
@@ -78,7 +78,7 @@ class UntwistResult:
         self.nilpotency = nilpotency
 
 
-def untwist(c, degree=2, nilp_cap=16):
+def untwist(c, degree=2):
     """Rewrite a structure twisted by an inner derivation ad(r), r nilpotent,
     as pure currents: b~ maps to b~ (0) e_int with the alternating-sign
     series e_int = sum (-1)^k/k! D^k (r^k)~, and the returned identity
@@ -87,13 +87,20 @@ def untwist(c, degree=2, nilp_cap=16):
     The image products are checked to be genuinely current (order 0 equal to
     the image of the base product, higher orders zero). The double action of
     e' on r~ reproduces r~ exactly when r^2 = 0; for higher nilpotency the
-    defect is reported, not raised."""
+    defect is reported, not raised. A window of more than MAX_UNTWIST_KEYS
+    basis symbols is refused before any product is taken."""
     if c.der.kind != "ad":
         raise StructureError("untwist needs an inner derivation")
     if not c.base.is_unital():
         raise StructureError("untwist needs a unital carrier")
+    keys = c.base.basis_upto(degree)
+    if len(keys) > MAX_UNTWIST_KEYS:
+        raise StructureError(
+            "untwist window of degree %d has %d basis symbols, at most %d"
+            % (degree, len(keys), MAX_UNTWIST_KEYS)
+        )
     r = c.der.r
-    m = element_nilpotency_index(r, nilp_cap)
+    m = element_nilpotency_index(r)
     one = c.base.one()
 
     def series(sign):
@@ -111,7 +118,6 @@ def untwist(c, degree=2, nilp_cap=16):
     def image(b):
         return c.nprod(c.tilde(b), e_int, 0)
 
-    keys = c.base.basis_upto(degree)
     names = [c.base.key_name(k) for k in keys]
     images = {}
     for key, name in zip(keys, names):
@@ -307,29 +313,41 @@ def ideal_restrict(c, celems):
     return [Element(c.base, dict(zip(keys, vec))) for vec in pol_constant_intersection(rows)]
 
 
-def nilpotency_check(c, gens, degree=4, cap=8, within=None):
+def nilpotency_check(c, gens, degree=4, within=None):
     """Nilpotency index of the ideal slice on both sides of the transfer.
     Carrier side: S_{k+1} = S_k S_1. Module side: T_{k+1} spanned by the
     left-normed products of T_k spanning elements with T_1 at every nonzero
-    order. The two indices must agree for the lift to be faithful."""
+    order. The two indices must agree for the lift to be faithful.
+
+    Both sequences read X_{k+1} = X_k V for a fixed span V: S_1, or on the
+    module side the delta^m images of S_1, since products of tildes are
+    tildes. Right multiplication by V is Q(x)-linear, so the spans
+    Z_k = X_k + X_{k+1} + ... shrink, stay put once two agree, and live in
+    a space of dimension N = rank_0. A sequence that vanishes at all
+    vanishes by k = N + 1; one that does not is refused. A carrier level
+    equal to the one before it is refused at once: the sequence is constant
+    and nonzero from there on."""
     pair = ideal_lift(c, gens, degree, within=within)
+    last = rank_0(c.base) + 1
     s1 = pair.base_span
 
     base_index = None
     level = s1
-    for k in range(2, cap + 2):
-        nxt = [u.mul(v) for u in level for v in s1]
-        level = _echelon_elements(c.base, nxt)
-        if not level:
+    for k in range(2, last + 1):
+        nxt = _echelon_elements(c.base, [u.mul(v) for u in level for v in s1])
+        if not nxt:
             base_index = k
             break
+        if nxt == level:
+            break
+        level = nxt
     if base_index is None:
-        raise StructureError("carrier ideal slice not nilpotent within cap %d" % cap)
+        raise StructureError("carrier ideal slice is not nilpotent: S_%d is not 0" % k)
 
     t1 = pair.conf_span
     conf_index = None
     level = t1
-    for k in range(2, cap + 2):
+    for k in range(2, last + 1):
         nxt = []
         reducer = SpanReducer()
         for u in level:
@@ -342,7 +360,7 @@ def nilpotency_check(c, gens, degree=4, cap=8, within=None):
             conf_index = k
             break
     if conf_index is None:
-        raise StructureError("module ideal slice not nilpotent within cap %d" % cap)
+        raise StructureError("module ideal slice is not nilpotent: T_%d is not 0" % last)
 
     return {
         "degree": degree,
@@ -357,11 +375,7 @@ def unital_split(c, e, degree=4):
     """Split the degree window under the order-0 action of e: the action is
     idempotent when e (0) e = e, so the window is image plus kernel; ranks
     are reported over the fraction field of Q[D]."""
-    if isinstance(e, IdentityCandidate):
-        cert = e
-        e = cert.element
-    else:
-        cert = is_conformal_identity(c, e, degree)
+    cert = is_conformal_identity(c, e, degree)
     keys = c.base.basis_upto(degree)
     image = SpanReducer()
     for k in keys:

@@ -66,6 +66,81 @@ def nilpotent_by_iteration(d, keys, cap):
     return True
 
 
+def element_index_by_iteration(a, cap):
+    """Least m <= cap with a^m = 0, by repeated multiplication, or None."""
+    cur = a
+    for m in range(1, cap + 1):
+        if cur.is_zero():
+            return m
+        cur = cur.mul(a)
+    return None
+
+
+def _coordinates(v):
+    """A base or conformal element as a sparse vector over Q."""
+    if isinstance(v, CElement):
+        return {(k, i): c for k, p in v.items.items() for i, c in enumerate(p.coeffs) if c}
+    return v.items
+
+
+def _independent(elems):
+    """A linearly independent subfamily with the same Q-span, by plain
+    Gaussian elimination after dropping repeats: each kept row is cleared at
+    the pivots of the rows kept before it, so one pass in order reduces a
+    vector."""
+    rows = []
+    kept = []
+    seen = set()
+    for e in elems:
+        coords = _coordinates(e)
+        key = frozenset(coords.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        vec = {k: Fraction(c) for k, c in coords.items()}
+        for pivot, row in rows:
+            c = vec.get(pivot)
+            if c:
+                for k, x in row.items():
+                    vec[k] = vec.get(k, 0) - c * x
+                vec = {k: x for k, x in vec.items() if x}
+        if vec:
+            pivot = next(iter(vec))
+            rows.append((pivot, {k: x / vec[pivot] for k, x in vec.items()}))
+            kept.append(e)
+    return kept
+
+
+def _first_zero_level(first, step, cap):
+    """Least k in 2..cap with level k zero, where level 1 is first and level
+    k + 1 spans step(level k); None when level cap is still nonzero. Each
+    level is pruned to an independent subfamily, which keeps its span and
+    so the next level's."""
+    level = first
+    for k in range(2, cap + 1):
+        level = _independent(step(level))
+        if not level:
+            return k
+    return None
+
+
+def carrier_index_by_iteration(pair, cap):
+    """Carrier nilpotency index of an ideal slice, S_{k+1} spanned by the
+    products S_k S_1, by plain iteration up to cap, or None."""
+    s1 = pair.base_span
+    return _first_zero_level(s1, lambda level: [u.mul(v) for u in level for v in s1], cap)
+
+
+def module_index_by_iteration(c, pair, cap):
+    """Module nilpotency index of an ideal slice, T_{k+1} spanned by the
+    products of T_k with T_1 at every order, by plain iteration up to cap,
+    or None."""
+    t1 = pair.conf_span
+    return _first_zero_level(
+        t1, lambda level: [w for u in level for v in t1 for w in c.nprod_all(u, v).values()], cap
+    )
+
+
 def slices_rebuild(c, comps):
     out = c.zero()
     for k, a_k in comps.items():

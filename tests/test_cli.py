@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import confalg
+from confalg.algebra import MAX_UNTWIST_KEYS
 from confalg.cli import main
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -62,16 +63,6 @@ def test_text_mode_renders_lines_not_json(capsys):
     assert "locality: 1" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
-
-
-def test_locality_cap_yields_exit_one_and_a_bound(capsys):
-    code, out, _ = run(
-        capsys, "locality", spec("cend1.json"), "L2", "L2", "--cap", "1"
-    )
-    assert code == 1
-    report = json.loads(out)
-    assert report["error"] == "indeterminate"
-    assert report["structural_bound"] == 2
 
 
 def test_oracle_check_small_run(capsys):
@@ -188,6 +179,59 @@ def test_gk_classification(capsys):
     assert report["ranks"]["4"] == 4
 
 
+def test_gk_text_lists_ranks_in_numeric_order(capsys):
+    code, out, _ = run(capsys, "gk", spec("cend1.json"), "--rmax", "12", "--text")
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("ranks:") + 1
+    rounds = [line.split(":")[0].strip() for line in lines[start : start + 12]]
+    assert rounds == [str(r) for r in range(1, 13)]
+    # JSON keeps its sorted string keys
+    code, out, _ = run(capsys, "gk", spec("cend1.json"), "--rmax", "12")
+    assert list(json.loads(out)["ranks"])[:3] == ["1", "10", "11"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("locality", "cend1.json", "L2", "L2", "--cap", "1"),
+        ("ideal-check", "ideal_triangular.json", "J", "--cap", "8"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_the_cap_options_are_gone(capsys, argv):
+    # both answers are exact, so there is no cap to set
+    command, name, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, spec(name), *rest])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --cap" in err
+
+
+def _untwist_spec(tmp_path, base, r):
+    p = tmp_path / "twist.json"
+    p.write_text(json.dumps({"base": base, "derivation": {"kind": "ad", "r": r}}))
+    return str(p)
+
+
+def test_an_untwist_window_above_the_limit_is_refused(tmp_path, capsys):
+    assert MAX_UNTWIST_KEYS == 36
+    # 6x6 matrices and Q: 37 basis symbols at every degree
+    base = {"kind": "direct_sum", "summands": [{"kind": "matrix", "n": 6}, {"kind": "scalar"}]}
+    code, out, err = run(capsys, "untwist", _untwist_spec(tmp_path, base, {"0:e12": "1"}))
+    assert code == 2
+    assert out == ""
+    assert "37 basis symbols, at most 36" in err
+    # 2x2 matrices over Q[x] up to degree 8: 36 symbols, accepted
+    base = {"kind": "matrix_poly", "n": 2}
+    path = _untwist_spec(tmp_path, base, {"e12": "1"})
+    code, out, _ = run(capsys, "untwist", path, "--degree", "8")
+    assert code == 0
+    assert len(json.loads(out)["images"]) == 36
+
+
 def test_missing_description_file_is_a_usage_error(capsys):
     code, out, err = run(capsys, "table", spec("absent.json"))
     assert code == 2
@@ -230,7 +274,6 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
         ("oracle-check", "cend1.json", "--window", "65"),
         ("assoc-check", "cend1.json", "--power", "65"),
         ("gk", "cend1.json", "--rmax", "65"),
-        ("ideal-check", "ideal_triangular.json", "J", "--cap", "65"),
     ],
     ids=lambda argv: argv[-2],
 )

@@ -133,13 +133,13 @@ COMMANDS = {
     "check-axioms": ([""], ["--samples", "--seed", "--degree"]),
     "product": (["nvn"], []),
     "table": ([""], []),
-    "locality": (["nn"], ["--cap"]),
+    "locality": (["nn"], []),
     "oracle-check": ([""], ["--samples", "--seed", "--window", "--degree"]),
     "assoc-check": ([""], ["--samples", "--seed", "--degree", "--power"]),
     "untwist": ([""], ["--degree"]),
     "is-current": (["n"], ["--degree"]),
     "dual-identity": (["n", "nn"], []),
-    "ideal-check": (["n"], ["--degree", "--cap"]),
+    "ideal-check": (["n"], ["--degree"]),
     "unital-split": (["n"], ["--degree"]),
     "kernel-decompose": (["n"], []),
     "gk": ([""], ["--rmax"]),

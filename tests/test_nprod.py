@@ -24,7 +24,7 @@ def _table_ddx_plus_ad_e12():
     for k in base.basis_upto(3):
         b = base.basis_element(k)
         images[k] = ddx.apply(b).add(ad.apply(b))
-    return ConformalAlgebra(base, Derivation.table(base, images, degree=3), "table")
+    return ConformalAlgebra(base, Derivation.table(base, images), "table")
 
 
 # each call builds a fresh structure whose basis table is empty

@@ -40,7 +40,7 @@ def _table_ddx_plus_ad_e12():
     for k in base.basis_upto(3):
         b = base.basis_element(k)
         images[k] = ddx.apply(b).add(ad.apply(b))
-    return base, Derivation.table(base, images, degree=3)
+    return base, Derivation.table(base, images)
 
 
 # criterion 3's three structures, plus a table derivation; each call builds

@@ -1,12 +1,20 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from confalg.algebra import (
+    AlgebraError,
     Derivation,
+    DirectSum,
+    Element,
     MatrixAlgebra,
     MatrixPolyAlgebra,
+    PolynomialAlgebra,
     Subalgebra,
+    element_nilpotency_index,
+    rank_0,
 )
 from confalg.conformal import sample_celement
 from confalg.constructions import make_cend, make_current, make_differential
@@ -23,7 +31,13 @@ from confalg.structure import (
     unital_split,
     untwist,
 )
-from reference_oracles import extract_current_components, slices_rebuild
+from reference_oracles import (
+    carrier_index_by_iteration,
+    element_index_by_iteration,
+    extract_current_components,
+    module_index_by_iteration,
+    slices_rebuild,
+)
 
 
 def twisted_m2():
@@ -250,6 +264,91 @@ def test_nilpotency_check_refuses_a_non_nilpotent_slice():
     # inside the full matrix carrier the slice of (e12) is everything
     with pytest.raises(StructureError, match="not nilpotent"):
         nilpotency_check(c, [m2.parse_element({"e12": "1"})], degree=0)
+
+
+CARRIERS = {
+    "M2": lambda: MatrixAlgebra(2),
+    "M3": lambda: MatrixAlgebra(3),
+    "M2[x]": lambda: MatrixPolyAlgebra(2),
+    "M2+Q[x]": lambda: DirectSum([MatrixAlgebra(2), PolynomialAlgebra()]),
+}
+ENTRIES = st.sampled_from([-1, 0, 0, 1, 2])
+ALL_SHAPES = {"upper", "diagonal", "lower", "poly"}
+
+
+def _shape(alg, key):
+    """Where a basis key sits: "upper", "diagonal" or "lower" for a matrix
+    unit (times a power of x), "poly" in the Q[x] summand."""
+    if alg.kind == "direct_sum":
+        if key[0] == 1:
+            return "poly"
+        key = key[1]
+    i, j = key[-2:]
+    return "upper" if i < j else "diagonal" if i == j else "lower"
+
+
+@st.composite
+def carrier_elements(draw, alg, shapes, degree):
+    """A nonzero element on the basis keys of degree <= degree whose shape
+    is in shapes; strictly upper ones are nilpotent."""
+    keys = [k for k in alg.basis_upto(degree) if _shape(alg, k) in shapes]
+    items = {k: draw(ENTRIES) for k in keys}
+    assume(any(items.values()))
+    return Element(alg, items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_element_nilpotency_index_agrees_with_plain_iteration(data):
+    alg = CARRIERS[data.draw(st.sampled_from(sorted(CARRIERS)))]()
+    shapes = data.draw(st.sampled_from([{"upper"}, {"upper", "lower"}, ALL_SHAPES]))
+    a = data.draw(carrier_elements(alg, shapes, 1))
+    expected = element_index_by_iteration(a, 4 * rank_0(alg))
+    if expected is None:
+        with pytest.raises(AlgebraError, match="not nilpotent"):
+            element_nilpotency_index(a)
+    else:
+        assert element_nilpotency_index(a) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_nilpotency_check_agrees_with_plain_iteration(data):
+    # ideal slices in the carrier or in its upper triangular part, under no
+    # twist or ad of a strictly upper or strictly lower element: the lower
+    # twist carries module products out of the triangular part, so the two
+    # sides can disagree
+    alg = CARRIERS[data.draw(st.sampled_from(sorted(CARRIERS)))]()
+    degree = data.draw(st.integers(0, 1))
+    within = None
+    shapes = ALL_SHAPES
+    if data.draw(st.sampled_from([False, True, True])):
+        shapes = ALL_SHAPES - {"lower"}
+        keys = [k for k in alg.basis_upto(degree) if _shape(alg, k) in shapes]
+        within = Subalgebra(alg, [alg.basis_element(k) for k in keys], degree=degree)
+    twist = data.draw(st.sampled_from(["none", "upper", "lower"]))
+    if twist == "none":
+        c = make_current(alg)
+    else:
+        r = data.draw(carrier_elements(alg, {twist}, 1))
+        c = make_differential(alg, Derivation.ad(r))
+    gen_shapes = data.draw(st.sampled_from([{"upper"}, {"upper"}, shapes]))
+    count = data.draw(st.integers(1, 2))
+    gens = [data.draw(carrier_elements(alg, gen_shapes, degree)) for _ in range(count)]
+    pair = ideal_lift(c, gens, degree, within=within)
+    cap = 4 * rank_0(alg)
+    base = carrier_index_by_iteration(pair, cap)
+    if base is None:
+        with pytest.raises(StructureError, match="carrier ideal slice is not nilpotent"):
+            nilpotency_check(c, gens, degree, within=within)
+        return
+    conf = module_index_by_iteration(c, pair, cap)
+    if conf is None:
+        with pytest.raises(StructureError, match="module ideal slice is not nilpotent"):
+            nilpotency_check(c, gens, degree, within=within)
+    else:
+        report = nilpotency_check(c, gens, degree, within=within)
+        assert (report["base_index"], report["conformal_index"]) == (base, conf)
 
 
 def test_unital_split_of_the_true_identity_has_no_kernel():
