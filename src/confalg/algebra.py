@@ -702,7 +702,10 @@ class OreElement:
         return hash((self.base.descriptor(), tuple((p, e) for p, e in self.items.items())))
 
     def commute_t(self, p, b):
-        """Expand t^p b as a map power -> coefficient element."""
+        """Expand t^p b as a map power -> coefficient element. For p < 0 the
+        sum ends once d^k(b) = 0, which a locally nilpotent derivation
+        reaches within iteration_bound(b) steps; one that does not is
+        refused."""
         if p == 0 or b.is_zero():
             return {p: b}
         out = {}
@@ -716,15 +719,18 @@ class OreElement:
                 cur = self.der.apply(cur)
         else:
             m = -p
+            bound = self.der.iteration_bound(b)
             cur = b
-            k = 0
-            while not cur.is_zero():
+            for k in range(bound):
                 coef = comb(m - 1 + k, k)
                 out[p - k] = cur if coef == 1 else cur.scale(coef)
                 cur = self.der.apply(cur)
-                k += 1
-                if k > 10000:
-                    raise AlgebraError("runaway expansion; derivation not nilpotent?")
+                if cur.is_zero():
+                    break
+            else:
+                raise AlgebraError(
+                    "derivation is not locally nilpotent: %r survives %d steps" % (b, bound)
+                )
         return out
 
     def monomial_product(self, k1, p, k2):

@@ -73,16 +73,19 @@ def to_distribution(a, window):
         raise OracleError("window must be >= 0")
     base = a.conf.base
     der = a.conf.der
+    top = max((len(p.coeffs) for p in a.items.values()), default=0)
     vals = {}
     for n in range(-window, window + 1):
+        # the signed falling factorials (-1)^i ff(n,i), shared by every key
+        signed = [(-1) ** i * falling(n, i) for i in range(top)]
         # power -> key -> coefficient, one Element per power; each (key, i)
         # lands on its own (power, key) slot, so nothing needs summing
         acc = {}
         for k, p in a.items.items():
             for i, ci in enumerate(p.coeffs):
-                c = ci * falling(n, i)
+                c = ci * signed[i]
                 if c:
-                    acc.setdefault(n - i, {})[k] = -c if i % 2 else c
+                    acc.setdefault(n - i, {})[k] = c
         vals[n] = OreElement(base, der, {pw: Element(base, s) for pw, s in acc.items()})
     return Distribution(base, der, -window, window, vals)
 
@@ -90,38 +93,65 @@ def to_distribution(a, window):
 def dist_nprod(f, g, m, cache=None):
     """Order-m product of distributions by the ring-side residue sum
     (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j); needs f on [0, m] and
-    returns the window [g.lo, g.hi - m]."""
+    returns the window [g.lo, g.hi - m].
+
+    Every product f(i) g(J) is assembled from rows R(i, k) = f(i) b_k, one
+    Ore product per left value and basis symbol: as x (b t^q) = (x b) t^q, a
+    term c b_k t^q of g(J) adds c R(i, k) with every power shifted by q.
+    Rows and products are kept as flat (power, key) -> coefficient lists in
+    cache, which calls with the same f and g may share across orders."""
     if m < 0:
         raise OracleError("product order must be >= 0")
     if f.lo > 0 or f.hi < m:
         raise OracleError("left window [%d, %d] does not cover [0, %d]" % (f.lo, f.hi, m))
+    base, der = f.base, f.der
+    if base != g.base or der != g.der:
+        raise AlgebraError("Ore elements over different rings")
     if cache is None:
         cache = {}
+    rows = cache.setdefault("rows", {})
+    pairs = cache.setdefault("pairs", {})
+    fvals = f.vals
+    gvals = g.vals
 
-    def pr(i, j):
-        got = cache.get((i, j))
+    def row(i, k):
+        got = rows.get((i, k))
         if got is None:
-            got = f.value(i).mul(g.value(j))
-            cache[(i, j)] = got
+            prod = fvals[i].mul(OreElement(base, der, {0: base.basis_element(k)}))
+            got = [(p, kk, c) for p, el in prod.items.items() for kk, c in el.items.items()]
+            rows[(i, k)] = got
+        return got
+
+    def pair(i, J):
+        got = pairs.get((i, J))
+        if got is None:
+            acc = {}
+            for q, el in gvals[J].items.items():
+                for k, v in el.items.items():
+                    for p, kk, c in row(i, k):
+                        slot = (p + q, kk)
+                        acc[slot] = acc.get(slot, 0) + v * c
+            got = [(slot, c) for slot, c in acc.items() if c]
+            pairs[(i, J)] = got
         return got
 
     vals = {}
     for n in range(g.lo, g.hi - m + 1):
+        # flat (power, key) -> coefficient over the whole residue sum
         acc = {}
         for j in range(m + 1):
-            term = pr(m - j, n + j)
-            if term.is_zero():
+            i = m - j
+            if n + j not in gvals or i not in fvals:
                 continue
-            c = -comb(m, j) if j % 2 else comb(m, j)
-            for p, el in term.items.items():
-                slot = acc.setdefault(p, {})
-                for k, v in el.items.items():
-                    cur = slot.get(k)
-                    slot[k] = c * v if cur is None else cur + c * v
-        vals[n] = OreElement(
-            f.base, f.der, {p: Element(f.base, s) for p, s in acc.items()}
-        )
-    return Distribution(f.base, f.der, g.lo, g.hi - m, vals)
+            sign = -comb(m, j) if j % 2 else comb(m, j)
+            for slot, c in pair(i, n + j):
+                acc[slot] = acc.get(slot, 0) + sign * c
+        by_power = {}
+        for (p, kk), c in acc.items():
+            if c:
+                by_power.setdefault(p, {})[kk] = c
+        vals[n] = OreElement(base, der, {p: Element(base, s) for p, s in by_power.items()})
+    return Distribution(base, der, g.lo, g.hi - m, vals)
 
 
 def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):

@@ -326,7 +326,8 @@ def nilpotency_check(c, gens, degree=4, within=None):
     a space of dimension N = rank_0. A sequence that vanishes at all
     vanishes by k = N + 1; one that does not is refused. A carrier level
     equal to the one before it is refused at once: the sequence is constant
-    and nonzero from there on."""
+    and nonzero from there on. So is a module level that spans the space of
+    the one before it: the next level spans the same as it does."""
     pair = ideal_lift(c, gens, degree, within=within)
     last = rank_0(c.base) + 1
     s1 = pair.base_span
@@ -355,12 +356,16 @@ def nilpotency_check(c, gens, degree=4, within=None):
                 for n, w in sorted(c.nprod_all(u, v).items()):
                     if reducer.add(w):
                         nxt.append(w)
-        level = nxt
-        if not level:
+        if not nxt:
             conf_index = k
             break
+        # every level is Q(D)-independent (T_1 is the tilde of an echelon
+        # basis), so equal lengths and T_(k-1) inside span T_k mean one span
+        if len(nxt) == len(level) and not any(reducer.add(u) for u in level):
+            break
+        level = nxt
     if conf_index is None:
-        raise StructureError("module ideal slice is not nilpotent: T_%d is not 0" % last)
+        raise StructureError("module ideal slice is not nilpotent: T_%d is not 0" % k)
 
     return {
         "degree": degree,

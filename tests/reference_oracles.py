@@ -5,8 +5,9 @@ they check."""
 from fractions import Fraction
 from math import comb
 
-from confalg.algebra import Element, OreElement
+from confalg.algebra import Derivation, Element, MatrixPolyAlgebra, OreElement
 from confalg.conformal import CElement
+from confalg.oracle import Distribution, OracleError
 from confalg.rings import Poly, falling
 from confalg.structure import StructureError
 
@@ -187,6 +188,56 @@ def naive_ore_mul(x, y):
                         for k, c in x.base.mul_keys(k1, k2).items():
                             slot[k] = slot.get(k, 0) + c1 * c2 * c
     return OreElement(x.base, x.der, {p: Element(x.base, s) for p, s in out.items()})
+
+
+def naive_dist_nprod(f, g, m, cache=None):
+    """Order-m product of distributions by the residue sum
+    (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j), one Ore product per
+    pair f(i) g(J), memoised in cache under (i, J)."""
+    if m < 0:
+        raise OracleError("product order must be >= 0")
+    if f.lo > 0 or f.hi < m:
+        raise OracleError("left window [%d, %d] does not cover [0, %d]" % (f.lo, f.hi, m))
+    if cache is None:
+        cache = {}
+
+    def pr(i, j):
+        got = cache.get((i, j))
+        if got is None:
+            got = f.value(i).mul(g.value(j))
+            cache[(i, j)] = got
+        return got
+
+    vals = {}
+    for n in range(g.lo, g.hi - m + 1):
+        acc = {}
+        for j in range(m + 1):
+            term = pr(m - j, n + j)
+            if term.is_zero():
+                continue
+            c = -comb(m, j) if j % 2 else comb(m, j)
+            for p, el in term.items.items():
+                slot = acc.setdefault(p, {})
+                for k, v in el.items.items():
+                    cur = slot.get(k)
+                    slot[k] = c * v if cur is None else cur + c * v
+        vals[n] = OreElement(
+            f.base, f.der, {p: Element(f.base, s) for p, s in acc.items()}
+        )
+    return Distribution(f.base, f.der, g.lo, g.hi - m, vals)
+
+
+def table_ddx_plus_ad_e12():
+    """d/dx + ad(e12) on 2x2 matrices over Q[x], written out as a basis table
+    up to degree 3; its images have several terms, so a table entry can
+    hold several keys at one power. Returns (base, derivation)."""
+    base = MatrixPolyAlgebra(2)
+    ddx, ad = Derivation.ddx(base), Derivation.ad(base.parse_element({"e12": "1"}))
+    images = {}
+    for k in base.basis_upto(3):
+        b = base.basis_element(k)
+        images[k] = ddx.apply(b).add(ad.apply(b))
+    return base, Derivation.table(base, images)
 
 
 def naive_nprod(c, a, b, n):

@@ -302,6 +302,33 @@ def test_ore_commutation_rules():
     assert tinv.mul(x) == expect
 
 
+def test_negative_power_expansion_stops_at_the_iteration_bound():
+    # the Euler operator x d/dx fixes x, so t^-1 x never terminates; the
+    # table is built without validation, as a description could ask for it
+    a = PolynomialAlgebra()
+    images = {k: a.basis_element(k).scale(k) for k in range(4)}
+    d = Derivation.table(a, images)
+    steps = []
+    apply = d.apply
+
+    def counted(x):
+        steps.append(x)
+        if len(steps) > len(images) + 1:
+            raise AssertionError("expansion ran past the iteration bound")
+        return apply(x)
+
+    d.apply = counted
+    with pytest.raises(AlgebraError, match="not locally nilpotent"):
+        OreElement(a, d, {}).commute_t(-1, a.basis_element(1))
+    assert len(steps) <= len(images) + 1
+    # a nilpotent table still expands fully: d(x^2) = x, d(x) = 1, d(1) = 0
+    ddx_table = Derivation.table(
+        a, {0: a.zero(), 1: a.one(), 2: a.basis_element(1).scale(2)}
+    )
+    got = OreElement(a, ddx_table, {}).commute_t(-1, a.basis_element(2))
+    assert got == {-1: a.basis_element(2), -2: a.basis_element(1).scale(2), -3: a.one().scale(2)}
+
+
 def test_ore_associativity_spot_checks():
     a = MatrixPolyAlgebra(2)
     d = Derivation.ddx(a)

@@ -3,11 +3,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from confalg.algebra import Derivation, MatrixAlgebra, MatrixPolyAlgebra, OreElement
-from confalg.conformal import ConformalAlgebra
+from confalg.algebra import AlgebraError, Derivation, MatrixAlgebra, MatrixPolyAlgebra, OreElement
+from confalg.conformal import ConformalAlgebra, sample_celement
 from confalg.constructions import make_cend, make_current, make_differential
 from confalg.oracle import (
+    Distribution,
     OracleError,
     coeff_assoc_check,
     dist_nprod,
@@ -15,6 +17,7 @@ from confalg.oracle import (
     sample_ore,
     to_distribution,
 )
+from reference_oracles import naive_dist_nprod, table_ddx_plus_ad_e12
 
 
 def test_distribution_window_and_sparsity():
@@ -73,6 +76,87 @@ def test_current_distributions_collapse_above_order_zero():
     for m in (1, 2, 3):
         out = dist_nprod(f, g, m)
         assert all(v.is_zero() for v in out.vals.values())
+
+
+def _dif_matrix_poly2_ad_e12():
+    base = MatrixPolyAlgebra(2)
+    return make_differential(base, Derivation.ad(base.parse_element({"e12": "1"})))
+
+
+# criterion 3's three structures, plus a table derivation
+STRUCTURES = {
+    "cend1": lambda: make_cend(1),
+    "cur_matrix2": lambda: make_current(MatrixAlgebra(2)),
+    "dif_matrix_poly2_ad_e12": _dif_matrix_poly2_ad_e12,
+    "table_ddx_plus_ad_e12": lambda: make_differential(*table_ddx_plus_ad_e12()),
+}
+
+
+def draw_distribution(data, c, rng, lo, hi):
+    """A distribution on [lo, hi]: a window of a sampled conformal element's
+    distribution, sampled Ore values with gaps, or zero everywhere."""
+    kind = data.draw(st.sampled_from(["conformal", "ore", "zero"]))
+    if kind == "conformal":
+        a = sample_celement(c, rng, 3, 2)
+        return to_distribution(a, max(-lo, hi)).restrict(lo, hi)
+    vals = {}
+    if kind == "ore":
+        for n in range(lo, hi + 1):
+            gap = data.draw(st.sampled_from(["value", "value", "absent", "stored zero"]))
+            if gap == "value":
+                vals[n] = sample_ore(c.base, c.der, rng)
+            elif gap == "stored zero":
+                vals[n] = OreElement(c.base, c.der, {})
+    return Distribution(c.base, c.der, lo, hi, vals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(STRUCTURES)), data=st.data())
+def test_dist_nprod_matches_the_pairwise_residue_sum(name, data):
+    c = STRUCTURES[name]()
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    top = data.draw(st.integers(0, 3))
+    f = draw_distribution(
+        data, c, rng, data.draw(st.integers(-2, 0)), top + data.draw(st.integers(0, 2))
+    )
+    glo = data.draw(st.integers(-4, 2))
+    g = draw_distribution(data, c, rng, glo, glo + top + data.draw(st.integers(0, 4)))
+    expected = {m: naive_dist_nprod(f, g, m) for m in range(top + 1)}
+    # a cold cache on every call
+    for m in range(top + 1):
+        assert dist_nprod(f, g, m) == expected[m]
+    # one cache shared across orders, in any order and with repeats, as
+    # oracle_check shares it
+    cache = {}
+    orders = data.draw(st.permutations(range(top + 1)))
+    for m in orders + orders[:1]:
+        assert dist_nprod(f, g, m, cache) == expected[m]
+
+
+def test_dist_nprod_refuses_distributions_over_different_rings():
+    c, d = make_cend(1), _dif_matrix_poly2_ad_e12()
+    f = to_distribution(c.tilde(c.base.one()), 2)
+    g = to_distribution(d.tilde(d.base.one()), 2)
+    with pytest.raises(AlgebraError, match="different rings"):
+        dist_nprod(f, g, 1)
+
+
+def test_oracle_route_shares_no_code_with_the_closed_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle route reached the closed form")
+
+    samples = []
+    for name in sorted(STRUCTURES):
+        c = STRUCTURES[name]()
+        rng = random.Random(5)
+        samples.append((sample_celement(c, rng, 3, 2), sample_celement(c, rng, 3, 2)))
+    for attr in ("nprod", "basis_nprod", "_delta_pow"):
+        monkeypatch.setattr(ConformalAlgebra, attr, refuse)
+    for a, b in samples:
+        f, g = to_distribution(a, 4), to_distribution(b, 4)
+        cache = {}
+        for m in range(4):
+            dist_nprod(f, g, m, cache)
 
 
 def test_oracle_agreement_on_the_stock_structures():

@@ -12,7 +12,7 @@ from confalg.algebra import (
     OreElement,
 )
 from confalg.constructions import make_cend, make_current
-from reference_oracles import naive_ore_mul
+from reference_oracles import naive_ore_mul, table_ddx_plus_ad_e12
 
 
 def _cend1():
@@ -30,26 +30,13 @@ def _dif_matrix_poly2_ad_e12():
     return base, Derivation.ad(base.parse_element({"e12": "1"}))
 
 
-def _table_ddx_plus_ad_e12():
-    # d/dx + ad(e12) on 2x2 matrices over Q[x], written out as a basis table
-    # up to degree 3; its images have several terms, so a table entry can
-    # hold several keys at one power
-    base = MatrixPolyAlgebra(2)
-    ddx, ad = Derivation.ddx(base), Derivation.ad(base.parse_element({"e12": "1"}))
-    images = {}
-    for k in base.basis_upto(3):
-        b = base.basis_element(k)
-        images[k] = ddx.apply(b).add(ad.apply(b))
-    return base, Derivation.table(base, images)
-
-
 # criterion 3's three structures, plus a table derivation; each call builds
 # a fresh derivation whose table is empty
 FACTORIES = {
     "cend1": _cend1,
     "cur_matrix2": _cur_matrix2,
     "dif_matrix_poly2_ad_e12": _dif_matrix_poly2_ad_e12,
-    "table_ddx_plus_ad_e12": _table_ddx_plus_ad_e12,
+    "table_ddx_plus_ad_e12": table_ddx_plus_ad_e12,
 }
 
 # one derivation per structure kept across examples, so its table is warm

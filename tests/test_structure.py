@@ -266,6 +266,20 @@ def test_nilpotency_check_refuses_a_non_nilpotent_slice():
         nilpotency_check(c, [m2.parse_element({"e12": "1"})], degree=0)
 
 
+def test_nilpotency_check_refuses_a_repeated_module_level_at_once():
+    # the Borel ideal of e19 in M_9 under ad of the lower Jordan block: the
+    # carrier side is nilpotent, the module side repeats its level from T_2
+    # to T_3, long before the rank bound N_0 + 1 = 82
+    n = 9
+    m = MatrixAlgebra(n)
+    upper = [m.basis_element((i, j)) for i in range(1, n + 1) for j in range(i, n + 1)]
+    borel = Subalgebra(m, upper, unital=True, degree=0)
+    jordan = m.parse_element({"e%d%d" % (i + 1, i): "1" for i in range(1, n)})
+    c = make_differential(m, Derivation.ad(jordan))
+    with pytest.raises(StructureError, match="module ideal slice is not nilpotent: T_3 is not 0"):
+        nilpotency_check(c, [m.parse_element({"e19": "1"})], degree=0, within=borel)
+
+
 CARRIERS = {
     "M2": lambda: MatrixAlgebra(2),
     "M3": lambda: MatrixAlgebra(3),
