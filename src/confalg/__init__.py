@@ -48,7 +48,6 @@ from .specfile import SpecData, SpecError, load_spec, load_spec_text
 from .structure import (
     CurrentnessVerdict,
     IdealPair,
-    IdentityCandidate,
     StructureError,
     UntwistResult,
     component_slices,

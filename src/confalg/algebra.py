@@ -6,6 +6,7 @@ kind, so they sort deterministically. Subalgebras are views on a parent:
 their elements are parent elements and membership is a linear solve.
 """
 
+from itertools import islice
 from math import comb
 
 from .linalg import Echelon
@@ -504,8 +505,10 @@ class Element:
 class Derivation:
     """A derivation descriptor: zero, ddx, ad(r), or an explicit basis table.
 
-    ore_table memoises the monomial products of the twisted Laurent ring
-    over this derivation; OreElement fills it."""
+    orbit(x) yields the nonzero iterates x, d(x), d^2(x), ...; every
+    nilpotency index, d-power and Ore expansion is read from it. ore_table
+    memoises the monomial products of the twisted Laurent ring over this
+    derivation; OreElement fills it."""
 
     def __init__(self, alg, kind, r=None, images=None):
         self.alg = alg
@@ -593,6 +596,22 @@ class Derivation:
             return rank_0(self.alg)
         return 1 if self.kind == "zero" else len(self.images)
 
+    def orbit(self, x):
+        """Lazily yield the nonzero iterates x, d(x), d^2(x), ... A locally
+        nilpotent derivation kills x within iteration_bound(x) steps; an
+        iterate that survives them is refused."""
+        bound = self.iteration_bound(x)
+        cur = x
+        for _ in range(bound):
+            if cur.is_zero():
+                return
+            yield cur
+            cur = self.apply(cur)
+        if not cur.is_zero():
+            raise AlgebraError(
+                "derivation is not locally nilpotent: %r survives %d steps" % (x, bound)
+            )
+
     def validate(self):
         """Check what the kind does not guarantee: Leibniz for a table, on
         covered pairs whose product stays covered, and local nilpotency for
@@ -618,15 +637,9 @@ class Derivation:
 
 
 def nilpotency_index(d, x):
-    """Least m >= 1 with d^m(x) = 0. No locally nilpotent derivation needs
-    more than d.iteration_bound(x) steps, so one that does is refused."""
-    bound = d.iteration_bound(x)
-    cur = x
-    for m in range(1, bound + 1):
-        cur = d.apply(cur)
-        if cur.is_zero():
-            return m
-    raise AlgebraError("derivation is not locally nilpotent: %r survives %d steps" % (x, bound))
+    """Least m >= 1 with d^m(x) = 0: the length of the orbit of x, or 1 for
+    x = 0. A derivation that is not locally nilpotent on x is refused."""
+    return max(sum(1 for _ in d.orbit(x)), 1)
 
 
 def element_nilpotency_index(a):
@@ -646,20 +659,16 @@ def element_nilpotency_index(a):
 def kernel_decompose(a, d):
     """Write a = sum_k (x^k / k!) a_k with every a_k killed by ddx.
 
-    The components are the iterated-derivative values at x = 0; the
-    decomposition is unique and reconstructs exactly. The loop ends after
-    degree + 1 steps, as each ddx step lowers the degree."""
+    The components are the degree-0 parts of the orbit of a, the
+    iterated-derivative values at x = 0; the decomposition is unique and
+    reconstructs exactly."""
     if d.kind != "ddx" or a.alg.kind not in ("poly", "matrix_poly"):
         raise AlgebraError("kernel decomposition needs ddx on poly or matrix_poly")
     comps = []
-    cur = a
-    k = 0
-    while not cur.is_zero():
-        c = cur.degree_part(0)
+    for k, v in enumerate(d.orbit(a)):
+        c = v.degree_part(0)
         if not c.is_zero():
             comps.append((k, c))
-        cur = d.apply(cur)
-        k += 1
     return comps
 
 
@@ -673,18 +682,15 @@ def kernel_reconstruct(alg, comps):
 class OreElement:
     """Element of B[t, t^-1; d]: finite sum a_p t^p with coefficients on the
     left. Multiplication uses t b = b t - d(b) and, for negative powers,
-    t^-m b = sum_k C(m-1+k, k) d^k(b) t^-m-k, finite by local nilpotency."""
+    t^-m b = sum_k C(m-1+k, k) d^k(b) t^-m-k, finite by local nilpotency.
+    Items keep the order they were built in; to_map and repr sort them."""
 
     __slots__ = ("base", "der", "items")
 
     def __init__(self, base, der, items):
-        clean = {}
-        for p, el in items.items():
-            if not el.is_zero():
-                clean[p] = el
         self.base = base
         self.der = der
-        self.items = dict(sorted(clean.items()))
+        self.items = {p: el for p, el in items.items() if not el.is_zero()}
 
     def is_zero(self):
         return not self.items
@@ -699,38 +705,23 @@ class OreElement:
         )
 
     def __hash__(self):
-        return hash((self.base.descriptor(), tuple((p, e) for p, e in self.items.items())))
+        return hash((self.base.descriptor(), frozenset(self.items.items())))
 
     def commute_t(self, p, b):
-        """Expand t^p b as a map power -> coefficient element. For p < 0 the
-        sum ends once d^k(b) = 0, which a locally nilpotent derivation
-        reaches within iteration_bound(b) steps; one that does not is
-        refused."""
+        """Expand t^p b as a map power -> coefficient element, read from the
+        orbit of b: its first p + 1 iterates for p > 0, the whole orbit for
+        p < 0."""
         if p == 0 or b.is_zero():
             return {p: b}
         out = {}
         if p > 0:
-            cur = b
-            for k in range(p + 1):
-                if cur.is_zero():
-                    break
+            for k, v in enumerate(islice(self.der.orbit(b), p + 1)):
                 coef = -comb(p, k) if k % 2 else comb(p, k)
-                out[p - k] = cur if coef == 1 else cur.scale(coef)
-                cur = self.der.apply(cur)
+                out[p - k] = v if coef == 1 else v.scale(coef)
         else:
-            m = -p
-            bound = self.der.iteration_bound(b)
-            cur = b
-            for k in range(bound):
-                coef = comb(m - 1 + k, k)
-                out[p - k] = cur if coef == 1 else cur.scale(coef)
-                cur = self.der.apply(cur)
-                if cur.is_zero():
-                    break
-            else:
-                raise AlgebraError(
-                    "derivation is not locally nilpotent: %r survives %d steps" % (b, bound)
-                )
+            for k, v in enumerate(self.der.orbit(b)):
+                coef = comb(-p - 1 + k, k)
+                out[p - k] = v if coef == 1 else v.scale(coef)
         return out
 
     def monomial_product(self, k1, p, k2):
@@ -776,13 +767,13 @@ class OreElement:
         )
 
     def to_map(self):
-        return {str(p): e.to_map() for p, e in self.items.items()}
+        return {str(p): e.to_map() for p, e in sorted(self.items.items())}
 
     def __repr__(self):
         if not self.items:
             return "0"
         parts = []
-        for p, e in self.items.items():
+        for p, e in sorted(self.items.items()):
             if p == 0:
                 parts.append("(%r)" % e)
             else:

@@ -163,9 +163,9 @@ def _cmd_assoc_check(data, args):
 def _cmd_untwist(data, args):
     result = untwist(data.conformal, degree=args.degree)
     report = {
-        "e_prime": result.e_prime.element.to_map(),
-        "e_prime_text": repr(result.e_prime.element),
-        "certified": result.e_prime.certified,
+        "e_prime": result.e_prime.to_map(),
+        "e_prime_text": repr(result.e_prime),
+        "certified": result.certified,
         "nilpotency": result.nilpotency,
         "pure_current_images": result.pure,
         "roundtrip_exact": result.roundtrip_exact,

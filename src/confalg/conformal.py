@@ -10,7 +10,7 @@ nilpotent derivation delta, with delta = 0 giving the pure current case.
 import random
 from math import comb
 
-from .algebra import AlgebraError, Element, nilpotency_index, parse_exponent
+from .algebra import AlgebraError, Element, parse_exponent
 from .rings import Poly, falling, frac
 
 
@@ -27,9 +27,9 @@ class ConformalAlgebra:
         self.base = base
         self.der = derivation
         self.tag = tag
-        self._der_pow = {}
+        # key -> the orbit of the basis symbol under delta, as a list
+        self._orbits = {}
         self._table = {}
-        self._nilp = {}
         # (j, r) -> [C(j,s) ff(r,s) for s <= min(j, r)], the weights of nprod;
         # bounded by the D-degrees and orders the products reach
         self._weights = {}
@@ -83,14 +83,15 @@ class ConformalAlgebra:
             raise ConformalError("unknown generator name %r" % name)
         return self.tilde(self.base.basis_element(self.base.parse_key(name)))
 
-    def _delta_pow(self, key, m):
-        if m == 0:
-            return self.base.basis_element(key)
-        got = self._der_pow.get((key, m))
+    def _orbit(self, key):
+        got = self._orbits.get(key)
         if got is None:
-            got = self.der.apply(self._delta_pow(key, m - 1))
-            self._der_pow[(key, m)] = got
+            got = self._orbits[key] = list(self.der.orbit(self.base.basis_element(key)))
         return got
+
+    def _delta_pow(self, key, m):
+        orbit = self._orbit(key)
+        return orbit[m] if m < len(orbit) else self.base.zero()
 
     def basis_nprod(self, k1, k2, m):
         """Order-m product of two basis symbols, as a key -> coefficient map.
@@ -99,11 +100,8 @@ class ConformalAlgebra:
         return {k: -c for k, c in prod.items.items()} if m % 2 else prod.items
 
     def nilp_key(self, key):
-        got = self._nilp.get(key)
-        if got is None:
-            got = nilpotency_index(self.der, self.base.basis_element(key))
-            self._nilp[key] = got
-        return got
+        """Nilpotency index of delta on a basis symbol: its orbit's length."""
+        return len(self._orbit(key))
 
     def structural_bound(self, a, b):
         """Order above which a (n) b vanishes identically, or None when an
@@ -183,7 +181,8 @@ class ConformalAlgebra:
 
 
 class CElement:
-    """Finite sum of D-polynomial multiples of base basis symbols."""
+    """Finite sum of D-polynomial multiples of base basis symbols. Items keep
+    the order they were built in; to_map and repr sort them."""
 
     __slots__ = ("conf", "items")
 
@@ -195,7 +194,7 @@ class CElement:
             if not p.is_zero():
                 clean[k] = p
         self.conf = conf
-        self.items = dict(sorted(clean.items()))
+        self.items = clean
 
     def is_zero(self):
         return not self.items
@@ -206,7 +205,7 @@ class CElement:
         return self.conf == other.conf and self.items == other.items
 
     def __hash__(self):
-        return hash((self.conf.descriptor(), tuple(self.items.items())))
+        return hash((self.conf.descriptor(), frozenset(self.items.items())))
 
     def _compat(self, other):
         if self.conf != other.conf:
@@ -239,13 +238,13 @@ class CElement:
         return max(p.degree() for p in self.items.values())
 
     def to_map(self):
-        return {self.conf.base.key_name(k): p.to_map() for k, p in self.items.items()}
+        return {self.conf.base.key_name(k): p.to_map() for k, p in sorted(self.items.items())}
 
     def __repr__(self):
         if not self.items:
             return "0"
         parts = []
-        for k, p in self.items.items():
+        for k, p in sorted(self.items.items()):
             name = self.conf.base.key_name(k)
             if any(ch in name for ch in "*^:"):
                 name = "(%s)" % name

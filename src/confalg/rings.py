@@ -68,10 +68,6 @@ class Poly:
     def const(cls, c):
         return cls((frac(c),))
 
-    @classmethod
-    def gen(cls):
-        return cls((0, 1))
-
     def is_zero(self):
         return not self.coeffs
 

@@ -28,21 +28,11 @@ def component_slices(a):
     return {i: Element(base, m) for i, m in sorted(out.items())}
 
 
-class IdentityCandidate:
-    """A would-be conformal identity plus its certification state."""
-
-    __slots__ = ("element", "certified", "report")
-
-    def __init__(self, element, certified, report=None):
-        self.element = element
-        self.certified = certified
-        self.report = report or {}
-
-
 def is_conformal_identity(c, e, degree=4):
     """Certify e: order-0 left action fixes every basis symbol up to the
     degree window, and all self-products of order >= 1 vanish. The order-0
-    rule extends over D-multiples exactly, so basis symbols suffice."""
+    rule extends over D-multiples exactly, so basis symbols suffice.
+    Returns a report; ok is True exactly when e is certified."""
     failures = []
     for key in c.base.basis_upto(degree):
         v = c.tilde(c.base.basis_element(key))
@@ -53,14 +43,13 @@ def is_conformal_identity(c, e, degree=4):
         for n in range(1, bound + 1):
             if not c.nprod(e, e, n).is_zero():
                 failures.append({"check": "self_product", "order": n})
-    report = {"ok": not failures, "degree": degree, "failures": failures}
-    return IdentityCandidate(e, report["ok"], report)
+    return {"ok": not failures, "degree": degree, "failures": failures}
 
 
 class UntwistResult:
     __slots__ = (
         "e_prime",
-        "e_internal",
+        "certified",
         "images",
         "table",
         "pure",
@@ -68,9 +57,9 @@ class UntwistResult:
         "nilpotency",
     )
 
-    def __init__(self, e_prime, e_internal, images, table, pure, roundtrip_exact, nilpotency):
+    def __init__(self, e_prime, certified, images, table, pure, roundtrip_exact, nilpotency):
         self.e_prime = e_prime
-        self.e_internal = e_internal
+        self.certified = certified
         self.images = images
         self.table = table
         self.pure = pure
@@ -82,7 +71,8 @@ def untwist(c, degree=2):
     """Rewrite a structure twisted by an inner derivation ad(r), r nilpotent,
     as pure currents: b~ maps to b~ (0) e_int with the alternating-sign
     series e_int = sum (-1)^k/k! D^k (r^k)~, and the returned identity
-    candidate is the plain-sign series e' = sum 1/k! D^k (r^k)~.
+    candidate is the plain-sign series e' = sum 1/k! D^k (r^k)~, with
+    whether is_conformal_identity certifies it.
 
     The image products are checked to be genuinely current (order 0 equal to
     the image of the base product, higher orders zero). The double action of
@@ -133,14 +123,14 @@ def untwist(c, degree=2):
             if prods.get(0, c.zero()) != expected:
                 pure = False
 
-    cert = is_conformal_identity(c, e_prime, degree)
+    certified = is_conformal_identity(c, e_prime, degree)["ok"]
     rt = c.nprod(c.nprod(c.tilde(r), e_prime, 0), e_prime, 0)
     roundtrip_exact = rt == c.tilde(r)
     if m <= 2 and not roundtrip_exact:
         raise StructureError("double identity action failed on a square-zero twist")
 
     table = product_table(c, [(n, images[n]) for n in names])
-    return UntwistResult(cert, e_int, images, table, pure, roundtrip_exact, m)
+    return UntwistResult(e_prime, certified, images, table, pure, roundtrip_exact, m)
 
 
 def dual_identity_consistency(c, e, b=None):
@@ -150,11 +140,7 @@ def dual_identity_consistency(c, e, b=None):
     (k+1) e_{k+1} = e_1 e_k. With a companion element b (slices
     b_i = b_0 e_1^i / i!) the constant slice of the order-1 action on b is
     the commutator -[e_1, b_0]."""
-    if isinstance(e, IdentityCandidate):
-        certified = e.certified
-        e = e.element
-    else:
-        certified = is_conformal_identity(c, e).certified
+    certified = is_conformal_identity(c, e)["ok"]
     base = c.base
     cur = make_current(base)
     comps = component_slices(e)
@@ -380,7 +366,7 @@ def unital_split(c, e, degree=4):
     """Split the degree window under the order-0 action of e: the action is
     idempotent when e (0) e = e, so the window is image plus kernel; ranks
     are reported over the fraction field of Q[D]."""
-    cert = is_conformal_identity(c, e, degree)
+    certified = is_conformal_identity(c, e, degree)["ok"]
     keys = c.base.basis_upto(degree)
     image = SpanReducer()
     for k in keys:
@@ -389,7 +375,7 @@ def unital_split(c, e, degree=4):
     module_rank = len(keys)
     return {
         "degree": degree,
-        "identity_certified": cert.certified,
+        "identity_certified": certified,
         "module_rank": module_rank,
         "image_rank": image_rank,
         "kernel_rank": module_rank - image_rank,
@@ -399,7 +385,6 @@ def unital_split(c, e, degree=4):
 __all__ = [
     "StructureError",
     "component_slices",
-    "IdentityCandidate",
     "is_conformal_identity",
     "UntwistResult",
     "untwist",

@@ -67,6 +67,18 @@ def nilpotent_by_iteration(d, keys, cap):
     return True
 
 
+def orbit_by_iteration(d, x, cap):
+    """The nonzero iterates x, d(x), d^2(x), ... up to the first zero, by
+    repeated application of d, or None when d^cap(x) is not zero."""
+    out = []
+    for _ in range(cap):
+        if x.is_zero():
+            return out
+        out.append(x)
+        x = d.apply(x)
+    return out if x.is_zero() else None
+
+
 def element_index_by_iteration(a, cap):
     """Least m <= cap with a^m = 0, by repeated multiplication, or None."""
     cur = a

@@ -122,8 +122,8 @@ def test_criterion_05_untwist_inner_derivation():
     expected = c.tilde(base.one()).add(
         c.tilde(base.parse_element({"e12": "1"})).dapply()
     )
-    assert res.e_prime.element == expected
-    assert res.e_prime.certified
+    assert res.e_prime == expected
+    assert res.certified
     assert res.nilpotency == 2
     assert res.pure
     assert len(res.images) == 4

@@ -20,7 +20,12 @@ from confalg.algebra import (
     kernel_reconstruct,
     nilpotency_index,
 )
-from reference_oracles import leibniz_violation, nilpotent_by_iteration, random_element
+from reference_oracles import (
+    leibniz_violation,
+    nilpotent_by_iteration,
+    orbit_by_iteration,
+    random_element,
+)
 
 F = Fraction
 
@@ -249,6 +254,55 @@ def test_validate_agrees_with_brute_force_iteration(case):
         assert expected
 
 
+@st.composite
+def orbit_cases(draw):
+    """A derivation and an element to iterate it on: zero, d/dx, ad(r) or a
+    table (ad(r) plus c d/dx where there is an x, tabulated up to a degree)
+    over M_2, M_3, M_2(Q[x]) or Q[x], with r any constant matrix, so that
+    some ad(r) are not locally nilpotent; or the Euler table x d/dx on Q[x],
+    which fixes x."""
+    kind = draw(st.sampled_from(["zero", "ddx", "ad", "table", "euler"]))
+    algs = [MatrixPolyAlgebra(2), PolynomialAlgebra()]
+    if kind in ("zero", "ad", "table"):
+        algs += [MatrixAlgebra(2), MatrixAlgebra(3)]
+    alg = PolynomialAlgebra() if kind == "euler" else draw(st.sampled_from(algs))
+    keys = alg.basis_upto(draw(st.integers(0, 3)))
+    if kind == "euler":
+        d = Derivation.table(alg, {k: alg.basis_element(k).scale(k) for k in keys})
+    elif kind == "zero":
+        d = Derivation.zero(alg)
+    elif kind == "ddx":
+        d = Derivation.ddx(alg)
+    else:
+        d = Derivation.ad(Element(alg, {k: draw(ENTRIES) for k in alg.basis_upto(0)}))
+        if kind == "table":
+            c = draw(ENTRIES) if alg.supports_ddx() else 0
+            images = {}
+            for k in keys:
+                b = alg.basis_element(k)
+                images[k] = d.apply(b)
+                if c:
+                    images[k] = images[k].add(Derivation.ddx(alg).apply(b).scale(c))
+            d = Derivation.table(alg, images)
+    return d, Element(alg, {k: draw(ENTRIES) for k in keys})
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=orbit_cases())
+def test_orbit_agrees_with_plain_iteration(case):
+    d, x = case
+    # past iteration_bound(x) <= 16 steps an iterate never dies
+    expected = orbit_by_iteration(d, x, 64)
+    if expected is None:
+        with pytest.raises(AlgebraError, match="not locally nilpotent"):
+            list(d.orbit(x))
+        with pytest.raises(AlgebraError, match="not locally nilpotent"):
+            nilpotency_index(d, x)
+    else:
+        assert list(d.orbit(x)) == expected
+        assert nilpotency_index(d, x) == max(len(expected), 1)
+
+
 def test_element_nilpotency_index():
     m = MatrixAlgebra(3)
     r = m.parse_element({"e12": "1", "e23": "1"})
@@ -327,6 +381,24 @@ def test_negative_power_expansion_stops_at_the_iteration_bound():
     )
     got = OreElement(a, ddx_table, {}).commute_t(-1, a.basis_element(2))
     assert got == {-1: a.basis_element(2), -2: a.basis_element(1).scale(2), -3: a.one().scale(2)}
+
+
+def test_positive_power_expansion_applies_only_the_steps_it_keeps():
+    # t x^10 = x^10 t - 10 x^9 needs one derivative, not the next one too
+    a = PolynomialAlgebra()
+    d = Derivation.ddx(a)
+    steps = []
+    apply = d.apply
+
+    def counted(x):
+        steps.append(x)
+        return apply(x)
+
+    d.apply = counted
+    x10 = a.basis_element(10)
+    got = OreElement(a, d, {}).commute_t(1, x10)
+    assert got == {1: x10, 0: a.basis_element(9).scale(-10)}
+    assert steps == [x10]
 
 
 def test_ore_associativity_spot_checks():

@@ -127,7 +127,8 @@ def test_dual_identity_consistent_pair(capsys):
 
 
 def test_dual_identity_flags_a_corrupted_candidate(tmp_path, capsys):
-    doc = json.load(open(spec("dif_matrix2_ad_e12.json")))
+    with open(spec("dif_matrix2_ad_e12.json")) as fh:
+        doc = json.load(fh)
     bad = dict(doc["elements"]["ePrime"])
     bad["e11"] = {"0": "1", "2": "1"}
     doc["elements"]["badE"] = bad

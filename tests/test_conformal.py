@@ -13,6 +13,7 @@ from confalg.conformal import (
     sample_celement,
 )
 from confalg.constructions import make_cend, make_current, make_differential
+from reference_oracles import table_ddx_plus_ad_e12
 
 
 def cur_m2():
@@ -208,3 +209,42 @@ def test_check_axioms_computes_each_product_once(make):
         assert sorted(orders[pos : pos + count]) == sorted([n] * 3 + [n - 1] * (count - 3))
         pos += count
     assert pos == len(orders)
+
+
+def dif_m2_ad_e12():
+    base = MatrixPolyAlgebra(2)
+    return make_differential(base, Derivation.ad(base.parse_element({"e12": "1"})))
+
+
+@pytest.mark.parametrize(
+    "make", STRUCTURES + [dif_m2_ad_e12, lambda: make_differential(*table_ddx_plus_ad_e12())]
+)
+def test_delta_is_applied_once_per_orbit_entry(make):
+    c = make()
+    steps = []
+    apply = c.der.apply
+
+    def counted(x):
+        steps.append(x)
+        return apply(x)
+
+    c.der.apply = counted
+    keys = c.base.basis_upto(3)
+    # every key twice, in a seeded order, each read past the end of its orbit
+    order = keys * 2
+    random.Random(1).shuffle(order)
+    for k in order:
+        nil = c.nilp_key(k)
+        b = c.base.basis_element(k)
+        for m in range(nil + 2):
+            expected = b
+            for _ in range(m):
+                expected = apply(expected)
+            assert c._delta_pow(k, m) == expected
+        assert apply(c._delta_pow(k, nil - 1)).is_zero()
+    # nprod on keys already seen applies delta no further
+    rng = random.Random(2)
+    for _ in range(10):
+        a, b = sample_celement(c, rng, 3, 2), sample_celement(c, rng, 3, 2)
+        c.nprod_all(a, b)
+    assert len(steps) == sum(c.nilp_key(k) for k in keys)

@@ -78,7 +78,7 @@ def test_integer_inputs_give_exact_results():
     b = c.named_element("L0").add(c.named_element("L1").dapply(2))
     for n in range(4):
         assert all(poly_normal(p) for p in c.nprod(a, b, n).items.values())
-    f, g = to_distribution(a, 4), to_distribution(b, 4)
+    f, g = to_distribution(a, -4, 4), to_distribution(b, -4, 4)
     assert all(ore_normal(v) for d in (f, g) for v in d.vals.values())
     h = dist_nprod(f, g, 2)
     assert h.vals and all(ore_normal(v) for v in h.vals.values())

@@ -23,7 +23,7 @@ from reference_oracles import naive_dist_nprod, table_ddx_plus_ad_e12
 def test_distribution_window_and_sparsity():
     c = make_current(MatrixAlgebra(2))
     e12 = c.tilde(c.base.parse_element({"e12": "1"}))
-    f = to_distribution(e12, 3)
+    f = to_distribution(e12, -3, 3)
     assert (f.lo, f.hi) == (-3, 3)
     # a plain tilde element is b t^n at every n
     v = f.value(2)
@@ -35,28 +35,39 @@ def test_distribution_window_and_sparsity():
 def test_distribution_of_a_d_power_uses_falling_factorials():
     c = make_cend(1)
     l0 = c.named_element("L0")
-    f = to_distribution(l0.dapply(2), 4)
+    f = to_distribution(l0.dapply(2), -4, 4)
     # (D^2 b)~ at n is n(n-1) b t^(n-2)
     assert f.value(3).to_map() == {"1": {"1": "6"}}
     assert f.value(1).is_zero()
     assert f.value(-1).to_map() == {"-3": {"1": "2"}}
 
 
-def test_restrict_and_first_difference():
+def test_window_and_first_difference():
     c = make_current(MatrixAlgebra(2))
     one = c.tilde(c.base.one())
-    f = to_distribution(one, 4)
-    g = f.restrict(-2, 2)
-    assert (g.lo, g.hi) == (-2, 2)
+    f = to_distribution(one, -4, 4)
+    g = to_distribution(one, -2, 3)
+    assert (g.lo, g.hi) == (-2, 3)
+    assert sorted(g.vals) == list(range(-2, 4))
     assert f.first_difference(g) is None
-    h = to_distribution(one.scale(Fraction(2)), 4)
+    h = to_distribution(one.scale(Fraction(2)), -4, 4)
     assert f.first_difference(h) == -4
+    with pytest.raises(OracleError, match="empty window"):
+        to_distribution(one, 1, 0)
+
+
+def test_zero_distributions_over_different_rings_differ():
+    c, d = make_cend(1), make_current(MatrixAlgebra(2))
+    f = Distribution(c.base, c.der, -2, 2, {})
+    g = Distribution(d.base, d.der, -2, 2, {})
+    assert f != g
+    assert f == to_distribution(c.zero(), -2, 2)
 
 
 def test_dist_nprod_window_requirements():
     c = make_current(MatrixAlgebra(2))
     one = c.tilde(c.base.one())
-    f = to_distribution(one, 2)
+    f = to_distribution(one, -2, 2)
     with pytest.raises(OracleError):
         dist_nprod(f, f, 3)
     out = dist_nprod(f, f, 1)
@@ -67,12 +78,12 @@ def test_current_distributions_collapse_above_order_zero():
     c = make_current(MatrixAlgebra(2))
     a = c.tilde(c.base.parse_element({"e11": "1", "e12": "2"}))
     b = c.tilde(c.base.parse_element({"e21": "-1"}))
-    f = to_distribution(a, 5)
-    g = to_distribution(b, 5)
+    f = to_distribution(a, -5, 5)
+    g = to_distribution(b, -5, 5)
     # order zero carries the base product, higher orders vanish identically
     base_prod = c.tilde(c.base.parse_element({"e11": "-2"}))
     got = dist_nprod(f, g, 0)
-    assert got.first_difference(to_distribution(base_prod, 5)) is None
+    assert got.first_difference(to_distribution(base_prod, -5, 5)) is None
     for m in (1, 2, 3):
         out = dist_nprod(f, g, m)
         assert all(v.is_zero() for v in out.vals.values())
@@ -98,7 +109,7 @@ def draw_distribution(data, c, rng, lo, hi):
     kind = data.draw(st.sampled_from(["conformal", "ore", "zero"]))
     if kind == "conformal":
         a = sample_celement(c, rng, 3, 2)
-        return to_distribution(a, max(-lo, hi)).restrict(lo, hi)
+        return to_distribution(a, lo, hi)
     vals = {}
     if kind == "ore":
         for n in range(lo, hi + 1):
@@ -135,8 +146,8 @@ def test_dist_nprod_matches_the_pairwise_residue_sum(name, data):
 
 def test_dist_nprod_refuses_distributions_over_different_rings():
     c, d = make_cend(1), _dif_matrix_poly2_ad_e12()
-    f = to_distribution(c.tilde(c.base.one()), 2)
-    g = to_distribution(d.tilde(d.base.one()), 2)
+    f = to_distribution(c.tilde(c.base.one()), -2, 2)
+    g = to_distribution(d.tilde(d.base.one()), -2, 2)
     with pytest.raises(AlgebraError, match="different rings"):
         dist_nprod(f, g, 1)
 
@@ -153,7 +164,7 @@ def test_oracle_route_shares_no_code_with_the_closed_form(monkeypatch):
     for attr in ("nprod", "basis_nprod", "_delta_pow"):
         monkeypatch.setattr(ConformalAlgebra, attr, refuse)
     for a, b in samples:
-        f, g = to_distribution(a, 4), to_distribution(b, 4)
+        f, g = to_distribution(a, -4, 4), to_distribution(b, -4, 4)
         cache = {}
         for m in range(4):
             dist_nprod(f, g, m, cache)
