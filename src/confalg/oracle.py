@@ -12,7 +12,7 @@ from math import comb
 
 from .algebra import AlgebraError, Element, OreElement
 from .conformal import sample_celement
-from .rings import falling
+from .rings import falling, frac
 
 
 class OracleError(AlgebraError):
@@ -20,7 +20,9 @@ class OracleError(AlgebraError):
 
 
 class Distribution:
-    """Window of ring values n -> f(n), with zero values stored sparsely."""
+    """Window of ring values n -> f(n), each a flat map (power, key) ->
+    coefficient. Zero values and zero coefficients are not stored and
+    integral coefficients are ints, so equal distributions have equal maps."""
 
     __slots__ = ("base", "der", "lo", "hi", "vals")
 
@@ -31,15 +33,22 @@ class Distribution:
         self.der = der
         self.lo = lo
         self.hi = hi
-        self.vals = {n: v for n, v in vals.items() if not v.is_zero()}
+        self.vals = {}
+        for n, v in vals.items():
+            flat = {s: c if type(c) is int else frac(c) for s, c in v.items() if c}
+            if flat:
+                self.vals[n] = flat
 
     def value(self, n):
+        """f(n) as an element of the twisted Laurent ring."""
         if not self.lo <= n <= self.hi:
             raise OracleError("index %d outside window [%d, %d]" % (n, self.lo, self.hi))
-        got = self.vals.get(n)
-        if got is None:
-            got = OreElement(self.base, self.der, {})
-        return got
+        by_power = {}
+        for (p, k), c in self.vals.get(n, {}).items():
+            by_power.setdefault(p, {})[k] = c
+        return OreElement(
+            self.base, self.der, {p: Element(self.base, s) for p, s in by_power.items()}
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):
@@ -56,7 +65,7 @@ class Distribution:
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         for n in range(lo, hi + 1):
-            if self.value(n) != other.value(n):
+            if self.vals.get(n) != other.vals.get(n):
                 return n
         return None
 
@@ -64,23 +73,18 @@ class Distribution:
 def to_distribution(a, lo, hi):
     """Distribution of a conformal element on the window [lo, hi]:
     (D^i b)~ goes to n -> (-1)^i ff(n,i) b t^(n-i)."""
-    base = a.conf.base
-    der = a.conf.der
     top = max((len(p.coeffs) for p in a.items.values()), default=0)
     vals = {}
     for n in range(lo, hi + 1):
-        # the signed falling factorials (-1)^i ff(n,i), shared by every key
+        # the signed falling factorials (-1)^i ff(n,i), shared by every key;
+        # each (key, i) lands on its own (power, key) slot, so nothing sums
         signed = [(-1) ** i * falling(n, i) for i in range(top)]
-        # power -> key -> coefficient, one Element per power; each (key, i)
-        # lands on its own (power, key) slot, so nothing needs summing
-        acc = {}
-        for k, p in a.items.items():
-            for i, ci in enumerate(p.coeffs):
-                c = ci * signed[i]
-                if c:
-                    acc.setdefault(n - i, {})[k] = c
-        vals[n] = OreElement(base, der, {pw: Element(base, s) for pw, s in acc.items()})
-    return Distribution(base, der, lo, hi, vals)
+        vals[n] = {
+            (n - i, k): ci * signed[i]
+            for k, p in a.items.items()
+            for i, ci in enumerate(p.coeffs)
+        }
+    return Distribution(a.conf.base, a.conf.der, lo, hi, vals)
 
 
 def dist_nprod(f, g, m, cache=None):
@@ -110,7 +114,7 @@ def dist_nprod(f, g, m, cache=None):
     def row(i, k):
         got = rows.get((i, k))
         if got is None:
-            prod = fvals[i].mul(OreElement(base, der, {0: base.basis_element(k)}))
+            prod = f.value(i).mul(OreElement(base, der, {0: base.basis_element(k)}))
             got = [(p, kk, c) for p, el in prod.items.items() for kk, c in el.items.items()]
             rows[(i, k)] = got
         return got
@@ -119,11 +123,10 @@ def dist_nprod(f, g, m, cache=None):
         got = pairs.get((i, J))
         if got is None:
             acc = {}
-            for q, el in gvals[J].items.items():
-                for k, v in el.items.items():
-                    for p, kk, c in row(i, k):
-                        slot = (p + q, kk)
-                        acc[slot] = acc.get(slot, 0) + v * c
+            for (q, k), v in gvals[J].items():
+                for p, kk, c in row(i, k):
+                    slot = (p + q, kk)
+                    acc[slot] = acc.get(slot, 0) + v * c
             got = [(slot, c) for slot, c in acc.items() if c]
             pairs[(i, J)] = got
         return got
@@ -131,7 +134,7 @@ def dist_nprod(f, g, m, cache=None):
     vals = {}
     for n in range(g.lo, g.hi - m + 1):
         # flat (power, key) -> coefficient over the whole residue sum
-        acc = {}
+        acc = vals[n] = {}
         for j in range(m + 1):
             i = m - j
             if n + j not in gvals or i not in fvals:
@@ -139,11 +142,6 @@ def dist_nprod(f, g, m, cache=None):
             sign = -comb(m, j) if j % 2 else comb(m, j)
             for slot, c in pair(i, n + j):
                 acc[slot] = acc.get(slot, 0) + sign * c
-        by_power = {}
-        for (p, kk), c in acc.items():
-            if c:
-                by_power.setdefault(p, {})[kk] = c
-        vals[n] = OreElement(base, der, {p: Element(base, s) for p, s in by_power.items()})
     return Distribution(base, der, g.lo, g.hi - m, vals)
 
 
@@ -167,10 +165,11 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
     for _ in range(samples):
         a = sample_celement(c, rng, degree, pdeg)
         b = sample_celement(c, rng, degree, pdeg)
-        f = to_distribution(a, -window, window)
-        g = to_distribution(b, -window, window)
         bound = c.structural_bound(a, b)
         top = min((0 if bound is None else bound + 1), window)
+        # the residue sum reads the left factor only on [0, top]
+        f = to_distribution(a, 0, top)
+        g = to_distribution(b, -window, window)
         cache = {}
         for m in range(top + 1):
             lhs = to_distribution(c.nprod(a, b, m), g.lo, g.hi - m)

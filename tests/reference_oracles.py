@@ -202,6 +202,12 @@ def naive_ore_mul(x, y):
     return OreElement(x.base, x.der, {p: Element(x.base, s) for p, s in out.items()})
 
 
+def flatten(x):
+    """An Ore element as the flat (power, key) -> coefficient map a
+    Distribution stores."""
+    return {(p, k): c for p, el in x.items.items() for k, c in el.items.items()}
+
+
 def naive_dist_nprod(f, g, m, cache=None):
     """Order-m product of distributions by the residue sum
     (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j), one Ore product per
@@ -233,8 +239,8 @@ def naive_dist_nprod(f, g, m, cache=None):
                 for k, v in el.items.items():
                     cur = slot.get(k)
                     slot[k] = c * v if cur is None else cur + c * v
-        vals[n] = OreElement(
-            f.base, f.der, {p: Element(f.base, s) for p, s in acc.items()}
+        vals[n] = flatten(
+            OreElement(f.base, f.der, {p: Element(f.base, s) for p, s in acc.items()})
         )
     return Distribution(f.base, f.der, g.lo, g.hi - m, vals)
 

@@ -24,8 +24,9 @@ def poly_normal(p):
     return all(normal(c) for c in p.coeffs)
 
 
-def ore_normal(x):
-    return all(normal(c) for e in x.items.values() for c in e.items.values())
+def flat_normal(v):
+    """A distribution value, a flat (power, key) -> coefficient map."""
+    return all(normal(c) for c in v.values())
 
 
 def test_div_is_exact():
@@ -79,6 +80,13 @@ def test_integer_inputs_give_exact_results():
     for n in range(4):
         assert all(poly_normal(p) for p in c.nprod(a, b, n).items.values())
     f, g = to_distribution(a, -4, 4), to_distribution(b, -4, 4)
-    assert all(ore_normal(v) for d in (f, g) for v in d.vals.values())
+    assert all(flat_normal(v) for d in (f, g) for v in d.vals.values())
     h = dist_nprod(f, g, 2)
-    assert h.vals and all(ore_normal(v) for v in h.vals.values())
+    assert h.vals and all(flat_normal(v) for v in h.vals.values())
+    # halves meeting doubles: every coefficient is integral, so every one is
+    # an int, on both sides of the residue sum
+    f2 = to_distribution(a.scale(F(1, 2)), -4, 4)
+    g2 = to_distribution(b.scale(2), -4, 4)
+    assert any(type(c) is F for v in f2.vals.values() for c in v.values())
+    h2 = dist_nprod(f2, g2, 2)
+    assert h2 == h and all(type(c) is int for v in h2.vals.values() for c in v.values())

@@ -17,7 +17,7 @@ from confalg.oracle import (
     sample_ore,
     to_distribution,
 )
-from reference_oracles import naive_dist_nprod, table_ddx_plus_ad_e12
+from reference_oracles import flatten, naive_dist_nprod, table_ddx_plus_ad_e12
 
 
 def test_distribution_window_and_sparsity():
@@ -85,8 +85,7 @@ def test_current_distributions_collapse_above_order_zero():
     got = dist_nprod(f, g, 0)
     assert got.first_difference(to_distribution(base_prod, -5, 5)) is None
     for m in (1, 2, 3):
-        out = dist_nprod(f, g, m)
-        assert all(v.is_zero() for v in out.vals.values())
+        assert dist_nprod(f, g, m).vals == {}
 
 
 def _dif_matrix_poly2_ad_e12():
@@ -115,10 +114,48 @@ def draw_distribution(data, c, rng, lo, hi):
         for n in range(lo, hi + 1):
             gap = data.draw(st.sampled_from(["value", "value", "absent", "stored zero"]))
             if gap == "value":
-                vals[n] = sample_ore(c.base, c.der, rng)
+                vals[n] = flatten(sample_ore(c.base, c.der, rng))
             elif gap == "stored zero":
-                vals[n] = OreElement(c.base, c.der, {})
+                vals[n] = {}
     return Distribution(c.base, c.der, lo, hi, vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(STRUCTURES)), data=st.data())
+def test_distribution_values_have_one_canonical_form(name, data):
+    """Stored zero coefficients, empty values and integral Fractions do not
+    change a distribution, and each value round-trips to its Ore element."""
+    c = STRUCTURES[name]()
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    lo = data.draw(st.integers(-3, 1))
+    hi = lo + data.draw(st.integers(0, 4))
+    keys = c.base.basis_upto(2)
+    start, clean, noisy = {}, {}, {}
+    for n in range(lo, hi + 1):
+        x = OreElement(c.base, c.der, {})
+        if data.draw(st.booleans()):
+            # thirds: some coefficients integral, some not
+            third = Fraction(data.draw(st.integers(1, 6)), 3)
+            x = sample_ore(c.base, c.der, rng)
+            x = OreElement(c.base, c.der, {p: el.scale(third) for p, el in x.items.items()})
+        start[n] = x
+        flat = flatten(x)
+        if flat:
+            clean[n] = flat
+        if not flat and data.draw(st.booleans()):
+            continue
+        dirty = {s: Fraction(v) if data.draw(st.booleans()) else v for s, v in flat.items()}
+        for _ in range(data.draw(st.integers(0, 2))):
+            slot = (data.draw(st.integers(-4, 4)), data.draw(st.sampled_from(keys)))
+            dirty.setdefault(slot, data.draw(st.sampled_from([0, Fraction(0)])))
+        noisy[n] = dirty
+    d = Distribution(c.base, c.der, lo, hi, noisy)
+    assert d == Distribution(c.base, c.der, lo, hi, clean)
+    assert d.vals == clean
+    for v in d.vals.values():
+        assert all(type(x) is int or x.denominator != 1 for x in v.values())
+    for n in range(lo, hi + 1):
+        assert d.value(n) == start[n]
 
 
 @settings(max_examples=80, deadline=None)
