@@ -1,7 +1,8 @@
 """Independent verification route through formal distributions.
 
 A conformal element maps to the family f(n) = sum_i c_i (-1)^i ff(n,i) b t^(n-i)
-of twisted-Laurent-ring values, stored on a finite window. The
+of twisted-Laurent-ring values, one value for every integer n, stored once
+for all n by its coefficients on the family basis ff(n,s) b t^(n+d). The
 order-m product of two such families is computed by a residue-style sum in
 the ring itself, never through the closed-form n-product, so agreement of
 the two routes is evidence for both.
@@ -20,35 +21,45 @@ class OracleError(AlgebraError):
 
 
 class Distribution:
-    """Window of ring values n -> f(n), each a flat map (power, key) ->
-    coefficient. Zero values and zero coefficients are not stored and
-    integral coefficients are ints, so equal distributions have equal maps."""
+    """A family n -> f(n) = sum c ff(n,s) b_key t^(n+d) over all integers n,
+    kept as the map terms: (d, key, s) -> c. Zero coefficients are not stored
+    and integral ones are ints, so equal families have equal maps. The window
+    [lo, hi] is where the family is read: value(n) and first_difference."""
 
-    __slots__ = ("base", "der", "lo", "hi", "vals")
+    __slots__ = ("base", "der", "lo", "hi", "terms")
 
-    def __init__(self, base, der, lo, hi, vals):
+    def __init__(self, base, der, lo, hi, terms):
         if lo > hi:
             raise OracleError("empty window")
         self.base = base
         self.der = der
         self.lo = lo
         self.hi = hi
-        self.vals = {}
-        for n, v in vals.items():
-            flat = {s: c if type(c) is int else frac(c) for s, c in v.items() if c}
-            if flat:
-                self.vals[n] = flat
+        self.terms = {t: c if type(c) is int else frac(c) for t, c in terms.items() if c}
+
+    def _flat(self, n):
+        """f(n) as a flat map (power, key) -> nonzero coefficient."""
+        out = {}
+        for (d, k, s), c in self.terms.items():
+            v = c * falling(n, s)
+            if v:
+                slot = (n + d, k)
+                out[slot] = out.get(slot, 0) + v
+        return {slot: c for slot, c in out.items() if c}
+
+    def _at(self, n):
+        by_power = {}
+        for (p, k), c in self._flat(n).items():
+            by_power.setdefault(p, {})[k] = c
+        return OreElement(
+            self.base, self.der, {p: Element(self.base, s) for p, s in by_power.items()}
+        )
 
     def value(self, n):
         """f(n) as an element of the twisted Laurent ring."""
         if not self.lo <= n <= self.hi:
             raise OracleError("index %d outside window [%d, %d]" % (n, self.lo, self.hi))
-        by_power = {}
-        for (p, k), c in self.vals.get(n, {}).items():
-            by_power.setdefault(p, {})[k] = c
-        return OreElement(
-            self.base, self.der, {p: Element(self.base, s) for p, s in by_power.items()}
-        )
+        return self._at(n)
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):
@@ -58,45 +69,43 @@ class Distribution:
             and self.der == other.der
             and self.lo == other.lo
             and self.hi == other.hi
-            and self.vals == other.vals
+            and self.terms == other.terms
         )
 
     def first_difference(self, other):
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        for n in range(lo, hi + 1):
-            if self.vals.get(n) != other.vals.get(n):
-                return n
-        return None
+        """None when the families agree at every n, else the first n from the
+        larger lo on where they differ, possibly past hi: at most that lo + S,
+        S the largest s, as a nonzero polynomial of degree <= S has <= S roots."""
+        if self.terms == other.terms:
+            return None
+        n = max(self.lo, other.lo)
+        while self._flat(n) == other._flat(n):
+            n += 1
+        return n
 
 
 def to_distribution(a, lo, hi):
-    """Distribution of a conformal element on the window [lo, hi]:
-    (D^i b)~ goes to n -> (-1)^i ff(n,i) b t^(n-i)."""
-    top = max((len(p.coeffs) for p in a.items.values()), default=0)
-    vals = {}
-    for n in range(lo, hi + 1):
-        # the signed falling factorials (-1)^i ff(n,i), shared by every key;
-        # each (key, i) lands on its own (power, key) slot, so nothing sums
-        signed = [(-1) ** i * falling(n, i) for i in range(top)]
-        vals[n] = {
-            (n - i, k): ci * signed[i]
-            for k, p in a.items.items()
-            for i, ci in enumerate(p.coeffs)
-        }
-    return Distribution(a.conf.base, a.conf.der, lo, hi, vals)
+    """Distribution of a conformal element, read on the window [lo, hi]:
+    (D^i b)~ goes to n -> (-1)^i ff(n,i) b t^(n-i), the term (-i, b, i)."""
+    terms = {
+        (-i, k, i): -ci if i % 2 else ci
+        for k, p in a.items.items()
+        for i, ci in enumerate(p.coeffs)
+    }
+    return Distribution(a.conf.base, a.conf.der, lo, hi, terms)
 
 
 def dist_nprod(f, g, m, cache=None):
     """Order-m product of distributions by the ring-side residue sum
-    (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j); needs f on [0, m] and
-    returns the window [g.lo, g.hi - m].
+    (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j), for every n at once;
+    needs f on [0, m] and is read on the window [g.lo, g.hi - m].
 
-    Every product f(i) g(J) is assembled from rows R(i, k) = f(i) b_k, one
-    Ore product per left value and basis symbol: as x (b t^q) = (x b) t^q, a
-    term c b_k t^q of g(J) adds c R(i, k) with every power shifted by q.
-    Rows and products are kept as flat (power, key) -> coefficient lists in
-    cache, which calls with the same f and g may share across orders."""
+    Each left value f(i) goes into rows R(i, k) = f(i) b_k, one Ore product
+    per basis symbol: as x (b t^q) = (x b) t^q, a term c ff(n+j,s) b_k t^(n+j+d)
+    of g(n+j) adds c ff(n+j,s) R(i, k) t^(n+j+d), and Vandermonde,
+    ff(n+j,s) = sum_r C(s,r) ff(j,s-r) ff(n,r), puts it on the family basis.
+    Left values and rows are kept in cache, which calls with the same f may
+    share across orders."""
     if m < 0:
         raise OracleError("product order must be >= 0")
     if f.lo > 0 or f.hi < m:
@@ -106,50 +115,41 @@ def dist_nprod(f, g, m, cache=None):
         raise AlgebraError("Ore elements over different rings")
     if cache is None:
         cache = {}
+    lefts = cache.setdefault("lefts", {})
     rows = cache.setdefault("rows", {})
-    pairs = cache.setdefault("pairs", {})
-    fvals = f.vals
-    gvals = g.vals
-
-    def row(i, k):
-        got = rows.get((i, k))
-        if got is None:
-            prod = f.value(i).mul(OreElement(base, der, {0: base.basis_element(k)}))
-            got = [(p, kk, c) for p, el in prod.items.items() for kk, c in el.items.items()]
-            rows[(i, k)] = got
-        return got
-
-    def pair(i, J):
-        got = pairs.get((i, J))
-        if got is None:
-            acc = {}
-            for (q, k), v in gvals[J].items():
-                for p, kk, c in row(i, k):
-                    slot = (p + q, kk)
-                    acc[slot] = acc.get(slot, 0) + v * c
-            got = [(slot, c) for slot, c in acc.items() if c]
-            pairs[(i, J)] = got
-        return got
-
-    vals = {}
-    for n in range(g.lo, g.hi - m + 1):
-        # flat (power, key) -> coefficient over the whole residue sum
-        acc = vals[n] = {}
-        for j in range(m + 1):
-            i = m - j
-            if n + j not in gvals or i not in fvals:
-                continue
-            sign = -comb(m, j) if j % 2 else comb(m, j)
-            for slot, c in pair(i, n + j):
-                acc[slot] = acc.get(slot, 0) + sign * c
-    return Distribution(base, der, g.lo, g.hi - m, vals)
+    for i in range(m + 1):
+        if i not in lefts:
+            lefts[i] = f.value(i)
+    acc = {}
+    for j in range(m + 1):
+        i = m - j
+        if lefts[i].is_zero():
+            continue
+        sign = -comb(m, j) if j % 2 else comb(m, j)
+        for (d, k, s), c in g.terms.items():
+            rw = rows.get((i, k))
+            if rw is None:
+                prod = lefts[i].mul(OreElement(base, der, {0: base.basis_element(k)}))
+                rw = [(p, kk, x) for p, el in prod.items.items() for kk, x in el.items.items()]
+                rows[(i, k)] = rw
+            # ff(j, s - r) vanishes for s - r > j
+            for r in range(max(0, s - j), s + 1):
+                w = sign * c * comb(s, r) * falling(j, s - r)
+                for p, kk, x in rw:
+                    slot = (p + j + d, kk, r)
+                    acc[slot] = acc.get(slot, 0) + w * x
+    return Distribution(base, der, g.lo, g.hi - m, acc)
 
 
 def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
     """Randomized two-route agreement check: for sampled pairs and every
     order up to one past the structural bound, the distribution of the
-    closed-form product must match the ring-side residue product on the
-    whole valid window. A check of no samples is refused, not reported ok."""
+    closed-form product must match the ring-side residue product as a
+    family of n, which lhs.first_difference(rhs) decides by comparing the
+    two coefficient maps. A violation's index is the first n of the window
+    [-window, window - m] where the values differ or, when the maps differ
+    but every value on the window agrees, the first such n past the window.
+    A check of no samples is refused, not reported ok."""
     if samples < 1:
         raise OracleError("samples must be >= 1, got %d" % samples)
     rng = random.Random(seed)
@@ -183,8 +183,8 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
                     "index": n,
                     "a": a.to_map(),
                     "b": b.to_map(),
-                    "closed_form": lhs.value(n).to_map(),
-                    "residue": rhs.value(n).to_map(),
+                    "closed_form": lhs._at(n).to_map(),
+                    "residue": rhs._at(n).to_map(),
                 }
                 return report
     return report

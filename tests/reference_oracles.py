@@ -7,7 +7,7 @@ from math import comb
 
 from confalg.algebra import Derivation, Element, MatrixPolyAlgebra, OreElement
 from confalg.conformal import CElement
-from confalg.oracle import Distribution, OracleError
+from confalg.oracle import OracleError
 from confalg.rings import Poly, falling
 from confalg.structure import StructureError
 
@@ -203,15 +203,34 @@ def naive_ore_mul(x, y):
 
 
 def flatten(x):
-    """An Ore element as the flat (power, key) -> coefficient map a
-    Distribution stores."""
+    """An Ore element as a flat (power, key) -> coefficient map."""
     return {(p, k): c for p, el in x.items.items() for k, c in el.items.items()}
+
+
+class WindowValues:
+    """A distribution as its values on a finite window, n -> f(n), each a
+    flat (power, key) -> coefficient map. Read only at concrete n, it shares
+    nothing with the library's coefficient maps."""
+
+    def __init__(self, base, der, lo, hi, vals):
+        self.base, self.der, self.lo, self.hi, self.vals = base, der, lo, hi, vals
+
+    def value(self, n):
+        if not self.lo <= n <= self.hi:
+            raise OracleError("index %d outside window [%d, %d]" % (n, self.lo, self.hi))
+        by_power = {}
+        for (p, k), c in self.vals[n].items():
+            by_power.setdefault(p, {})[k] = c
+        return OreElement(
+            self.base, self.der, {p: Element(self.base, s) for p, s in by_power.items()}
+        )
 
 
 def naive_dist_nprod(f, g, m, cache=None):
     """Order-m product of distributions by the residue sum
-    (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j), one Ore product per
-    pair f(i) g(J), memoised in cache under (i, J)."""
+    (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j), evaluated at each n of
+    the window [g.lo, g.hi - m] with one Ore product per pair f(i) g(J),
+    memoised in cache under (i, J)."""
     if m < 0:
         raise OracleError("product order must be >= 0")
     if f.lo > 0 or f.hi < m:
@@ -234,15 +253,22 @@ def naive_dist_nprod(f, g, m, cache=None):
             if term.is_zero():
                 continue
             c = -comb(m, j) if j % 2 else comb(m, j)
-            for p, el in term.items.items():
-                slot = acc.setdefault(p, {})
-                for k, v in el.items.items():
-                    cur = slot.get(k)
-                    slot[k] = c * v if cur is None else cur + c * v
-        vals[n] = flatten(
-            OreElement(f.base, f.der, {p: Element(f.base, s) for p, s in acc.items()})
-        )
-    return Distribution(f.base, f.der, g.lo, g.hi - m, vals)
+            for slot, v in flatten(term).items():
+                acc[slot] = acc.get(slot, 0) + c * v
+        vals[n] = acc
+    return WindowValues(f.base, f.der, g.lo, g.hi - m, vals)
+
+
+def naive_value(a, n):
+    """The value at n of a conformal element's distribution, straight from
+    the formula: sum over its terms c (D^i b)~ of c (-1)^i ff(n,i) b t^(n-i)."""
+    out = {}
+    for k, p in a.items.items():
+        for i, c in enumerate(p.coeffs):
+            slot = out.setdefault(n - i, {})
+            slot[k] = slot.get(k, 0) + c * (-1) ** i * falling(n, i)
+    base = a.conf.base
+    return OreElement(base, a.conf.der, {q: Element(base, s) for q, s in out.items()})
 
 
 def table_ddx_plus_ad_e12():

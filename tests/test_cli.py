@@ -7,7 +7,7 @@ import pytest
 
 import confalg
 from confalg.algebra import MAX_UNTWIST_KEYS
-from confalg.cli import MAX_ORACLE_WORK, main
+from confalg.cli import main
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 
@@ -233,29 +233,18 @@ def test_an_untwist_window_above_the_limit_is_refused(tmp_path, capsys):
     assert len(json.loads(out)["images"]) == 36
 
 
-def test_oracle_work_above_the_limit_is_refused_before_any_sample(capsys, monkeypatch):
-    assert MAX_ORACLE_WORK == 40000
+def test_oracle_check_at_the_largest_window_and_degree_runs(capsys):
     cend1 = spec("cend1.json")
-    # the README command: (2 * 8 + 1) * (4 + 1)^2 = 425
     code, out, _ = run(capsys, "oracle-check", cend1, "--samples", "100", "--window", "8")
     assert code == 0
     assert json.loads(out)["ok"]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sample ran")
-
-    monkeypatch.setattr("confalg.cli.oracle_check", refuse)
-    # (2 * 64 + 1) * (17 + 1)^2 = 41796, just above; degree 16 gives 37281
-    code, out, err = run(capsys, "oracle-check", cend1, "--window", "64", "--degree", "17")
-    assert code == 2
-    assert out == ""
-    assert "--window 64 with --degree 17" in err
-    assert "= 41796 exceeds MAX_ORACLE_WORK = 40000" in err
-    # the same bound in the other direction: window 26 passes, window 27 not
-    code, _, err = run(capsys, "oracle-check", cend1, "--window", "27", "--degree", "64")
-    assert code == 2 and "= 43120 exceeds" in err
-    with pytest.raises(AssertionError, match="a sample ran"):
-        main(["oracle-check", cend1, "--window", "26", "--degree", "64"])
+    # one comparison for every n: the largest --window and --degree are
+    # admitted together (seed 9: 48 orders in about 0.6 s)
+    argv = ["--window", "64", "--degree", "64", "--samples", "1", "--seed", "9"]
+    code, out, _ = run(capsys, "oracle-check", cend1, *argv)
+    report = json.loads(out)
+    assert code == 0
+    assert report["ok"] and report["orders_checked"] == 48
 
 
 def test_missing_description_file_is_a_usage_error(capsys):

@@ -25,8 +25,15 @@ def poly_normal(p):
 
 
 def flat_normal(v):
-    """A distribution value, a flat (power, key) -> coefficient map."""
+    """A map to coefficients, such as a distribution's (d, key, s) terms."""
     return all(normal(c) for c in v.values())
+
+
+def values_normal(d):
+    """Every value of a distribution on its window."""
+    return all(
+        flat_normal(el.items) for n in range(d.lo, d.hi + 1) for el in d.value(n).items.values()
+    )
 
 
 def test_div_is_exact():
@@ -80,13 +87,13 @@ def test_integer_inputs_give_exact_results():
     for n in range(4):
         assert all(poly_normal(p) for p in c.nprod(a, b, n).items.values())
     f, g = to_distribution(a, -4, 4), to_distribution(b, -4, 4)
-    assert all(flat_normal(v) for d in (f, g) for v in d.vals.values())
+    assert all(flat_normal(d.terms) and values_normal(d) for d in (f, g))
     h = dist_nprod(f, g, 2)
-    assert h.vals and all(flat_normal(v) for v in h.vals.values())
+    assert h.terms and flat_normal(h.terms) and values_normal(h)
     # halves meeting doubles: every coefficient is integral, so every one is
     # an int, on both sides of the residue sum
     f2 = to_distribution(a.scale(F(1, 2)), -4, 4)
     g2 = to_distribution(b.scale(2), -4, 4)
-    assert any(type(c) is F for v in f2.vals.values() for c in v.values())
+    assert any(type(c) is F for c in f2.terms.values())
     h2 = dist_nprod(f2, g2, 2)
-    assert h2 == h and all(type(c) is int for v in h2.vals.values() for c in v.values())
+    assert h2 == h and all(type(c) is int for c in h2.terms.values())

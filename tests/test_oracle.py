@@ -17,7 +17,8 @@ from confalg.oracle import (
     sample_ore,
     to_distribution,
 )
-from reference_oracles import flatten, naive_dist_nprod, table_ddx_plus_ad_e12
+from confalg.rings import falling
+from reference_oracles import naive_dist_nprod, naive_value, table_ddx_plus_ad_e12
 
 
 def test_distribution_window_and_sparsity():
@@ -48,12 +49,19 @@ def test_window_and_first_difference():
     f = to_distribution(one, -4, 4)
     g = to_distribution(one, -2, 3)
     assert (g.lo, g.hi) == (-2, 3)
-    assert sorted(g.vals) == list(range(-2, 4))
+    # one map for every n: the window only says where the family is read
+    assert g.terms == f.terms == {(0, k, 0): 1 for k in c.base.one().items}
     assert f.first_difference(g) is None
     h = to_distribution(one.scale(Fraction(2)), -4, 4)
     assert f.first_difference(h) == -4
     with pytest.raises(OracleError, match="empty window"):
         to_distribution(one, 1, 0)
+    # (D 1)~ is -n t^(n-1): zero at n = 0, so on the window [0, 0] the two
+    # families agree, and the first difference lies past it
+    f0 = to_distribution(one, 0, 0)
+    h0 = to_distribution(one.add(one.dapply()), 0, 0)
+    assert f0.value(0) == h0.value(0)
+    assert f0.first_difference(h0) == 1
 
 
 def test_zero_distributions_over_different_rings_differ():
@@ -85,7 +93,7 @@ def test_current_distributions_collapse_above_order_zero():
     got = dist_nprod(f, g, 0)
     assert got.first_difference(to_distribution(base_prod, -5, 5)) is None
     for m in (1, 2, 3):
-        assert dist_nprod(f, g, m).vals == {}
+        assert dist_nprod(f, g, m).terms == {}
 
 
 def _dif_matrix_poly2_ad_e12():
@@ -102,60 +110,80 @@ STRUCTURES = {
 }
 
 
+def family_value(c, terms, n):
+    """sum c ff(n,s) b_key t^(n+d) over a (d, key, s) -> c map, term by term
+    through Element.add."""
+    out = {}
+    for (d, k, s), x in terms.items():
+        el = c.base.basis_element(k).scale(x * falling(n, s))
+        out[n + d] = out[n + d].add(el) if n + d in out else el
+    return OreElement(c.base, c.der, out)
+
+
+def draw_terms(data, c):
+    """A (d, key, s) -> coefficient map with integral and non-integral thirds,
+    as Fractions."""
+    keys = c.base.basis_upto(2)
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 5))):
+        t = (
+            data.draw(st.integers(-3, 3)),
+            data.draw(st.sampled_from(keys)),
+            data.draw(st.integers(0, 3)),
+        )
+        terms[t] = Fraction(data.draw(st.integers(-6, 6).filter(bool)), 3)
+    return terms
+
+
 def draw_distribution(data, c, rng, lo, hi):
-    """A distribution on [lo, hi]: a window of a sampled conformal element's
-    distribution, sampled Ore values with gaps, or zero everywhere."""
-    kind = data.draw(st.sampled_from(["conformal", "ore", "zero"]))
+    """A distribution read on [lo, hi]: a sampled conformal element's, a
+    family with any (d, key, s) terms, or zero everywhere."""
+    kind = data.draw(st.sampled_from(["conformal", "family", "zero"]))
     if kind == "conformal":
         a = sample_celement(c, rng, 3, 2)
         return to_distribution(a, lo, hi)
-    vals = {}
-    if kind == "ore":
-        for n in range(lo, hi + 1):
-            gap = data.draw(st.sampled_from(["value", "value", "absent", "stored zero"]))
-            if gap == "value":
-                vals[n] = flatten(sample_ore(c.base, c.der, rng))
-            elif gap == "stored zero":
-                vals[n] = {}
-    return Distribution(c.base, c.der, lo, hi, vals)
+    terms = draw_terms(data, c) if kind == "family" else {}
+    return Distribution(c.base, c.der, lo, hi, terms)
 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(STRUCTURES)), data=st.data())
 def test_distribution_values_have_one_canonical_form(name, data):
-    """Stored zero coefficients, empty values and integral Fractions do not
-    change a distribution, and each value round-trips to its Ore element."""
+    """Stored zero coefficients and integral Fractions do not change a
+    distribution, each value is the family's formula at n, and two families
+    agree at every n exactly when their maps are equal; a difference shows
+    within S + 1 indices of lo, S the largest s."""
     c = STRUCTURES[name]()
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    keys = c.base.basis_upto(2)
     lo = data.draw(st.integers(-3, 1))
     hi = lo + data.draw(st.integers(0, 4))
-    keys = c.base.basis_upto(2)
-    start, clean, noisy = {}, {}, {}
-    for n in range(lo, hi + 1):
-        x = OreElement(c.base, c.der, {})
-        if data.draw(st.booleans()):
-            # thirds: some coefficients integral, some not
-            third = Fraction(data.draw(st.integers(1, 6)), 3)
-            x = sample_ore(c.base, c.der, rng)
-            x = OreElement(c.base, c.der, {p: el.scale(third) for p, el in x.items.items()})
-        start[n] = x
-        flat = flatten(x)
-        if flat:
-            clean[n] = flat
-        if not flat and data.draw(st.booleans()):
-            continue
-        dirty = {s: Fraction(v) if data.draw(st.booleans()) else v for s, v in flat.items()}
-        for _ in range(data.draw(st.integers(0, 2))):
-            slot = (data.draw(st.integers(-4, 4)), data.draw(st.sampled_from(keys)))
-            dirty.setdefault(slot, data.draw(st.sampled_from([0, Fraction(0)])))
-        noisy[n] = dirty
+    start = draw_terms(data, c)
+    clean = {t: x.numerator if x.denominator == 1 else x for t, x in start.items()}
+    noisy = {t: x if data.draw(st.booleans()) else clean[t] for t, x in start.items()}
+    for _ in range(data.draw(st.integers(0, 2))):
+        t = (data.draw(st.integers(-3, 3)), data.draw(st.sampled_from(keys)), 0)
+        noisy.setdefault(t, data.draw(st.sampled_from([0, Fraction(0)])))
     d = Distribution(c.base, c.der, lo, hi, noisy)
     assert d == Distribution(c.base, c.der, lo, hi, clean)
-    assert d.vals == clean
-    for v in d.vals.values():
-        assert all(type(x) is int or x.denominator != 1 for x in v.values())
+    assert d.terms == clean
+    assert all(type(x) is int or x.denominator != 1 for x in d.terms.values())
     for n in range(lo, hi + 1):
-        assert d.value(n) == start[n]
+        assert d.value(n) == family_value(c, start, n)
+
+    # a second family: the same map, or one coefficient changed or dropped
+    other = dict(clean)
+    if other and data.draw(st.booleans()):
+        t = data.draw(st.sampled_from(sorted(other, key=repr)))
+        other[t] = data.draw(st.sampled_from([0, other[t] + 1]))
+    e = Distribution(c.base, c.der, lo, hi, other)
+    n = d.first_difference(e)
+    assert (n is None) == (d.terms == e.terms) == (d == e)
+    if n is not None:
+        top = max(s for _, _, s in set(d.terms) | set(e.terms))
+        assert lo <= n <= lo + top
+        assert family_value(c, d.terms, n) != family_value(c, e.terms, n)
+        for k in range(lo, n):
+            assert family_value(c, d.terms, k) == family_value(c, e.terms, k)
 
 
 @settings(max_examples=80, deadline=None)
@@ -171,14 +199,43 @@ def test_dist_nprod_matches_the_pairwise_residue_sum(name, data):
     g = draw_distribution(data, c, rng, glo, glo + top + data.draw(st.integers(0, 4)))
     expected = {m: naive_dist_nprod(f, g, m) for m in range(top + 1)}
     # a cold cache on every call
+    cold = {m: dist_nprod(f, g, m) for m in range(top + 1)}
     for m in range(top + 1):
-        assert dist_nprod(f, g, m) == expected[m]
+        assert agrees(cold[m], expected[m])
     # one cache shared across orders, in any order and with repeats, as
     # oracle_check shares it
     cache = {}
     orders = data.draw(st.permutations(range(top + 1)))
     for m in orders + orders[:1]:
-        assert dist_nprod(f, g, m, cache) == expected[m]
+        assert dist_nprod(f, g, m, cache) == cold[m]
+
+
+def agrees(d, ref):
+    """Same window, and the same value at every index of it."""
+    return (d.lo, d.hi) == (ref.lo, ref.hi) and all(
+        d.value(n) == ref.value(n) for n in range(ref.lo, ref.hi + 1)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(STRUCTURES)), data=st.data())
+def test_distributions_hold_at_every_n(name, data):
+    """On [-20, 20], wider than oracle_check's default window 8, a conformal
+    element's distribution is its formula, and the order-m product of two is
+    the residue sum evaluated at each n; the product's map does not depend on
+    the window it is read on."""
+    c = STRUCTURES[name]()
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    a, b = sample_celement(c, rng, 3, 2), sample_celement(c, rng, 3, 2)
+    fa = to_distribution(a, -20, 20)
+    for n in range(-20, 21):
+        assert fa.value(n) == naive_value(a, n)
+    bound = c.structural_bound(a, b)
+    m = data.draw(st.integers(0, min(0 if bound is None else bound + 1, 8)))
+    f = to_distribution(a, 0, m)
+    wide = dist_nprod(f, to_distribution(b, -20, 20 + m), m)
+    assert dist_nprod(f, to_distribution(b, 0, m), m).terms == wide.terms
+    assert agrees(wide, naive_dist_nprod(f, to_distribution(b, -20, 20 + m), m))
 
 
 def test_dist_nprod_refuses_distributions_over_different_rings():

@@ -1,6 +1,7 @@
 """oracle-check reports, byte for byte: the recorded reports under data/ on
-the shipped descriptions, and the violation report of a closed form with one
-corrupted order, checked against the reference residue sum."""
+the shipped descriptions, at the default window and at the small windows 1
+and 2, and the violation report of a closed form with one corrupted order,
+checked against the reference residue sum."""
 
 import json
 import os
@@ -42,6 +43,16 @@ def test_reports_match_the_recorded_ones(capsys, name, seed):
     assert run(capsys, argv + ["--text"]) == (0, recorded(stem + ".txt"))
 
 
+@pytest.mark.parametrize("window", [1, 2])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", SPECS)
+def test_small_window_reports_match_the_recorded_ones(capsys, name, seed, window):
+    argv = ["oracle-check", spec(name), "--seed", str(seed), "--window", str(window)]
+    stem = "oracle_check_%s_window%d_seed%d" % (name, window, seed)
+    assert run(capsys, argv) == (0, recorded(stem + ".json"))
+    assert run(capsys, argv + ["--text"]) == (0, recorded(stem + ".txt"))
+
+
 @pytest.mark.parametrize("name", SPECS)
 def test_a_corrupted_order_is_reported_as_the_reference_route_sees_it(
     capsys, monkeypatch, name
@@ -71,3 +82,32 @@ def test_a_corrupted_order_is_reported_as_the_reference_route_sees_it(
     assert v["closed_form"] == to_distribution(doubled(c, a, b, m), -w, w - m).value(n).to_map()
     # the honest closed form agrees with the reference route at that index
     assert to_distribution(honest(c, a, b, m), -w, w - m).value(n).to_map() == residue
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_a_mismatch_that_vanishes_on_the_window_is_reported(capsys, monkeypatch, name):
+    """A D-multiple added at order 0 has the distribution -n b t^(n-1) + ...,
+    zero at n = 0, so the window 0 cannot see it: the maps differ, and the
+    violation's index is the first n past the window where the values do."""
+    honest = ConformalAlgebra.nprod
+
+    def shifted(self, a, b, n):
+        v = honest(self, a, b, n)
+        return v.add(b.dapply()) if n == 0 else v
+
+    monkeypatch.setattr(ConformalAlgebra, "nprod", shifted)
+    code, out = run(capsys, ["oracle-check", spec(name), "--window", "0", "--samples", "5"])
+    report = json.loads(out)
+    assert (code, report["ok"], report["orders_checked"]) == (1, False, 1)
+    v = report["violation"]
+    assert v["order"] == 0 and v["index"] >= 1
+    c = load_spec(spec(name)).conformal
+    a, b = c.from_map(v["a"]), c.from_map(v["b"])
+    n = v["index"]
+    f, g = to_distribution(a, 0, 0), to_distribution(b, 0, n)
+    residue = naive_dist_nprod(f, g, 0)
+    closed = to_distribution(shifted(c, a, b, 0), 0, n)
+    assert v["residue"] == residue.value(n).to_map()
+    assert v["closed_form"] == closed.value(n).to_map() != v["residue"]
+    for k in range(n):
+        assert closed.value(k) == residue.value(k)
