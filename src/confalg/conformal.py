@@ -8,10 +8,10 @@ nilpotent derivation delta, with delta = 0 giving the pure current case.
 """
 
 import random
-from math import comb
+from math import comb, perm
 
 from .algebra import AlgebraError, Element, parse_exponent
-from .rings import Poly, falling, frac
+from .rings import Poly, frac
 
 
 class ConformalError(AlgebraError):
@@ -29,10 +29,10 @@ class ConformalAlgebra:
         self.tag = tag
         # key -> the orbit of the basis symbol under delta, as a list
         self._orbits = {}
-        self._table = {}
-        # (j, r) -> [C(j,s) ff(r,s) for s <= min(j, r)], the weights of nprod;
-        # bounded by the D-degrees and orders the products reach
-        self._weights = {}
+        # (k1, k2) -> a list of length nilp_key(k2) whose entry m is
+        # basis_nprod(k1, k2, m), or None until a product's order window
+        # reaches m
+        self._pairs = {}
 
     def descriptor(self):
         return ("conformal", self.tag, self.base.descriptor(), self.der.descriptor())
@@ -95,7 +95,8 @@ class ConformalAlgebra:
 
     def basis_nprod(self, k1, k2, m):
         """Order-m product of two basis symbols, as a key -> coefficient map.
-        Computed afresh on each call; nprod memoises it in self._table."""
+        Computed afresh on each call; nprod keeps each result in the pair's
+        row of self._pairs."""
         prod = self.base.basis_element(k1).mul(self._delta_pow(k2, m))
         return {k: -c for k, c in prod.items.items()} if m % 2 else prod.items
 
@@ -118,54 +119,52 @@ class ConformalAlgebra:
             raise ConformalError("product order must be >= 0")
         if a.conf != self or b.conf != self:
             raise ConformalError("arguments of a different conformal algebra")
-        bound = self.structural_bound(a, b)
-        if bound is None or n > bound:
-            return self.zero()
-        # (D^i u) (n) (D^j v) = (-1)^i ff(n,i) sum_s C(j,s) ff(n-i,s)
-        #                        D^(j-s) [u (n-i-s) v]
-        # with ff the falling factorial; each ff vanishes exactly when its
-        # step count exceeds its argument, so orders never go negative.
-        # The right factor's nonzero terms are listed once per call and the
-        # weights C(j,s) ff(r,s), r = n - i, once per algebra; results are
-        # gathered per D-power.
-        right = [
-            (k2, j, qj) for k2, q in b.items.items() for j, qj in enumerate(q.coeffs) if qj
-        ]
-        width = max(j for _, j, _ in right) + 1
-        weights = self._weights
-        table = self._table
-        acc = [{} for _ in range(width)]
+        # (D^i u) (n) (D^j v) = (-1)^i sum_s C(j,s) ff(n,i+s) D^(j-s) [u (n-i-s) v]
+        # with ff(n,k) = perm(n,k) the falling factorial. For symbols u, v
+        # with D-polynomials p, q, only the basis orders m = n-i-s in
+        # [n - deg p - deg q, nilp(v) - 1] and in [0, n] can be nonzero, so
+        # past the structural bound nothing is done. At an order m with a
+        # nonzero basis product the terms add up to ff(n,n-m) w [u (m) v],
+        # w = sum_i (-1)^i p_i q^[n-m-i], where q^[s] = sum_j C(j,s) q_j D^(j-s)
+        # is the s-th divided derivative of q; divided[s] lists it, for s <= n.
+        right = []
+        for k2, q in b.items.items():
+            qc, lq = q.coeffs, len(q.coeffs)
+            divided = [[comb(j, s) * qc[j] for j in range(s, lq)] for s in range(min(n + 1, lq))]
+            right.append((k2, divided, lq, self.nilp_key(k2)))
+        width = max((lq for _, _, lq, _ in right), default=0)
+        pairs = self._pairs
+        acc = {}
         for k1, p in a.items.items():
-            for i, pi in enumerate(p.coeffs[: n + 1]):
-                if not pi:
+            pc = p.coeffs
+            lp = len(pc)
+            for k2, divided, lq, nil in right:
+                lo = max(0, n - lp - lq + 2)
+                hi = min(n, nil - 1)
+                if lo > hi:
                     continue
-                r = n - i
-                head = pi * falling(n, i)
-                if i % 2:
-                    head = -head
-                for k2, j, qj in right:
-                    ws = weights.get((j, r))
-                    if ws is None:
-                        ws = [comb(j, s) * falling(r, s) for s in range(min(j, r) + 1)]
-                        weights[(j, r)] = ws
-                    hq = head * qj
-                    for s, w in enumerate(ws):
-                        key = (k1, k2, r - s)
-                        entry = table.get(key)
-                        if entry is None:
-                            entry = table[key] = self.basis_nprod(k1, k2, r - s)
-                        if not entry:
-                            continue
-                        c = hq * w
-                        slot = acc[j - s]
-                        get = slot.get
-                        for bk, bc in entry.items():
-                            slot[bk] = get(bk, 0) + c * bc
-        coeffs = {}
-        for pw, slot in enumerate(acc):
-            for bk, v in slot.items():
-                coeffs.setdefault(bk, [0] * width)[pw] = v
-        return CElement(self, {bk: Poly(cs) for bk, cs in coeffs.items()})
+                row = pairs.get((k1, k2)) or pairs.setdefault((k1, k2), [None] * nil)
+                for m in range(lo, hi + 1):
+                    entry = row[m]
+                    if entry is None:
+                        entry = row[m] = self.basis_nprod(k1, k2, m)
+                    if not entry:
+                        continue
+                    t = n - m
+                    w = [0] * lq
+                    for i in range(max(0, t - lq + 1), min(t + 1, lp)):
+                        pi = -pc[i] if i % 2 else pc[i]
+                        if pi:
+                            for d, h in enumerate(divided[t - i]):
+                                w[d] += pi * h
+                    ff = perm(n, t)
+                    for bk, bc in entry.items():
+                        c = ff * bc
+                        slot = acc.get(bk) or acc.setdefault(bk, [0] * width)
+                        for d, v in enumerate(w):
+                            if v:
+                                slot[d] += c * v
+        return CElement(self, {bk: Poly(cs) for bk, cs in acc.items()})
 
     def nprod_all(self, a, b):
         """All nonzero orders of a (n) b, as a dict order -> element."""

@@ -1,6 +1,7 @@
 """Exact univariate polynomial arithmetic over the rationals."""
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial
 
 
@@ -95,12 +96,10 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        return Poly([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) - other.coeff(i) for i in range(n)])
+        return Poly([x - y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self):
         return Poly([-c for c in self.coeffs])

@@ -4,6 +4,8 @@ component slices, ideal transfer in both directions, and nilpotency indices.
 """
 
 
+import itertools
+
 from .algebra import MAX_UNTWIST_KEYS, AlgebraError, Element, element_nilpotency_index, rank_0
 from .conformal import CElement, coeff_matrix
 from .constructions import SpanReducer, make_current, product_table
@@ -113,15 +115,14 @@ def untwist(c, degree=2):
     for key, name in zip(keys, names):
         images[name] = image(c.base.basis_element(key))
 
+    # each image pair is multiplied once, for the table; purity reads it
+    table = product_table(c, [(n, images[n]) for n in names])
     pure = True
-    for key1, name1 in zip(keys, names):
-        for key2, name2 in zip(keys, names):
-            prods = c.nprod_all(images[name1], images[name2])
-            expected = image(c.base.basis_element(key1).mul(c.base.basis_element(key2)))
-            if set(prods) - {0}:
-                pure = False
-            if prods.get(0, c.zero()) != expected:
-                pure = False
+    for entry, (key1, key2) in zip(table, itertools.product(keys, keys)):
+        expected = image(c.base.basis_element(key1).mul(c.base.basis_element(key2)))
+        orders = entry["orders"]
+        if set(orders) - {"0"} or orders.get("0", {}) != expected.to_map():
+            pure = False
 
     certified = is_conformal_identity(c, e_prime, degree)["ok"]
     rt = c.nprod(c.nprod(c.tilde(r), e_prime, 0), e_prime, 0)
@@ -129,7 +130,6 @@ def untwist(c, degree=2):
     if m <= 2 and not roundtrip_exact:
         raise StructureError("double identity action failed on a square-zero twist")
 
-    table = product_table(c, [(n, images[n]) for n in names])
     return UntwistResult(e_prime, certified, images, table, pure, roundtrip_exact, m)
 
 

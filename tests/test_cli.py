@@ -65,6 +65,27 @@ def test_text_mode_renders_lines_not_json(capsys):
         json.loads(out)
 
 
+# closed-form reports recorded under data/, as (file stem, argv)
+CLOSED_FORM_REPORTS = [
+    ("table_cend1", ["table", "cend1.json"]),
+    ("table_cur_matrix2", ["table", "cur_matrix2.json"]),
+    ("table_dif_matrix2_ad_e12", ["table", "dif_matrix2_ad_e12.json"]),
+    ("product_cend1_L1_1_L1", ["product", "cend1.json", "L1", "1", "L1"]),
+    ("locality_cend1_L1_L1", ["locality", "cend1.json", "L1", "L1"]),
+    ("untwist_dif_matrix2_ad_e12", ["untwist", "dif_matrix2_ad_e12.json"]),
+]
+
+
+@pytest.mark.parametrize("stem, argv", CLOSED_FORM_REPORTS)
+def test_closed_form_reports_match_the_recorded_ones(capsys, stem, argv):
+    command, name, *rest = argv
+    for suffix, extra in ((".json", []), (".txt", ["--text"])):
+        path = os.path.join(os.path.dirname(__file__), "data", stem + suffix)
+        with open(path, encoding="utf-8", newline="") as fh:
+            recorded = fh.read()
+        assert run(capsys, command, spec(name), *rest, *extra) == (0, recorded, "")
+
+
 def test_oracle_check_small_run(capsys):
     code, out, _ = run(
         capsys,

@@ -1,5 +1,6 @@
 """ConformalAlgebra.nprod against the term-by-term closed form, on every
-order up to one past the structural bound, on cold and warm basis tables."""
+order up to three past the structural bound, on cold and warm basis tables;
+the pair table fills only the orders the products reach."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -39,13 +40,16 @@ FACTORIES = {
 # one structure per name kept across examples, so its table is warm
 WARM = {name: make() for name, make in FACTORIES.items()}
 
+# on Q[x] under d/dx, keys up to x^8 give delta-orbits of length 9
+KEY_DEGREE = {"cend1": 8, "cend2": 8}
+
 COEFFS = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
 
 
-def draw_celement(data, c):
+def draw_celement(data, c, degree):
     """Up to three basis symbols, each with a D-polynomial of degree <= 3
     (the degree a sampled element reaches after dapply); may be zero."""
-    keys = c.base.basis_upto(2)
+    keys = c.base.basis_upto(degree)
     picked = data.draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
     items = {}
     for k in picked:
@@ -57,23 +61,39 @@ def rebase(x, c):
     return CElement(c, x.items)
 
 
+def top_filled_order(c):
+    """Highest order at which any pair row holds a computed basis product,
+    or -1 when none does."""
+    return max(
+        (m for row in c._pairs.values() for m, e in enumerate(row) if e is not None),
+        default=-1,
+    )
+
+
 @settings(max_examples=120, deadline=None)
 @given(name=st.sampled_from(sorted(FACTORIES)), data=st.data())
 def test_nprod_matches_the_term_by_term_product(name, data):
     c = FACTORIES[name]()
-    a, b = draw_celement(data, c), draw_celement(data, c)
+    degree = KEY_DEGREE.get(name, 2)
+    a, b = draw_celement(data, c, degree), draw_celement(data, c, degree)
     bound = c.structural_bound(a, b)
-    top = 1 if bound is None else bound + 1
+    top = 1 if bound is None else bound + 3
     ref = FACTORIES[name]()
     expected = [naive_nprod(ref, rebase(a, ref), rebase(b, ref), n) for n in range(top + 1)]
-    assert not c._table
-    # cold table, then the same products on the table they filled
-    assert [c.nprod(a, b, n) for n in range(top + 1)] == expected
-    assert [c.nprod(a, b, n) for n in range(top + 1)] == expected
+    assert not c._pairs
+    # far past the bound every order window is empty: no row is filled
+    assert c.nprod(a, b, 10**6).is_zero()
+    assert not c._pairs
+    # cold table up to an order n, which fills no entry above n
+    n = data.draw(st.integers(0, top))
+    assert [c.nprod(a, b, k) for k in range(n + 1)] == expected[: n + 1]
+    assert top_filled_order(c) <= n
+    # then every order, on the table the first ones filled, twice
+    assert [c.nprod(a, b, k) for k in range(top + 1)] == expected
+    assert [c.nprod(a, b, k) for k in range(top + 1)] == expected
     warm = WARM[name]
     wa, wb = rebase(a, warm), rebase(b, warm)
-    got = [warm.nprod(wa, wb, n).to_map() for n in range(top + 1)]
+    got = [warm.nprod(wa, wb, k).to_map() for k in range(top + 1)]
     assert got == [e.to_map() for e in expected]
     if bound is not None:
-        assert expected[-1].is_zero()
-
+        assert all(e.is_zero() for e in expected[bound + 1 :])

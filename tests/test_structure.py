@@ -16,7 +16,7 @@ from confalg.algebra import (
     element_nilpotency_index,
     rank_0,
 )
-from confalg.conformal import sample_celement
+from confalg.conformal import ConformalAlgebra, sample_celement
 from confalg.constructions import make_cend, make_current, make_differential
 from confalg.structure import (
     StructureError,
@@ -103,6 +103,28 @@ def test_untwist_square_zero_twist():
     )
     assert len(res.table) == 16
     assert set(res.images) == {"e11", "e12", "e21", "e22"}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda out, a: out.update({1: a}),
+        lambda out, a: out.update({0: out.get(0, a.conf.zero()).add(a)}),
+    ],
+    ids=["order_1_nonzero", "order_0_off_the_base_product"],
+)
+def test_untwist_flags_image_products_that_are_not_current(monkeypatch, corrupt):
+    honest = ConformalAlgebra.nprod_all
+
+    def corrupted(self, a, b):
+        out = honest(self, a, b)
+        corrupt(out, a)
+        return out
+
+    monkeypatch.setattr(ConformalAlgebra, "nprod_all", corrupted)
+    res = untwist(twisted_m2(), degree=0)
+    assert not res.pure
+    assert len(res.table) == 16
 
 
 def test_untwist_index_three_twist_reports_inexact_roundtrip():
