@@ -5,11 +5,13 @@ of twisted-Laurent-ring values, one value for every integer n, stored once
 for all n by its coefficients on the family basis ff(n,s) b t^(n+d). The
 order-m product of two such families is computed by a residue-style sum in
 the ring itself, never through the closed-form n-product, so agreement of
-the two routes is evidence for both.
+the two routes is evidence for both. The sum is an m-th forward difference
+in the left index: each ring product f(i) b_k is taken once and folded into
+a difference table per basis symbol, from which every order reads its terms.
 """
 
 import random
-from math import comb
+from math import comb, perm
 
 from .algebra import AlgebraError, Element, OreElement
 from .conformal import sample_celement
@@ -103,42 +105,70 @@ def dist_nprod(f, g, m, cache=None):
     Each left value f(i) goes into rows R(i, k) = f(i) b_k, one Ore product
     per basis symbol: as x (b t^q) = (x b) t^q, a term c ff(n+j,s) b_k t^(n+j+d)
     of g(n+j) adds c ff(n+j,s) R(i, k) t^(n+j+d), and Vandermonde,
-    ff(n+j,s) = sum_r C(s,r) ff(j,s-r) ff(n,r), puts it on the family basis.
-    Left values and rows are kept in cache, which calls with the same f may
-    share across orders."""
+    ff(n+j,s) = sum_r C(s,r) ff(j,u) ff(n,r) with u = s - r, puts it on the
+    family basis. With R^(i, k) the row R(i, k) with every power lowered by i,
+    C(m,j) ff(j,u) = ff(m,u) C(m-u, j-u) turns the sum over j into a forward
+    difference in i: the part on ff(n,r) is
+    c C(s,r) (-1)^u ff(m,u) (Delta^(m-u) R^(., k))(0) t^(n+m+d).
+    The leading differences (Delta^q R^(., k))(0), q <= m, come from a table
+    per symbol k, extended one row at a time; its leading and last diagonals
+    and the left values are kept in cache, which calls with the same f may
+    share across orders, in any order."""
     if m < 0:
         raise OracleError("product order must be >= 0")
     if f.lo > 0 or f.hi < m:
         raise OracleError("left window [%d, %d] does not cover [0, %d]" % (f.lo, f.hi, m))
-    base, der = f.base, f.der
-    if base != g.base or der != g.der:
+    if f.base != g.base or f.der != g.der:
         raise AlgebraError("Ore elements over different rings")
     if cache is None:
         cache = {}
     lefts = cache.setdefault("lefts", {})
-    rows = cache.setdefault("rows", {})
-    for i in range(m + 1):
-        if i not in lefts:
-            lefts[i] = f.value(i)
+    tables = cache.setdefault("tables", {})
     acc = {}
-    for j in range(m + 1):
-        i = m - j
-        if lefts[i].is_zero():
-            continue
-        sign = -comb(m, j) if j % 2 else comb(m, j)
-        for (d, k, s), c in g.terms.items():
-            rw = rows.get((i, k))
-            if rw is None:
-                prod = lefts[i].mul(OreElement(base, der, {0: base.basis_element(k)}))
-                rw = [(p, kk, x) for p, el in prod.items.items() for kk, x in el.items.items()]
-                rows[(i, k)] = rw
-            # ff(j, s - r) vanishes for s - r > j
-            for r in range(max(0, s - j), s + 1):
-                w = sign * c * comb(s, r) * falling(j, s - r)
-                for p, kk, x in rw:
-                    slot = (p + j + d, kk, r)
-                    acc[slot] = acc.get(slot, 0) + w * x
-    return Distribution(base, der, g.lo, g.hi - m, acc)
+    for (d, k, s), c in g.terms.items():
+        lead = _leading_differences(f, k, m, lefts, tables)
+        # ff(m, u) vanishes for u > m
+        for r in range(max(0, s - m), s + 1):
+            u = s - r
+            w = c * comb(s, r) * perm(m, u)
+            if u % 2:
+                w = -w
+            for p, kk, x in lead[m - u]:
+                slot = (p + m + d, kk, r)
+                acc[slot] = acc.get(slot, 0) + w * x
+    return Distribution(f.base, f.der, g.lo, g.hi - m, acc)
+
+
+def _leading_differences(f, k, m, lefts, tables):
+    """[(Delta^q R^(., k))(0) for q <= m or more], each a list of (power, key,
+    coefficient), where R^(i, k) is f(i) b_k with every power lowered by i.
+    tables[k] holds these and the last diagonal [(Delta^q R^)(i - q)], i the
+    last row; row i + 1 then costs i + 1 subtractions of maps. Every level is
+    kept, zero or not: a left factor may vanish on its first indices only."""
+    lead, last = tables.setdefault(k, ([], []))
+    base, der = f.base, f.der
+    for i in range(len(lead), m + 1):
+        left = lefts.get(i)
+        if left is None:
+            left = lefts[i] = f.value(i)
+        diff = {}
+        if not left.is_zero():
+            prod = left.mul(OreElement(base, der, {0: base.basis_element(k)}))
+            for p, el in prod.items.items():
+                for kk, x in el.items.items():
+                    diff[(p - i, kk)] = x
+        for q in range(i):
+            prev, last[q] = last[q], diff
+            diff = dict(diff)
+            for slot, x in prev.items():
+                v = diff.get(slot, 0) - x
+                if v:
+                    diff[slot] = v
+                else:
+                    del diff[slot]
+        last.append(diff)
+        lead.append([(p, kk, x) for (p, kk), x in diff.items()])
+    return lead
 
 
 def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):

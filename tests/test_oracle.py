@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confalg.algebra import AlgebraError, Derivation, MatrixAlgebra, MatrixPolyAlgebra, OreElement
-from confalg.conformal import ConformalAlgebra, sample_celement
+from confalg.conformal import CElement, ConformalAlgebra, sample_celement
 from confalg.constructions import make_cend, make_current, make_differential
 from confalg.oracle import (
     Distribution,
@@ -17,7 +17,7 @@ from confalg.oracle import (
     sample_ore,
     to_distribution,
 )
-from confalg.rings import falling
+from confalg.rings import Poly, falling
 from reference_oracles import naive_dist_nprod, naive_value, table_ddx_plus_ad_e12
 
 
@@ -191,7 +191,7 @@ def test_distribution_values_have_one_canonical_form(name, data):
 def test_dist_nprod_matches_the_pairwise_residue_sum(name, data):
     c = STRUCTURES[name]()
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    top = data.draw(st.integers(0, 3))
+    top = data.draw(st.integers(0, 5))
     f = draw_distribution(
         data, c, rng, data.draw(st.integers(-2, 0)), top + data.draw(st.integers(0, 2))
     )
@@ -236,6 +236,55 @@ def test_distributions_hold_at_every_n(name, data):
     wide = dist_nprod(f, to_distribution(b, -20, 20 + m), m)
     assert dist_nprod(f, to_distribution(b, 0, m), m).terms == wide.terms
     assert agrees(wide, naive_dist_nprod(f, to_distribution(b, -20, 20 + m), m))
+
+
+@pytest.mark.parametrize("lower", [None, 0, 1])
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_a_left_factor_vanishing_on_its_first_indices(name, lower):
+    """a = D^3 b~ has f(0) = f(1) = f(2) = 0 and f(3) != 0, so every level of
+    a short difference table is zero and the first nonzero row comes late;
+    a lower term D^lower b'~ makes the earlier rows nonzero. One cache serves
+    the orders in descending and then ascending order."""
+    c = STRUCTURES[name]()
+    keys = c.base.basis_upto(2)
+    a = c.tilde(c.base.basis_element(keys[-1])).dapply(3)
+    if lower is not None:
+        a = a.add(c.tilde(c.base.basis_element(keys[0])).dapply(lower))
+    b = sample_celement(c, random.Random(11), 2, 2)
+    f, g = to_distribution(a, 0, 6), to_distribution(b, -4, 10)
+    assert all(f.value(i).is_zero() for i in range(3)) == (lower is None)
+    assert not f.value(3).is_zero()
+    expected = {m: naive_dist_nprod(f, g, m) for m in range(7)}
+    assert any(not expected[m].value(n).is_zero() for m in range(4, 7) for n in range(-4, 4))
+    cache = {}
+    for m in list(range(6, -1, -1)) + list(range(7)):
+        assert agrees(dist_nprod(f, g, m, cache), expected[m])
+
+
+def test_dist_nprod_on_a_deep_difference_table():
+    """Keys of degree 6 to 8 on cend1: the rows f(i) b_k, powers lowered by
+    i, are polynomials of degree >= 6 in i, so every order m <= 8 reads a
+    nonzero level of the table, cold and through one shared cache."""
+    c = make_cend(1)
+    keys = [k for k in c.base.basis_upto(8) if k not in set(c.base.basis_upto(5))]
+    rng = random.Random(23)
+
+    def element(picked):
+        # nonzero coefficients only, so f(0) != 0 too
+        coeffs = [-2, -1, 1, 3]
+        return CElement(c, {k: Poly([rng.choice(coeffs) for _ in range(3)]) for k in picked})
+
+    a, b = element(keys[:2]), element(keys[-2:])
+    f, g = to_distribution(a, 0, 8), to_distribution(b, -3, 11)
+    cache = {}
+    for m in range(9):
+        expected = naive_dist_nprod(f, g, m)
+        assert agrees(dist_nprod(f, g, m), expected)
+        assert agrees(dist_nprod(f, g, m, cache), expected)
+    # every level of each symbol's table, down to the eighth, is nonzero
+    assert cache["tables"] and all(
+        len(lead) == 9 and all(lead) for lead, _ in cache["tables"].values()
+    )
 
 
 def test_dist_nprod_refuses_distributions_over_different_rings():

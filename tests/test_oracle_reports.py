@@ -1,7 +1,8 @@
 """oracle-check reports, byte for byte: the recorded reports under data/ on
-the shipped descriptions, at the default window and at the small windows 1
-and 2, and the violation report of a closed form with one corrupted order,
-checked against the reference residue sum."""
+the shipped descriptions, at the default window, at the small windows 1
+and 2 and at the limits --window 64 --degree 64, and the violation reports
+of a closed form with one corrupted order, 1 or 6, checked against the
+reference residue sum."""
 
 import json
 import os
@@ -53,26 +54,41 @@ def test_small_window_reports_match_the_recorded_ones(capsys, name, seed, window
     assert run(capsys, argv + ["--text"]) == (0, recorded(stem + ".txt"))
 
 
-@pytest.mark.parametrize("name", SPECS)
+def test_the_report_at_the_window_and_degree_limits_matches_the_recorded_one(capsys):
+    argv = ["oracle-check", spec("cend1"), "--window", "64", "--degree", "64"]
+    argv += ["--samples", "1", "--seed", "17"]
+    stem = "oracle_check_cend1_window64_degree64_seed17"
+    assert run(capsys, argv) == (0, recorded(stem + ".json"))
+    assert run(capsys, argv + ["--text"]) == (0, recorded(stem + ".txt"))
+
+
+# order 6 at degree 8 reads the sixth level of the residue side's
+# difference tables
+CORRUPTED = [pytest.param(name, 1, [], "seed0", id=name) for name in SPECS] + [
+    pytest.param("cend1", 6, ["--degree", "8"], "degree8_seed0", id="cend1-degree8-order6")
+]
+
+
+@pytest.mark.parametrize("name, order, extra, tag", CORRUPTED)
 def test_a_corrupted_order_is_reported_as_the_reference_route_sees_it(
-    capsys, monkeypatch, name
+    capsys, monkeypatch, name, order, extra, tag
 ):
     honest = ConformalAlgebra.nprod
 
     def doubled(self, a, b, n):
         v = honest(self, a, b, n)
-        return v.scale(2) if n == 1 else v
+        return v.scale(2) if n == order else v
 
     monkeypatch.setattr(ConformalAlgebra, "nprod", doubled)
-    argv = ["oracle-check", spec(name), "--seed", "0"]
-    stem = "oracle_check_%s_seed0_order1_doubled" % name
+    argv = ["oracle-check", spec(name), "--seed", "0"] + extra
+    stem = "oracle_check_%s_%s_order%d_doubled" % (name, tag, order)
     code, out = run(capsys, argv)
     assert (code, out) == (1, recorded(stem + ".json"))
     assert run(capsys, argv + ["--text"]) == (1, recorded(stem + ".txt"))
 
     report = json.loads(out)
     v = report["violation"]
-    assert v["order"] == 1
+    assert v["order"] == order
     c = load_spec(spec(name)).conformal
     a, b = c.from_map(v["a"]), c.from_map(v["b"])
     m, n, w = v["order"], v["index"], report["window"]
@@ -111,3 +127,4 @@ def test_a_mismatch_that_vanishes_on_the_window_is_reported(capsys, monkeypatch,
     assert v["closed_form"] == closed.value(n).to_map() != v["residue"]
     for k in range(n):
         assert closed.value(k) == residue.value(k)
+
