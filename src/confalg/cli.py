@@ -17,11 +17,11 @@ from .growth import gk_profile
 from .oracle import coeff_assoc_check, oracle_check
 from .specfile import SpecError, load_spec
 from .structure import (
+    _nilpotency_report,
     dual_identity_consistency,
     ideal_lift,
     ideal_restrict,
     is_current,
-    nilpotency_check,
     unital_split,
     untwist,
 )
@@ -207,7 +207,8 @@ def _cmd_ideal_check(data, args):
     pair = ideal_lift(data.conformal, gens, degree=args.degree, within=data.sub)
     back = ideal_restrict(data.conformal, pair.conf_span)
     roundtrip_ok = back == pair.base_span
-    nil = nilpotency_check(data.conformal, gens, degree=args.degree, within=data.sub)
+    # the report of nilpotency_check, on the pair lifted once above
+    nil = _nilpotency_report(data.conformal, pair)
     report = {
         "ideal": args.ideal,
         "degree": args.degree,

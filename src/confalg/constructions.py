@@ -60,6 +60,16 @@ class SpanReducer(Echelon):
         return super().add({k: RatFunc(p) for k, p in elem.items.items()})
 
 
+def first_sight(seen, elem):
+    """True the first time an element with these items is met, which it
+    records in the set seen; False for an element equal to one met before."""
+    key = frozenset(elem.items.items())
+    if key in seen:
+        return False
+    seen.add(key)
+    return True
+
+
 class ClosureProfile:
     """Spanning elements and the per-round rank trace of a closure run."""
 
@@ -75,14 +85,17 @@ def generate_closure(c, gens, rounds=4):
     multiplies the previous round's new elements by the generators at all
     nonzero orders. Candidates that do not raise the Q(D)-rank are dropped;
     the higher-bracketed products they would feed are then linear
-    combinations of towers already kept, so the rank trace is unaffected."""
+    combinations of towers already kept, so the rank trace is unaffected.
+    A candidate equal to an earlier one already lies in the span and is
+    skipped before it is reduced: each distinct candidate is reduced once."""
     if rounds < 1:
         raise AlgebraError("rounds must be >= 1")
     reducer = SpanReducer()
+    seen = set()
     spanning = []
     frontier = []
     for g in gens:
-        if reducer.add(g):
+        if first_sight(seen, g) and reducer.add(g):
             spanning.append(g)
             frontier.append(g)
     ranks = [reducer.rank]
@@ -95,7 +108,7 @@ def generate_closure(c, gens, rounds=4):
                 prods = c.nprod_all(u, g)
                 for n in sorted(prods):
                     v = prods[n]
-                    if reducer.add(v):
+                    if first_sight(seen, v) and reducer.add(v):
                         spanning.append(v)
                         new.append(v)
         frontier = new

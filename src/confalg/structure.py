@@ -8,7 +8,7 @@ import itertools
 
 from .algebra import MAX_UNTWIST_KEYS, AlgebraError, Element, element_nilpotency_index, rank_0
 from .conformal import CElement, coeff_matrix
-from .constructions import SpanReducer, make_current, product_table
+from .constructions import SpanReducer, first_sight, make_current, product_table
 from .linalg import Echelon, pol_constant_intersection, solve_right
 from .rings import inv_factorial
 
@@ -30,15 +30,21 @@ def component_slices(a):
     return {i: Element(base, m) for i, m in sorted(out.items())}
 
 
-def is_conformal_identity(c, e, degree=4):
-    """Certify e: order-0 left action fixes every basis symbol up to the
-    degree window, and all self-products of order >= 1 vanish. The order-0
-    rule extends over D-multiples exactly, so basis symbols suffice.
-    Returns a report; ok is True exactly when e is certified."""
-    failures = []
+def _order0_images(c, e, degree):
+    """(key, b~, e (0) b~) for every basis symbol b up to the degree window,
+    one order-0 product each."""
+    out = []
     for key in c.base.basis_upto(degree):
         v = c.tilde(c.base.basis_element(key))
-        if c.nprod(e, v, 0) != v:
+        out.append((key, v, c.nprod(e, v, 0)))
+    return out
+
+
+def _identity_report(c, e, degree, images):
+    """is_conformal_identity's report, read off the order-0 images."""
+    failures = []
+    for key, v, w in images:
+        if w != v:
             failures.append({"check": "left_identity", "basis": c.base.key_name(key)})
     bound = c.structural_bound(e, e)
     if bound is not None:
@@ -46,6 +52,15 @@ def is_conformal_identity(c, e, degree=4):
             if not c.nprod(e, e, n).is_zero():
                 failures.append({"check": "self_product", "order": n})
     return {"ok": not failures, "degree": degree, "failures": failures}
+
+
+def is_conformal_identity(c, e, degree=4):
+    """Certify e: order-0 left action fixes every basis symbol up to the
+    degree window, and all self-products of order >= 1 vanish. The order-0
+    rule extends over D-multiples exactly, so basis symbols suffice; each
+    symbol's order-0 image is made once. Returns a report; ok is True
+    exactly when e is certified."""
+    return _identity_report(c, e, degree, _order0_images(c, e, degree))
 
 
 class UntwistResult:
@@ -202,22 +217,45 @@ def is_current(sub, a, degree):
     """Decide whether a acts on the degree slice of the subalgebra like one
     of its own elements: solve sum_s c_s [v_s, u] = [a, u] over all spanning
     u. The witness is the canonical particular solution (free unknowns
-    zero), so reruns are reproducible."""
+    zero), so reruns are reproducible.
+
+    Each commutator of two spanning elements is made once, for one ordering
+    of the pair, and [u, v] = -[v, u] gives the other; [v, v] = 0 is not
+    made. With s spanning elements that is s(s-1) products for the
+    commutators and 2s for the targets [a, u]. Each distinct equation is
+    passed to the solver once: the reduced echelon form, and so the witness,
+    depends only on the row space."""
     if a.alg != sub.parent:
         raise StructureError("element must live in the parent algebra")
     vs = sub.span_upto(degree)
     if not vs:
         return CurrentnessVerdict(degree, False, None)
+    # comms[i][j] holds the items of [v_j, v_i]
+    comms = [[{}] * len(vs) for _ in vs]
+    for i, u in enumerate(vs):
+        for j in range(i + 1, len(vs)):
+            v = vs[j]
+            w = v.mul(u).sub(u.mul(v)).items
+            comms[i][j] = w
+            comms[j][i] = {k: -c for k, c in w.items()}
+    # one equation per basis key of [v, u] or [a, u], as its nonzero
+    # (unknown, coefficient) pairs and its right-hand side
+    equations = {}
+    for u, row in zip(vs, comms):
+        target = a.mul(u).sub(u.mul(a)).items
+        lhs = {key: {} for key in target}
+        for j, w in enumerate(row):
+            for key, c in w.items():
+                lhs.setdefault(key, {})[j] = c
+        for key, coeffs in lhs.items():
+            equations[tuple(coeffs.items()), target.get(key, 0)] = None
     rows = []
-    rhs = []
-    for u in vs:
-        comms = [v.mul(u).sub(u.mul(v)) for v in vs]
-        target = a.mul(u).sub(u.mul(a))
-        keys = sorted(set().union(set(target.items), *[set(w.items) for w in comms]))
-        for key in keys:
-            rows.append([w.items.get(key, 0) for w in comms])
-            rhs.append(target.items.get(key, 0))
-    sol = solve_right(rows, rhs)
+    for coeffs, _ in equations:
+        dense = [0] * len(vs)
+        for j, c in coeffs:
+            dense[j] = c
+        rows.append(dense)
+    sol = solve_right(rows, [b for _, b in equations])
     if sol is None:
         return CurrentnessVerdict(degree, False, None)
     witness = sub.parent.zero()
@@ -250,7 +288,13 @@ def ideal_lift(c, gens, degree=4, within=None):
     view of it), lifted to the module: span of b1 g b2 up to the degree
     window, its symbols as conformal spanning set. Also reports whether the
     slice is stable under delta; only a stable slice generates a conformal
-    ideal."""
+    ideal.
+
+    A left factor b1 g may leave the window while b1 g b2 comes back into
+    it, so every nonzero left factor is multiplied by the basis, each
+    distinct one once; a zero one is not. Only distinct nonzero candidates
+    inside the window enter the echelon, and the two-sided check reduces
+    each distinct product once."""
     base = c.base
     for g in gens:
         if g.alg != base:
@@ -264,32 +308,43 @@ def ideal_lift(c, gens, degree=4, within=None):
             if not within.member(g, degree):
                 raise StructureError("ideal generator outside the subalgebra")
         basis = within.span_upto(degree)
-    raw = list(gens)
+    candidates = []
+    seen = set()
+
+    def keep(p):
+        if p.items and p.degree() <= degree and first_sight(seen, p):
+            candidates.append(p)
+
+    for g in gens:
+        keep(g)
+    lefts = set()
     for g in gens:
         for b1 in basis:
             left = b1.mul(g)
-            raw.append(left)
-            raw.append(g.mul(b1))
-            for b2 in basis:
-                p = left.mul(b2)
-                if p.degree() <= degree:
-                    raw.append(p)
-    raw = [p for p in raw if p.degree() <= degree]
-    span = _echelon_elements(base, raw)
+            keep(left)
+            keep(g.mul(b1))
+            if left.items and first_sight(lefts, left):
+                for b2 in basis:
+                    keep(left.mul(b2))
+    span = _echelon_elements(base, candidates)
     ech = Echelon(u.items for u in span)
 
     def member(v):
         return not ech.reduce(v.items)
 
+    def two_sided():
+        seen = set()
+        for u in span:
+            for b in basis:
+                for p in (b.mul(u), u.mul(b)):
+                    if p.items and p.degree() <= degree and first_sight(seen, p):
+                        if not member(p):
+                            return False
+        return True
+
     delta_stable = all(member(c.der.apply(u)) for u in span)
-    two_sided = True
-    for u in span:
-        for b in basis:
-            for p in (b.mul(u), u.mul(b)):
-                if p.degree() <= degree and not member(p):
-                    two_sided = False
     conf_span = [c.tilde(u) for u in span]
-    return IdealPair(span, conf_span, degree, delta_stable, two_sided)
+    return IdealPair(span, conf_span, degree, delta_stable, two_sided())
 
 
 def ideal_restrict(c, celems):
@@ -314,7 +369,12 @@ def nilpotency_check(c, gens, degree=4, within=None):
     equal to the one before it is refused at once: the sequence is constant
     and nonzero from there on. So is a module level that spans the space of
     the one before it: the next level spans the same as it does."""
-    pair = ideal_lift(c, gens, degree, within=within)
+    return _nilpotency_report(c, ideal_lift(c, gens, degree, within=within))
+
+
+def _nilpotency_report(c, pair):
+    """nilpotency_check's report for an ideal slice already lifted, so a
+    caller that needs the pair too lifts it once."""
     last = rank_0(c.base) + 1
     s1 = pair.base_span
 
@@ -354,7 +414,7 @@ def nilpotency_check(c, gens, degree=4, within=None):
         raise StructureError("module ideal slice is not nilpotent: T_%d is not 0" % k)
 
     return {
-        "degree": degree,
+        "degree": pair.degree,
         "delta_stable": pair.delta_stable,
         "base_index": base_index,
         "conformal_index": conf_index,
@@ -365,14 +425,18 @@ def nilpotency_check(c, gens, degree=4, within=None):
 def unital_split(c, e, degree=4):
     """Split the degree window under the order-0 action of e: the action is
     idempotent when e (0) e = e, so the window is image plus kernel; ranks
-    are reported over the fraction field of Q[D]."""
-    certified = is_conformal_identity(c, e, degree)["ok"]
-    keys = c.base.basis_upto(degree)
+    are reported over the fraction field of Q[D]. Each basis symbol's
+    order-0 image is made once and serves both the identity certificate and
+    the image span, which reduces each distinct nonzero image once."""
+    images = _order0_images(c, e, degree)
+    certified = _identity_report(c, e, degree, images)["ok"]
     image = SpanReducer()
-    for k in keys:
-        image.add(c.nprod(e, c.tilde(c.base.basis_element(k)), 0))
+    seen = set()
+    for _, _, w in images:
+        if w.items and first_sight(seen, w):
+            image.add(w)
     image_rank = image.rank
-    module_rank = len(keys)
+    module_rank = len(images)
     return {
         "degree": degree,
         "identity_certified": certified,

@@ -7,6 +7,8 @@ from math import comb
 
 from confalg.algebra import Derivation, Element, MatrixPolyAlgebra, OreElement
 from confalg.conformal import CElement
+from confalg.constructions import SpanReducer
+from confalg.linalg import Echelon, solve_right
 from confalg.oracle import OracleError
 from confalg.rings import Poly, falling
 from confalg.structure import StructureError
@@ -321,3 +323,121 @@ def naive_nprod(c, a, b, n):
         coeffs = [slot.get(t, 0) for t in range(top + 1)]
         items[bk] = Poly(coeffs)
     return CElement(c, items)
+
+
+# The structure routines as first written: every ordered product, every
+# equation and every candidate, repeats included.
+
+
+def naive_is_current(sub, a, degree):
+    """(current, witness) of is_current: both products of every ordered
+    pair of spanning elements, and every row of every key."""
+    vs = sub.span_upto(degree)
+    if not vs:
+        return False, None
+    rows = []
+    rhs = []
+    for u in vs:
+        comms = [v.mul(u).sub(u.mul(v)) for v in vs]
+        target = a.mul(u).sub(u.mul(a))
+        keys = sorted(set().union(set(target.items), *[set(w.items) for w in comms]))
+        for key in keys:
+            rows.append([w.items.get(key, 0) for w in comms])
+            rhs.append(target.items.get(key, 0))
+    sol = solve_right(rows, rhs)
+    if sol is None:
+        return False, None
+    witness = sub.parent.zero()
+    for cs, v in zip(sol, vs):
+        witness = witness.add(v.scale(cs))
+    return True, witness
+
+
+def naive_ideal_lift(c, gens, degree, within=None):
+    """(base_span, delta_stable, two_sided) of ideal_lift: every product
+    b1 g b2, zero left factors and repeats included, and every product of
+    the two-sided check reduced."""
+    base = c.base
+    if within is None:
+        basis = [base.basis_element(k) for k in base.basis_upto(degree)]
+    else:
+        basis = within.span_upto(degree)
+    raw = list(gens)
+    for g in gens:
+        for b1 in basis:
+            left = b1.mul(g)
+            raw.append(left)
+            raw.append(g.mul(b1))
+            for b2 in basis:
+                raw.append(left.mul(b2))
+    raw = [p for p in raw if p.degree() <= degree]
+    span = [Element(base, row) for _, row in Echelon(p.items for p in raw).basis()]
+    ech = Echelon(u.items for u in span)
+
+    def member(v):
+        return not ech.reduce(v.items)
+
+    delta_stable = all(member(c.der.apply(u)) for u in span)
+    two_sided = True
+    for u in span:
+        for b in basis:
+            for p in (b.mul(u), u.mul(b)):
+                if p.degree() <= degree and not member(p):
+                    two_sided = False
+    return span, delta_stable, two_sided
+
+
+def naive_unital_split(c, e, degree):
+    """unital_split's report, with every order-0 image made twice: once for
+    the identity certificate and once for the span."""
+    keys = c.base.basis_upto(degree)
+    certified = True
+    for key in keys:
+        v = c.tilde(c.base.basis_element(key))
+        if c.nprod(e, v, 0) != v:
+            certified = False
+    bound = c.structural_bound(e, e)
+    if bound is not None:
+        for n in range(1, bound + 1):
+            if not c.nprod(e, e, n).is_zero():
+                certified = False
+    image = SpanReducer()
+    for key in keys:
+        image.add(c.nprod(e, c.tilde(c.base.basis_element(key)), 0))
+    return {
+        "degree": degree,
+        "identity_certified": certified,
+        "module_rank": len(keys),
+        "image_rank": image.rank,
+        "kernel_rank": len(keys) - image.rank,
+    }
+
+
+def naive_generate_closure(c, gens, rounds):
+    """(spanning, ranks, frontier sizes, stabilized) of generate_closure,
+    with every candidate reduced, repeats included."""
+    reducer = SpanReducer()
+    spanning = []
+    frontier = []
+    for g in gens:
+        if reducer.add(g):
+            spanning.append(g)
+            frontier.append(g)
+    ranks = [reducer.rank]
+    sizes = [len(frontier)]
+    stabilized = None
+    for r in range(2, rounds + 1):
+        new = []
+        for u in frontier:
+            for g in gens:
+                prods = c.nprod_all(u, g)
+                for n in sorted(prods):
+                    if reducer.add(prods[n]):
+                        spanning.append(prods[n])
+                        new.append(prods[n])
+        frontier = new
+        ranks.append(reducer.rank)
+        sizes.append(len(new))
+        if not new and stabilized is None:
+            stabilized = r
+    return spanning, ranks, sizes, stabilized

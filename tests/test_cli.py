@@ -6,6 +6,8 @@ import sys
 import pytest
 
 import confalg
+import confalg.cli
+import confalg.structure
 from confalg.algebra import MAX_UNTWIST_KEYS
 from confalg.cli import main
 
@@ -73,6 +75,25 @@ CLOSED_FORM_REPORTS = [
     ("product_cend1_L1_1_L1", ["product", "cend1.json", "L1", "1", "L1"]),
     ("locality_cend1_L1_L1", ["locality", "cend1.json", "L1", "L1"]),
     ("untwist_dif_matrix2_ad_e12", ["untwist", "dif_matrix2_ad_e12.json"]),
+    ("is_current_noncur_a_degree4", ["is-current", "noncur.json", "a", "--degree", "4"]),
+    (
+        "ideal_check_ideal_triangular_J_degree0",
+        ["ideal-check", "ideal_triangular.json", "J", "--degree", "0"],
+    ),
+    (
+        "ideal_check_ideal_triangular_J_degree3",
+        ["ideal-check", "ideal_triangular.json", "J", "--degree", "3"],
+    ),
+    ("unital_split_cend1_one_degree4", ["unital-split", "cend1.json", "one", "--degree", "4"]),
+    ("unital_split_cend1_one_degree9", ["unital-split", "cend1.json", "one", "--degree", "9"]),
+    ("gk_cend1_rmax12", ["gk", "cend1.json", "--rmax", "12"]),
+    ("gk_cur_matrix2_rmax12", ["gk", "cur_matrix2.json", "--rmax", "12"]),
+    ("gk_dif_matrix2_ad_e12_rmax12", ["gk", "dif_matrix2_ad_e12.json", "--rmax", "12"]),
+    (
+        "dual_identity_dif_matrix2_ad_e12_ePrime_companion",
+        ["dual-identity", "dif_matrix2_ad_e12.json", "ePrime", "companion"],
+    ),
+    ("kernel_decompose_cend1_x2", ["kernel-decompose", "cend1.json", "x^2"]),
 ]
 
 
@@ -84,6 +105,22 @@ def test_closed_form_reports_match_the_recorded_ones(capsys, stem, argv):
         with open(path, encoding="utf-8", newline="") as fh:
             recorded = fh.read()
         assert run(capsys, command, spec(name), *rest, *extra) == (0, recorded, "")
+
+
+def test_ideal_check_lifts_the_ideal_once(capsys, monkeypatch):
+    calls = []
+    honest = confalg.structure.ideal_lift
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(confalg.cli, "ideal_lift", counted)
+    monkeypatch.setattr(confalg.structure, "ideal_lift", counted)
+    code, out, _ = run(capsys, "ideal-check", spec("ideal_triangular.json"), "J", "--degree", "3")
+    assert code == 0
+    assert json.loads(out)["indices_agree"] is True
+    assert len(calls) == 1
 
 
 def test_oracle_check_small_run(capsys):

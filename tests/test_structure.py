@@ -17,7 +17,13 @@ from confalg.algebra import (
     rank_0,
 )
 from confalg.conformal import ConformalAlgebra, sample_celement
-from confalg.constructions import make_cend, make_current, make_differential
+from confalg.constructions import (
+    SpanReducer,
+    generate_closure,
+    make_cend,
+    make_current,
+    make_differential,
+)
 from confalg.structure import (
     StructureError,
     component_slices,
@@ -35,6 +41,10 @@ from reference_oracles import (
     element_index_by_iteration,
     extract_current_components,
     module_index_by_iteration,
+    naive_generate_closure,
+    naive_ideal_lift,
+    naive_is_current,
+    naive_unital_split,
     slices_rebuild,
 )
 
@@ -396,3 +406,200 @@ def test_unital_split_of_a_proper_idempotent():
     assert report["module_rank"] == 4
     assert report["image_rank"] == 2
     assert report["kernel_rank"] == 2
+
+
+# The structure routines make each product and reduction once; the naive
+# references in reference_oracles make every one, as first written.
+
+
+def triangular(alg, degree):
+    """The subalgebra of the carrier's basis keys of degree <= degree that
+    are not strictly lower triangular."""
+    keys = [k for k in alg.basis_upto(degree) if _shape(alg, k) != "lower"]
+    return Subalgebra(alg, [alg.basis_element(k) for k in keys], degree=degree)
+
+
+@st.composite
+def structures(draw, alg):
+    """A current structure on the carrier, or one twisted by ad of a
+    strictly upper or lower element, or by d/dx where the carrier has it."""
+    twists = ["none", "upper", "lower"] + (["ddx"] if alg.supports_ddx() else [])
+    twist = draw(st.sampled_from(twists))
+    if twist == "none":
+        return make_current(alg)
+    if twist == "ddx":
+        return make_differential(alg, Derivation.ddx(alg))
+    r = draw(carrier_elements(alg, {twist}, 1))
+    return make_differential(alg, Derivation.ad(r))
+
+
+@st.composite
+def module_elements(draw, c, degree):
+    """b~, or b~ + D c~, for carrier elements b, c of degree <= degree."""
+    e = c.tilde(draw(carrier_elements(c.base, ALL_SHAPES, degree)))
+    if draw(st.booleans()):
+        e = e.add(c.tilde(draw(carrier_elements(c.base, ALL_SHAPES, degree))).dapply())
+    return e
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_is_current_matches_the_naive_reference(data):
+    alg = CARRIERS[data.draw(st.sampled_from(sorted(CARRIERS)))]()
+    degree = data.draw(st.integers(0, 2))
+    if data.draw(st.booleans()):
+        sub = triangular(alg, degree)
+    else:
+        sub = Subalgebra(alg, [alg.basis_element(k) for k in alg.basis_upto(degree)], degree=degree)
+    if data.draw(st.booleans()):
+        # a combination of spanning elements: a witness exists
+        vs = sub.span_upto(degree)
+        a = alg.zero()
+        for v in vs:
+            a = a.add(v.scale(data.draw(ENTRIES)))
+        assume(not a.is_zero())
+    else:
+        a = data.draw(carrier_elements(alg, ALL_SHAPES, degree))
+    verdict = is_current(sub, a, degree)
+    assert (verdict.current, verdict.witness) == naive_is_current(sub, a, degree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_ideal_lift_matches_the_naive_reference(data):
+    alg = CARRIERS[data.draw(st.sampled_from(sorted(CARRIERS)))]()
+    degree = data.draw(st.integers(0, 2))
+    c = data.draw(structures(alg))
+    within = None
+    shapes = ALL_SHAPES
+    if data.draw(st.booleans()):
+        within = triangular(alg, degree)
+        shapes = ALL_SHAPES - {"lower"}
+    # a generator may reach past the window: its left factors do too
+    gen_degree = degree if within is not None else data.draw(st.integers(degree, degree + 2))
+    count = data.draw(st.integers(1, 2))
+    gens = [data.draw(carrier_elements(alg, shapes, gen_degree)) for _ in range(count)]
+    pair = ideal_lift(c, gens, degree, within=within)
+    assert (pair.base_span, pair.delta_stable, pair.two_sided) == naive_ideal_lift(
+        c, gens, degree, within=within
+    )
+    assert pair.conf_span == [c.tilde(u) for u in pair.base_span]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unital_split_matches_the_naive_reference(data):
+    alg = CARRIERS[data.draw(st.sampled_from(sorted(CARRIERS)))]()
+    degree = data.draw(st.integers(0, 2))
+    c = data.draw(structures(alg))
+    if data.draw(st.sampled_from([False, True, True])):
+        e = data.draw(module_elements(c, degree))
+    else:
+        e = c.tilde(alg.one())
+    assert unital_split(c, e, degree) == naive_unital_split(c, e, degree)
+
+
+@st.composite
+def sparse_module_elements(draw, c, degree):
+    """c b~ + D^j b'~ or c b~ for basis symbols b, b' of degree <= degree
+    and j <= 1. Dense generators are avoided: the closure's rank over Q(D)
+    then stays small."""
+    keys = c.base.basis_upto(degree)
+    b = c.base.basis_element(draw(st.sampled_from(keys)))
+    e = c.tilde(b.scale(draw(st.sampled_from([1, -1, 2]))))
+    if draw(st.booleans()):
+        b = c.base.basis_element(draw(st.sampled_from(keys)))
+        e = e.add(c.tilde(b).dapply(draw(st.integers(0, 1))))
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generate_closure_matches_the_naive_reference(data):
+    alg = CARRIERS[data.draw(st.sampled_from(sorted(CARRIERS)))]()
+    degree = data.draw(st.integers(0, 2))
+    c = data.draw(structures(alg))
+    count = data.draw(st.integers(1, 3))
+    gens = [data.draw(sparse_module_elements(c, degree)) for _ in range(count)]
+    if data.draw(st.booleans()):
+        # a repeated generator is a repeated candidate
+        gens.append(gens[0])
+    rounds = data.draw(st.integers(1, 4))
+    prof = generate_closure(c, gens, rounds)
+    expected = naive_generate_closure(c, gens, rounds)
+    assert (prof.spanning, prof.ranks, prof.frontier_sizes, prof.stabilized) == expected
+
+
+def test_ideal_lift_multiplies_left_factors_that_leave_the_window():
+    # e21 = (e21 g) e11 with e21 g = e21 + x^3 e22 of degree 3: dropping the
+    # left factors outside the degree-0 window loses e21 and spans only 2
+    mp = MatrixPolyAlgebra(2)
+    c = make_current(mp)
+    g = mp.parse_element({"e11": "1", "x^3*e12": "1"})
+    pair = ideal_lift(c, [g], degree=0)
+    units = [mp.basis_element(k) for k in mp.basis_upto(0)]
+    assert pair.base_span == units
+    assert pair.base_span == naive_ideal_lift(c, [g], 0)[0]
+
+
+def test_ideal_lift_flags_a_truncated_slice_that_is_not_two_sided():
+    # a generator reaching past the degree-2 window: the products b1 g b2
+    # inside the window do not span their own two-sided multiples
+    mp = MatrixPolyAlgebra(2)
+    c = make_current(mp)
+    terms = ["-e21", "-e22", "x^2*e11", "-x^2*e21", "-x^3*e12", "-x^3*e22", "x^4*e12", "x^4*e22"]
+    g = mp.parse_element({t.lstrip("-"): "-1" if t[0] == "-" else "1" for t in terms})
+    pair = ideal_lift(c, [g], degree=2)
+    assert pair.two_sided is False
+    assert (pair.base_span, pair.delta_stable, pair.two_sided) == naive_ideal_lift(c, [g], 2)
+
+
+def counted(monkeypatch, cls, name):
+    """Arguments of every call of cls.name from now on, in call order."""
+    calls = []
+    honest = getattr(cls, name)
+
+    def wrapper(self, *args):
+        calls.append(args)
+        return honest(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_is_current_makes_each_commutator_once(monkeypatch, degree):
+    cases = [noncurrent_sub()]
+    mp = MatrixPolyAlgebra(2)
+    cases.append((mp, Subalgebra(mp, [mp.basis_element(k) for k in mp.basis_upto(4)], degree=4)))
+    for parent, sub in cases:
+        a = parent.parse_element({"e12": "1", "x*e21": "2"})
+        s = len(sub.span_upto(degree))
+        calls = counted(monkeypatch, Element, "mul")
+        verdict = is_current(sub, a, degree)
+        assert len(calls) <= s * (s - 1) + 2 * s
+        monkeypatch.undo()
+        assert (verdict.current, verdict.witness) == naive_is_current(sub, a, degree)
+
+
+def test_unital_split_makes_one_order_zero_product_per_basis_symbol(monkeypatch):
+    c = make_cend(2)
+    idempotent = c.tilde(c.base.parse_element({"e11": "1", "e12": "-2"}))
+    for e, degree in [(c.named_element("L0"), 8), (idempotent, 5)]:
+        calls = counted(monkeypatch, ConformalAlgebra, "nprod")
+        report = unital_split(c, e, degree)
+        orders = [n for _, _, n in calls]
+        assert orders.count(0) == len(c.base.basis_upto(degree))
+        monkeypatch.undo()
+        assert report == naive_unital_split(c, e, degree)
+
+
+def test_generate_closure_never_reduces_a_repeated_candidate(monkeypatch):
+    c = make_cend(2)
+    gens = [c.named_element(n) for n in ["L0_e11", "L0_e22", "L1_e12", "L1_e21"]]
+    calls = counted(monkeypatch, SpanReducer, "add")
+    prof = generate_closure(c, gens, rounds=12)
+    passed = [frozenset(v.items.items()) for (v,) in calls]
+    assert len(set(passed)) == len(passed)
+    monkeypatch.undo()
+    assert (prof.spanning, prof.ranks) == naive_generate_closure(c, gens, 12)[:2]
