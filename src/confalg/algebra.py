@@ -58,6 +58,13 @@ class BaseAlgebra:
         return hash(self.descriptor())
 
     def key_degree(self, key):
+        """The x-degree of a basis key. Every carrier is graded by it: each
+        key of mul_keys(k1, k2) has degree at least key_degree(k1) +
+        key_degree(k2). This is exact on matrix_poly and poly, every key of
+        scalar and matrix has degree 0, and a direct sum inherits it from its
+        summands. So a product's low_degree is at least the sum of its
+        factors', and a product whose factors' low degrees sum past a window
+        cannot land in it."""
         raise NotImplementedError
 
     def basis_upto(self, degree):
@@ -362,6 +369,10 @@ class Subalgebra:
 
     Elements of a subalgebra are parent elements; the view only answers
     membership, degree slices, and the product-closure check.
+
+    A view is read-only once built, so what depends only on it and a degree
+    is cached per degree: the echelon of the slice, and the slice with the
+    commutators of its spanning elements.
     """
 
     def __init__(self, parent, spanning, unital=False, degree=4):
@@ -376,9 +387,45 @@ class Subalgebra:
         self.unital = bool(unital)
         self.degree = degree
         self._ech = {}
+        self._comms = {}
 
     def span_upto(self, degree):
         return [v for v in self.spanning if v.degree() <= degree]
+
+    def commutators(self, degree):
+        """Cached (vs, rows): the slice vs = span_upto(degree) and, for each
+        v_i, the table row rows[i] mapping every basis key of some [v_j, v_i]
+        to the tuple of its nonzero (j, coefficient) pairs, j ascending.
+        Each commutator is made once, for one ordering of the pair, and
+        [v_i, v_j] = -[v_j, v_i] gives the other; [v, v] = 0 is not made. So
+        s spanning elements cost s(s-1) products, on the first call for a
+        degree only. The table lives as long as the view, so it is kept
+        small: grouped by key, not per pair, with one object per distinct
+        key and pair tuple."""
+        got = self._comms.get(degree)
+        if got is None:
+            vs = self.span_upto(degree)
+            # entries reach each row with j ascending: row j gets i < j
+            # from the earlier passes and j' > j from its own
+            rows = [{} for _ in vs]
+            for i, u in enumerate(vs):
+                for j in range(i + 1, len(vs)):
+                    v = vs[j]
+                    for key, c in v.mul(u).sub(u.mul(v)).items.items():
+                        rows[i].setdefault(key, []).append((j, c))
+                        rows[j].setdefault(key, []).append((i, -c))
+            # equal keys and equal pair tuples recur across the rows (all
+            # 28 symbols of 2x2 matrices over Q[x] up to degree 6: 490
+            # entries, 52 distinct keys, 42 distinct tuples), so the table
+            # keeps one object of each
+            shared = {}
+
+            def one(x):
+                return shared.setdefault(x, x)
+
+            rows = [{one(key): one(tuple(pairs)) for key, pairs in row.items()} for row in rows]
+            got = self._comms[degree] = (vs, rows)
+        return got
 
     def _echelon(self, degree):
         """Cached echelon of the degree slice."""
@@ -472,6 +519,13 @@ class Element:
         if not self.items:
             return 0
         return max(self.alg.key_degree(k) for k in self.items)
+
+    def low_degree(self):
+        """The least key degree, 0 for zero; a product's is at least the sum
+        of its factors' (BaseAlgebra.key_degree)."""
+        if not self.items:
+            return 0
+        return min(self.alg.key_degree(k) for k in self.items)
 
     def degree_part(self, d):
         return Element(

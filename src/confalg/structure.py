@@ -219,36 +219,28 @@ def is_current(sub, a, degree):
     u. The witness is the canonical particular solution (free unknowns
     zero), so reruns are reproducible.
 
-    Each commutator of two spanning elements is made once, for one ordering
-    of the pair, and [u, v] = -[v, u] gives the other; [v, v] = 0 is not
-    made. With s spanning elements that is s(s-1) products for the
-    commutators and 2s for the targets [a, u]. Each distinct equation is
-    passed to the solver once: the reduced echelon form, and so the witness,
-    depends only on the row space."""
+    The commutators of the spanning elements depend only on the view and
+    the degree, so they are read from the view's cached table
+    (Subalgebra.commutators): with s spanning elements, the first call for
+    a degree makes s(s-1) products for the table, and every call makes 2s
+    for the targets [a, u]. Each distinct equation is passed to the solver
+    once: the reduced echelon form, and so the witness, depends only on the
+    row space."""
     if a.alg != sub.parent:
         raise StructureError("element must live in the parent algebra")
-    vs = sub.span_upto(degree)
+    vs, table = sub.commutators(degree)
     if not vs:
         return CurrentnessVerdict(degree, False, None)
-    # comms[i][j] holds the items of [v_j, v_i]
-    comms = [[{}] * len(vs) for _ in vs]
-    for i, u in enumerate(vs):
-        for j in range(i + 1, len(vs)):
-            v = vs[j]
-            w = v.mul(u).sub(u.mul(v)).items
-            comms[i][j] = w
-            comms[j][i] = {k: -c for k, c in w.items()}
     # one equation per basis key of [v, u] or [a, u], as its nonzero
     # (unknown, coefficient) pairs and its right-hand side
     equations = {}
-    for u, row in zip(vs, comms):
+    for u, row in zip(vs, table):
         target = a.mul(u).sub(u.mul(a)).items
-        lhs = {key: {} for key in target}
-        for j, w in enumerate(row):
-            for key, c in w.items():
-                lhs.setdefault(key, {})[j] = c
-        for key, coeffs in lhs.items():
-            equations[tuple(coeffs.items()), target.get(key, 0)] = None
+        for key, b in target.items():
+            equations[row.get(key, ()), b] = None
+        for key, coeffs in row.items():
+            if key not in target:
+                equations[coeffs, 0] = None
     rows = []
     for coeffs, _ in equations:
         dense = [0] * len(vs)
@@ -294,7 +286,12 @@ def ideal_lift(c, gens, degree=4, within=None):
     it, so every nonzero left factor is multiplied by the basis, each
     distinct one once; a zero one is not. Only distinct nonzero candidates
     inside the window enter the echelon, and the two-sided check reduces
-    each distinct product once."""
+    each distinct product once.
+
+    The carrier is graded (BaseAlgebra.key_degree), so a product whose
+    factors' low degrees sum past the window has no term inside it; such a
+    product, here or in the two-sided check, is skipped before it is
+    made."""
     base = c.base
     for g in gens:
         if g.alg != base:
@@ -315,17 +312,23 @@ def ideal_lift(c, gens, degree=4, within=None):
         if p.items and p.degree() <= degree and first_sight(seen, p):
             candidates.append(p)
 
+    lows = [(b, b.low_degree()) for b in basis]
     for g in gens:
         keep(g)
     lefts = set()
     for g in gens:
-        for b1 in basis:
+        room = degree - g.low_degree()
+        for b1, low1 in lows:
+            if low1 > room:
+                continue
             left = b1.mul(g)
             keep(left)
             keep(g.mul(b1))
             if left.items and first_sight(lefts, left):
-                for b2 in basis:
-                    keep(left.mul(b2))
+                room2 = degree - left.low_degree()
+                for b2, low2 in lows:
+                    if low2 <= room2:
+                        keep(left.mul(b2))
     span = _echelon_elements(base, candidates)
     ech = Echelon(u.items for u in span)
 
@@ -335,7 +338,10 @@ def ideal_lift(c, gens, degree=4, within=None):
     def two_sided():
         seen = set()
         for u in span:
-            for b in basis:
+            room = degree - u.low_degree()
+            for b, low in lows:
+                if low > room:
+                    continue
                 for p in (b.mul(u), u.mul(b)):
                     if p.items and p.degree() <= degree and first_sight(seen, p):
                         if not member(p):

@@ -94,6 +94,15 @@ CLOSED_FORM_REPORTS = [
         ["dual-identity", "dif_matrix2_ad_e12.json", "ePrime", "companion"],
     ),
     ("kernel_decompose_cend1_x2", ["kernel-decompose", "cend1.json", "x^2"]),
+    # a graded carrier, where ideal_lift skips products past the window
+    (
+        "ideal_check_ideal_triangular_x_J_degree1",
+        ["ideal-check", "ideal_triangular_x.json", "J", "--degree", "1"],
+    ),
+    (
+        "ideal_check_ideal_triangular_x_J_degree3",
+        ["ideal-check", "ideal_triangular_x.json", "J", "--degree", "3"],
+    ),
 ]
 
 

@@ -336,6 +336,28 @@ def carrier_elements(draw, alg, shapes, degree):
     return Element(alg, items)
 
 
+@st.composite
+def sparse_carrier_elements(draw, alg, degree):
+    """An element, zero allowed, on a few basis keys of degree <= degree,
+    so its low degree varies."""
+    keys = alg.basis_upto(degree)
+    return Element(alg, draw(st.dictionaries(st.sampled_from(keys), ENTRIES, max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_carrier_is_graded_by_key_degree(data):
+    alg = CARRIERS[data.draw(st.sampled_from(sorted(CARRIERS)))]()
+    keys = alg.basis_upto(3)
+    k1, k2 = data.draw(st.sampled_from(keys)), data.draw(st.sampled_from(keys))
+    floor = alg.key_degree(k1) + alg.key_degree(k2)
+    assert all(alg.key_degree(k) >= floor for k in alg.mul_keys(k1, k2))
+    x, y = data.draw(sparse_carrier_elements(alg, 3)), data.draw(sparse_carrier_elements(alg, 3))
+    p = x.mul(y)
+    if not p.is_zero():
+        assert p.low_degree() >= x.low_degree() + y.low_degree()
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_element_nilpotency_index_agrees_with_plain_iteration(data):
@@ -575,11 +597,45 @@ def test_is_current_makes_each_commutator_once(monkeypatch, degree):
     for parent, sub in cases:
         a = parent.parse_element({"e12": "1", "x*e21": "2"})
         s = len(sub.span_upto(degree))
+        # the first call fills the view's table; a second one makes only
+        # the targets [a, u], [u, a]
+        for most in (s * (s - 1) + 2 * s, 2 * s):
+            calls = counted(monkeypatch, Element, "mul")
+            verdict = is_current(sub, a, degree)
+            assert len(calls) <= most
+            monkeypatch.undo()
+            assert (verdict.current, verdict.witness) == naive_is_current(sub, a, degree)
+
+
+def test_is_current_caches_the_commutators_per_degree():
+    # x^3 e12 is current on the full view at degrees 4 and 6, not at 2: a
+    # table read at the wrong degree would change a verdict
+    mp = MatrixPolyAlgebra(2)
+    full = Subalgebra(mp, [mp.basis_element(k) for k in mp.basis_upto(6)], unital=True, degree=6)
+    a = mp.parse_element({"x^3*e12": "1"})
+    verdicts = []
+    for degree in (6, 2, 4, 6):
+        verdict = is_current(full, a, degree)
+        assert (verdict.current, verdict.witness) == naive_is_current(full, a, degree)
+        verdicts.append(verdict.current)
+    assert verdicts == [True, False, True, True]
+
+
+def test_ideal_lift_skips_products_past_the_window(monkeypatch):
+    mp = MatrixPolyAlgebra(2)
+    c = make_current(mp)
+    g = mp.parse_element({"x*e11": "1", "x*e22": "1"})
+    # every product b1 g, g b1, b1 g b2 and of the two-sided check is made
+    # only when its factors' low degrees leave room in the window; making
+    # them all took 1,080, 1,584 and 2,184
+    for degree, most in ((4, 512), (5, 760), (6, 1056)):
         calls = counted(monkeypatch, Element, "mul")
-        verdict = is_current(sub, a, degree)
-        assert len(calls) <= s * (s - 1) + 2 * s
+        pair = ideal_lift(c, [g], degree)
+        assert len(calls) <= most
         monkeypatch.undo()
-        assert (verdict.current, verdict.witness) == naive_is_current(sub, a, degree)
+        assert (pair.base_span, pair.delta_stable, pair.two_sided) == naive_ideal_lift(
+            c, [g], degree
+        )
 
 
 def test_unital_split_makes_one_order_zero_product_per_basis_symbol(monkeypatch):
