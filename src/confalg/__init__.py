@@ -9,8 +9,6 @@ from .algebra import (
     MatrixAlgebra,
     MatrixPolyAlgebra,
     OreElement,
-    PolynomialAlgebra,
-    ScalarAlgebra,
     Subalgebra,
     element_nilpotency_index,
     kernel_decompose,

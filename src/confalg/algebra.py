@@ -1,9 +1,9 @@
 """Base associative algebras with exact rational structure constants,
 locally nilpotent derivations, and the twisted Laurent ring built on them.
 
-Basis keys are plain hashable tuples or integers, homogeneous per algebra
-kind, so they sort deterministically. Subalgebras are views on a parent:
-their elements are parent elements and membership is a linear solve.
+Basis keys are plain hashable tuples, homogeneous per algebra kind, so they
+sort deterministically. Subalgebras are views on a parent: their elements
+are parent elements and membership is a linear solve.
 """
 
 from itertools import islice
@@ -24,9 +24,9 @@ MAX_DEGREE = 64
 # degree). untwist takes the products of every pair of window images, so its
 # work grows with the square of this count, and faster still with the
 # nilpotency index of the twist. At 36 symbols the slowest untwist measured,
-# 6x6 matrices twisted by the sum of all e_ij with i < j, takes about 7 s
-# (Python 3.11, one core of a Xeon host); a larger window is refused before
-# any product.
+# 6x6 matrices twisted by the sum of all e_ij with i < j at degree 0, takes
+# about 2 s as a CLI run (2.0-2.2 s over five fresh processes, Python 3.11.7,
+# one core of a Xeon host); a larger window is refused before any product.
 MAX_UNTWIST_KEYS = 36
 
 
@@ -43,7 +43,40 @@ def parse_exponent(digits, name):
     return int(digits)
 
 
+def power_name(k):
+    """The Q[x] name of x^k: 1, x or x^k."""
+    if k == 0:
+        return "1"
+    if k == 1:
+        return "x"
+    return "x^%d" % k
+
+
+def parse_power(name):
+    """The exponent k of a Q[x] name 1, x or x^k, or None."""
+    if name == "1":
+        return 0
+    if name == "x":
+        return 1
+    if name.startswith("x^") and name[2:].isdecimal():
+        return parse_exponent(name[2:], name)
+    return None
+
+
+def parse_unit(name, n):
+    """The 1-based (i, j) of a matrix unit name eij of an n x n matrix, or
+    None."""
+    if len(name) == 3 and name[0] == "e" and name[1:].isdecimal():
+        i, j = int(name[1]), int(name[2])
+        if 1 <= i <= n and 1 <= j <= n:
+            return (i, j)
+    return None
+
+
 class BaseAlgebra:
+    """A unital carrier: the n x n matrices over Q or over Q[x], or a direct
+    sum of these. The ground field Q and Q[x] are the 1 x 1 cases."""
+
     kind = None
 
     def descriptor(self):
@@ -60,11 +93,11 @@ class BaseAlgebra:
     def key_degree(self, key):
         """The x-degree of a basis key. Every carrier is graded by it: each
         key of mul_keys(k1, k2) has degree at least key_degree(k1) +
-        key_degree(k2). This is exact on matrix_poly and poly, every key of
-        scalar and matrix has degree 0, and a direct sum inherits it from its
-        summands. So a product's low_degree is at least the sum of its
-        factors', and a product whose factors' low degrees sum past a window
-        cannot land in it."""
+        key_degree(k2). This is exact on matrix_poly, every key of matrix
+        has degree 0, and a direct sum inherits it from its summands. So a
+        product's low_degree is at least the sum of its factors', and a
+        product whose factors' low degrees sum past a window cannot land in
+        it."""
         raise NotImplementedError
 
     def basis_upto(self, degree):
@@ -78,12 +111,6 @@ class BaseAlgebra:
 
     def parse_key(self, name):
         raise NotImplementedError
-
-    def is_unital(self):
-        return False
-
-    def one(self):
-        raise AlgebraError("%s algebra has no stored identity" % self.kind)
 
     def supports_ddx(self):
         return False
@@ -104,91 +131,9 @@ class BaseAlgebra:
         return Element(self, {self.parse_key(k): frac(v) for k, v in mapping.items()})
 
 
-class ScalarAlgebra(BaseAlgebra):
-    """The ground field as a one-dimensional algebra; basis key 0."""
-
-    kind = "scalar"
-
-    def descriptor(self):
-        return ("scalar",)
-
-    def key_degree(self, key):
-        return 0
-
-    def basis_upto(self, degree):
-        return [0]
-
-    def mul_keys(self, k1, k2):
-        return {0: 1}
-
-    def key_name(self, key):
-        return "1"
-
-    def parse_key(self, name):
-        if name == "1":
-            return 0
-        raise AlgebraError("unknown scalar basis name %r" % name)
-
-    def is_unital(self):
-        return True
-
-    def one(self):
-        return self.basis_element(0)
-
-
-class PolynomialAlgebra(BaseAlgebra):
-    """Q[x]; basis key k stands for x^k."""
-
-    kind = "poly"
-
-    def descriptor(self):
-        return ("poly",)
-
-    def key_degree(self, key):
-        return key
-
-    def basis_upto(self, degree):
-        return list(range(degree + 1))
-
-    def mul_keys(self, k1, k2):
-        return {k1 + k2: 1}
-
-    def key_name(self, key):
-        if key == 0:
-            return "1"
-        if key == 1:
-            return "x"
-        return "x^%d" % key
-
-    def parse_key(self, name):
-        if name == "1":
-            return 0
-        if name == "x":
-            return 1
-        if name.startswith("x^") and name[2:].isdecimal():
-            return parse_exponent(name[2:], name)
-        raise AlgebraError("unknown poly basis name %r" % name)
-
-    def is_unital(self):
-        return True
-
-    def one(self):
-        return self.basis_element(0)
-
-    def supports_ddx(self):
-        return True
-
-    def ddx_key(self, key):
-        if key == 0:
-            return {}
-        return {key - 1: key}
-
-    def shift_key(self, key, k):
-        return key + k
-
-
 class MatrixAlgebra(BaseAlgebra):
-    """n x n matrices; basis key (i, j) is the matrix unit e_ij, 1-based."""
+    """n x n matrices; basis key (i, j) is the matrix unit e_ij, 1-based.
+    For n = 1 this is Q: its one key (1, 1) is named 1, and e11 parses too."""
 
     kind = "matrix"
 
@@ -212,24 +157,22 @@ class MatrixAlgebra(BaseAlgebra):
         return {(k1[0], k2[1]): 1}
 
     def key_name(self, key):
-        return "e%d%d" % key
+        return "1" if self.n == 1 else "e%d%d" % key
 
     def parse_key(self, name):
-        if len(name) == 3 and name[0] == "e" and name[1:].isdecimal():
-            i, j = int(name[1]), int(name[2])
-            if 1 <= i <= self.n and 1 <= j <= self.n:
-                return (i, j)
-        raise AlgebraError("unknown matrix basis name %r" % name)
-
-    def is_unital(self):
-        return True
+        unit = (1, 1) if self.n == 1 and name == "1" else parse_unit(name, self.n)
+        if unit is None:
+            raise AlgebraError("unknown matrix basis name %r" % name)
+        return unit
 
     def one(self):
         return Element(self, {(i, i): 1 for i in range(1, self.n + 1)})
 
 
 class MatrixPolyAlgebra(BaseAlgebra):
-    """n x n matrices over Q[x]; basis key (k, i, j) is x^k e_ij."""
+    """n x n matrices over Q[x]; basis key (k, i, j) is x^k e_ij. For n = 1
+    this is Q[x]: key (k, 1, 1) is named 1, x or x^k, and x^k*e11 parses
+    too."""
 
     kind = "matrix_poly"
 
@@ -260,30 +203,21 @@ class MatrixPolyAlgebra(BaseAlgebra):
     def key_name(self, key):
         k, i, j = key
         if self.n == 1:
-            return PolynomialAlgebra().key_name(k)
+            return power_name(k)
         unit = "e%d%d" % (i, j)
-        if k == 0:
-            return unit
-        if k == 1:
-            return "x*" + unit
-        return "x^%d*%s" % (k, unit)
+        return unit if k == 0 else "%s*%s" % (power_name(k), unit)
 
     def parse_key(self, name):
         if self.n == 1 and "e" not in name:
-            return (PolynomialAlgebra().parse_key(name), 1, 1)
-        if "*" in name:
-            power, unit = name.split("*", 1)
-            k = PolynomialAlgebra().parse_key(power)
+            k, unit = parse_power(name), (1, 1)
+        elif "*" in name:
+            power, rest = name.split("*", 1)
+            k, unit = parse_power(power), parse_unit(rest, self.n)
         else:
-            k, unit = 0, name
-        if len(unit) == 3 and unit[0] == "e" and unit[1:].isdecimal():
-            i, j = int(unit[1]), int(unit[2])
-            if 1 <= i <= self.n and 1 <= j <= self.n:
-                return (k, i, j)
-        raise AlgebraError("unknown matrix_poly basis name %r" % name)
-
-    def is_unital(self):
-        return True
+            k, unit = 0, parse_unit(name, self.n)
+        if k is None or unit is None:
+            raise AlgebraError("unknown matrix_poly basis name %r" % name)
+        return (k,) + unit
 
     def one(self):
         return Element(self, {(0, i, i): 1 for i in range(1, self.n + 1)})
@@ -339,9 +273,6 @@ class DirectSum(BaseAlgebra):
         if not s.isdecimal() or int(s) >= len(self.summands):
             raise AlgebraError("no summand %s" % s)
         return (int(s), self.summands[int(s)].parse_key(rest))
-
-    def is_unital(self):
-        return all(s.is_unital() for s in self.summands)
 
     def one(self):
         out = {}
@@ -716,8 +647,8 @@ def kernel_decompose(a, d):
     The components are the degree-0 parts of the orbit of a, the
     iterated-derivative values at x = 0; the decomposition is unique and
     reconstructs exactly."""
-    if d.kind != "ddx" or a.alg.kind not in ("poly", "matrix_poly"):
-        raise AlgebraError("kernel decomposition needs ddx on poly or matrix_poly")
+    if d.kind != "ddx" or a.alg.kind != "matrix_poly":
+        raise AlgebraError("kernel decomposition needs ddx on matrix_poly")
     comps = []
     for k, v in enumerate(d.orbit(a)):
         c = v.degree_part(0)
@@ -840,8 +771,6 @@ __all__ = [
     "MAX_UNTWIST_KEYS",
     "AlgebraError",
     "BaseAlgebra",
-    "ScalarAlgebra",
-    "PolynomialAlgebra",
     "MatrixAlgebra",
     "MatrixPolyAlgebra",
     "DirectSum",

@@ -10,7 +10,7 @@ nilpotent derivation delta, with delta = 0 giving the pure current case.
 import random
 from math import comb, perm
 
-from .algebra import AlgebraError, Element, parse_exponent
+from .algebra import AlgebraError, Element, parse_exponent, parse_unit
 from .rings import Poly, frac
 
 
@@ -70,16 +70,13 @@ class ConformalAlgebra:
                 body, unit = body.split("_", 1)
             if body.isdecimal():
                 k = parse_exponent(body, name)
-                if self.base.kind == "poly" and unit is None:
-                    return self.tilde(self.base.basis_element(k))
                 if self.base.kind == "matrix_poly":
                     if unit is None:
                         diag = {(k, i, i): 1 for i in range(1, self.base.n + 1)}
                         return self.tilde(Element(self.base, diag))
-                    if len(unit) == 3 and unit[0] == "e" and unit[1:].isdecimal():
-                        i, j = int(unit[1]), int(unit[2])
-                        if 1 <= i <= self.base.n and 1 <= j <= self.base.n:
-                            return self.tilde(self.base.basis_element((k, i, j)))
+                    unit = parse_unit(unit, self.base.n)
+                    if unit is not None:
+                        return self.tilde(self.base.basis_element((k,) + unit))
             raise ConformalError("unknown generator name %r" % name)
         return self.tilde(self.base.basis_element(self.base.parse_key(name)))
 

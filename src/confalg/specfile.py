@@ -18,8 +18,6 @@ from .algebra import (
     DirectSum,
     MatrixAlgebra,
     MatrixPolyAlgebra,
-    PolynomialAlgebra,
-    ScalarAlgebra,
     Subalgebra,
 )
 from .constructions import make_cend, make_current, make_differential
@@ -98,10 +96,11 @@ def _want(node, path, ctx, kind=dict):
 def _build_base(node, path, ctx, allow_sub=True):
     _want(node, path, ctx)
     kind = node.get("kind")
+    # Q and Q[x] are the 1x1 matrices over Q and over Q[x]
     if kind == "scalar":
-        return ScalarAlgebra()
+        return MatrixAlgebra(1)
     if kind == "poly":
-        return PolynomialAlgebra()
+        return MatrixPolyAlgebra(1)
     if kind in ("matrix", "matrix_poly"):
         n = node.get("n")
         if not _is_int(n):

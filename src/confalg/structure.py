@@ -98,8 +98,6 @@ def untwist(c, degree=2):
     basis symbols is refused before any product is taken."""
     if c.der.kind != "ad":
         raise StructureError("untwist needs an inner derivation")
-    if not c.base.is_unital():
-        raise StructureError("untwist needs a unital carrier")
     keys = c.base.basis_upto(degree)
     if len(keys) > MAX_UNTWIST_KEYS:
         raise StructureError(
@@ -176,7 +174,7 @@ def dual_identity_consistency(c, e, b=None):
 
     report = {
         "certified": certified,
-        "constant_slice_is_one": base.is_unital() and e0 == base.one(),
+        "constant_slice_is_one": e0 == base.one(),
         "dual_order1_zero": dual_zero,
         "recursion_failures": recursion_failures,
         "consistent": dual_zero and not recursion_failures,

@@ -12,8 +12,6 @@ from confalg.algebra import (
     MatrixAlgebra,
     MatrixPolyAlgebra,
     OreElement,
-    PolynomialAlgebra,
-    ScalarAlgebra,
     Subalgebra,
     element_nilpotency_index,
     kernel_decompose,
@@ -30,22 +28,29 @@ from reference_oracles import (
 F = Fraction
 
 
+def xk(a, k):
+    """x^k in Q[x], the 1x1 matrices over Q[x]."""
+    return a.basis_element((k, 1, 1))
+
+
 def test_scalar_algebra_is_the_ground_field():
-    a = ScalarAlgebra()
-    assert a.is_unital()
+    a = MatrixAlgebra(1)
+    assert a.one() == a.basis_element((1, 1))
     x = a.parse_element({"1": "2/3"})
     assert x.mul(x) == a.parse_element({"1": "4/9"})
     assert a.one().mul(x) == x
+    assert a.key_name((1, 1)) == "1"
+    assert a.parse_key("1") == a.parse_key("e11") == (1, 1)
 
 
 def test_polynomial_algebra_products_and_names():
-    a = PolynomialAlgebra()
-    x = a.basis_element(1)
-    assert x.mul(x) == a.basis_element(2)
-    assert a.key_name(0) == "1"
-    assert a.key_name(3) == "x^3"
-    assert a.parse_key("x") == 1
-    assert a.parse_key("x^7") == 7
+    a = MatrixPolyAlgebra(1)
+    x = xk(a, 1)
+    assert x.mul(x) == xk(a, 2)
+    assert a.key_name((0, 1, 1)) == "1"
+    assert a.key_name((3, 1, 1)) == "x^3"
+    assert a.parse_key("x") == (1, 1, 1)
+    assert a.parse_key("x^7") == (7, 1, 1)
     with pytest.raises(AlgebraError):
         a.parse_key("y^2")
 
@@ -83,7 +88,7 @@ def test_matrix_poly_size_one_prints_like_polynomials():
 
 
 def test_direct_sum_keys_and_products():
-    a = DirectSum([MatrixAlgebra(2), ScalarAlgebra()])
+    a = DirectSum([MatrixAlgebra(2), MatrixAlgebra(1)])
     u = a.parse_element({"0:e12": "1"})
     v = a.parse_element({"0:e21": "1", "1:1": "5"})
     assert u.mul(v) == a.parse_element({"0:e11": "1"})
@@ -94,7 +99,7 @@ def test_direct_sum_keys_and_products():
 
 
 def test_element_arithmetic_and_degree_slices():
-    a = PolynomialAlgebra()
+    a = MatrixPolyAlgebra(1)
     p = a.parse_element({"1": "1", "x^2": "3"})
     q = a.parse_element({"x^2": "-3"})
     assert p.add(q) == a.parse_element({"1": "1"})
@@ -107,7 +112,7 @@ def test_element_arithmetic_and_degree_slices():
 
 
 def test_elements_of_different_algebras_do_not_mix():
-    p = PolynomialAlgebra().basis_element(1)
+    p = xk(MatrixPolyAlgebra(1), 1)
     e = MatrixAlgebra(2).basis_element((1, 1))
     with pytest.raises(AlgebraError):
         p.add(e)
@@ -142,9 +147,9 @@ def test_subalgebra_unital_flag_is_checked():
 
 
 def test_ddx_derivation_on_polynomials():
-    a = PolynomialAlgebra()
+    a = MatrixPolyAlgebra(1)
     d = Derivation.ddx(a)
-    x3 = a.basis_element(3)
+    x3 = xk(a, 3)
     assert d.apply(x3) == a.parse_element({"x^2": "3"})
     v = x3
     for _ in range(3):
@@ -164,18 +169,18 @@ def test_ad_derivation_and_its_nilpotency():
 
 
 def test_table_derivation_validate_rejects_leibniz_violation():
-    a = PolynomialAlgebra()
+    a = MatrixPolyAlgebra(1)
     # d(x) = 1 forces d(x^2) = 2x; declaring d(x^2) = 0 breaks Leibniz
-    images = {0: a.zero(), 1: a.one(), 2: a.zero()}
+    images = {(0, 1, 1): a.zero(), (1, 1, 1): a.one(), (2, 1, 1): a.zero()}
     d = Derivation.table(a, images)
     with pytest.raises(AlgebraError, match="Leibniz"):
         d.validate()
 
 
 def test_validate_rejects_non_nilpotent_derivation():
-    a = PolynomialAlgebra()
+    a = MatrixPolyAlgebra(1)
     # Euler operator x d/dx: Leibniz holds but no iterate vanishes
-    images = {k: a.basis_element(k).scale(F(k)) for k in range(0, 5)}
+    images = {(k, 1, 1): xk(a, k).scale(F(k)) for k in range(0, 5)}
     d = Derivation.table(a, images)
     with pytest.raises(AlgebraError, match="nilpotent"):
         d.validate()
@@ -186,12 +191,12 @@ def test_builtin_derivations_satisfy_leibniz_on_the_full_window():
     # it by construction, which the reference loop confirms here
     rng = random.Random(5)
     carriers = [
-        ScalarAlgebra(),
-        PolynomialAlgebra(),
+        MatrixAlgebra(1),
+        MatrixPolyAlgebra(1),
         MatrixAlgebra(2),
         MatrixAlgebra(3),
         MatrixPolyAlgebra(2),
-        DirectSum([MatrixAlgebra(2), PolynomialAlgebra()]),
+        DirectSum([MatrixAlgebra(2), MatrixPolyAlgebra(1)]),
     ]
     for alg in carriers:
         ders = [Derivation.zero(alg), Derivation.ad(random_element(alg, rng, degree=2))]
@@ -200,9 +205,9 @@ def test_builtin_derivations_satisfy_leibniz_on_the_full_window():
         for d in ders:
             assert leibniz_violation(d, 2) is None, (alg.descriptor(), d.kind)
     # the reference is not vacuous: it finds the broken table's witness
-    a = PolynomialAlgebra()
-    bad = Derivation.table(a, {0: a.zero(), 1: a.one(), 2: a.zero()})
-    assert leibniz_violation(bad, 1) == (1, 1)
+    a = MatrixPolyAlgebra(1)
+    bad = Derivation.table(a, {(0, 1, 1): a.zero(), (1, 1, 1): a.one(), (2, 1, 1): a.zero()})
+    assert leibniz_violation(bad, 1) == ((1, 1, 1), (1, 1, 1))
 
 
 ENTRIES = st.sampled_from([-1, 0, 0, 1])
@@ -262,13 +267,13 @@ def orbit_cases(draw):
     some ad(r) are not locally nilpotent; or the Euler table x d/dx on Q[x],
     which fixes x."""
     kind = draw(st.sampled_from(["zero", "ddx", "ad", "table", "euler"]))
-    algs = [MatrixPolyAlgebra(2), PolynomialAlgebra()]
+    algs = [MatrixPolyAlgebra(2), MatrixPolyAlgebra(1)]
     if kind in ("zero", "ad", "table"):
         algs += [MatrixAlgebra(2), MatrixAlgebra(3)]
-    alg = PolynomialAlgebra() if kind == "euler" else draw(st.sampled_from(algs))
+    alg = MatrixPolyAlgebra(1) if kind == "euler" else draw(st.sampled_from(algs))
     keys = alg.basis_upto(draw(st.integers(0, 3)))
     if kind == "euler":
-        d = Derivation.table(alg, {k: alg.basis_element(k).scale(k) for k in keys})
+        d = Derivation.table(alg, {k: alg.basis_element(k).scale(k[0]) for k in keys})
     elif kind == "zero":
         d = Derivation.zero(alg)
     elif kind == "ddx":
@@ -341,9 +346,9 @@ def ore_sum(*terms):
 
 
 def test_ore_commutation_rules():
-    a = PolynomialAlgebra()
+    a = MatrixPolyAlgebra(1)
     d = Derivation.ddx(a)
-    x = OreElement(a, d, {0: a.basis_element(1)})
+    x = OreElement(a, d, {0: xk(a, 1)})
     t = OreElement(a, d, {1: a.one()})
     tinv = OreElement(a, d, {-1: a.one()})
     one = OreElement(a, d, {0: a.one()})
@@ -359,8 +364,8 @@ def test_ore_commutation_rules():
 def test_negative_power_expansion_stops_at_the_iteration_bound():
     # the Euler operator x d/dx fixes x, so t^-1 x never terminates; the
     # table is built without validation, as a description could ask for it
-    a = PolynomialAlgebra()
-    images = {k: a.basis_element(k).scale(k) for k in range(4)}
+    a = MatrixPolyAlgebra(1)
+    images = {(k, 1, 1): xk(a, k).scale(k) for k in range(4)}
     d = Derivation.table(a, images)
     steps = []
     apply = d.apply
@@ -373,19 +378,19 @@ def test_negative_power_expansion_stops_at_the_iteration_bound():
 
     d.apply = counted
     with pytest.raises(AlgebraError, match="not locally nilpotent"):
-        OreElement(a, d, {}).commute_t(-1, a.basis_element(1))
+        OreElement(a, d, {}).commute_t(-1, xk(a, 1))
     assert len(steps) <= len(images) + 1
     # a nilpotent table still expands fully: d(x^2) = x, d(x) = 1, d(1) = 0
     ddx_table = Derivation.table(
-        a, {0: a.zero(), 1: a.one(), 2: a.basis_element(1).scale(2)}
+        a, {(0, 1, 1): a.zero(), (1, 1, 1): a.one(), (2, 1, 1): xk(a, 1).scale(2)}
     )
-    got = OreElement(a, ddx_table, {}).commute_t(-1, a.basis_element(2))
-    assert got == {-1: a.basis_element(2), -2: a.basis_element(1).scale(2), -3: a.one().scale(2)}
+    got = OreElement(a, ddx_table, {}).commute_t(-1, xk(a, 2))
+    assert got == {-1: xk(a, 2), -2: xk(a, 1).scale(2), -3: a.one().scale(2)}
 
 
 def test_positive_power_expansion_applies_only_the_steps_it_keeps():
     # t x^10 = x^10 t - 10 x^9 needs one derivative, not the next one too
-    a = PolynomialAlgebra()
+    a = MatrixPolyAlgebra(1)
     d = Derivation.ddx(a)
     steps = []
     apply = d.apply
@@ -395,9 +400,9 @@ def test_positive_power_expansion_applies_only_the_steps_it_keeps():
         return apply(x)
 
     d.apply = counted
-    x10 = a.basis_element(10)
+    x10 = xk(a, 10)
     got = OreElement(a, d, {}).commute_t(1, x10)
-    assert got == {1: x10, 0: a.basis_element(9).scale(-10)}
+    assert got == {1: x10, 0: xk(a, 9).scale(-10)}
     assert steps == [x10]
 
 
@@ -415,7 +420,7 @@ def test_ore_associativity_spot_checks():
 
 
 def test_ore_rejects_mixed_rings():
-    a = PolynomialAlgebra()
+    a = MatrixPolyAlgebra(1)
     d = Derivation.ddx(a)
     m = MatrixPolyAlgebra(2)
     dm = Derivation.ddx(m)

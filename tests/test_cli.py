@@ -103,6 +103,30 @@ CLOSED_FORM_REPORTS = [
         "ideal_check_ideal_triangular_x_J_degree3",
         ["ideal-check", "ideal_triangular_x.json", "J", "--degree", "3"],
     ),
+    # the scalar and poly kinds, which load as the 1x1 matrix and matrix_poly
+    ("table_poly_ddx", ["table", "poly_ddx.json"]),
+    ("check_axioms_poly_ddx_samples50", ["check-axioms", "poly_ddx.json", "--samples", "50"]),
+    ("oracle_check_poly_ddx_samples10", ["oracle-check", "poly_ddx.json", "--samples", "10"]),
+    ("gk_poly_ddx_rmax6", ["gk", "poly_ddx.json", "--rmax", "6"]),
+    ("kernel_decompose_poly_ddx_x3", ["kernel-decompose", "poly_ddx.json", "x^3"]),
+    ("table_sum_matrix2_scalar_ad", ["table", "sum_matrix2_scalar_ad.json"]),
+    (
+        "check_axioms_sum_matrix2_scalar_ad_samples50",
+        ["check-axioms", "sum_matrix2_scalar_ad.json", "--samples", "50"],
+    ),
+    (
+        "oracle_check_sum_matrix2_scalar_ad_samples10",
+        ["oracle-check", "sum_matrix2_scalar_ad.json", "--samples", "10"],
+    ),
+    ("gk_sum_matrix2_scalar_ad_rmax6", ["gk", "sum_matrix2_scalar_ad.json", "--rmax", "6"]),
+    (
+        "untwist_sum_matrix2_scalar_ad_degree0",
+        ["untwist", "sum_matrix2_scalar_ad.json", "--degree", "0"],
+    ),
+    (
+        "unital_split_sum_matrix2_scalar_ad_one_degree0",
+        ["unital-split", "sum_matrix2_scalar_ad.json", "one", "--degree", "0"],
+    ),
 ]
 
 

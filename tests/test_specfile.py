@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from confalg.algebra import MatrixAlgebra, MatrixPolyAlgebra
 from confalg.cli import main
+from confalg.constructions import make_cend
 from confalg.specfile import MAX_DEGREE, MAX_TABLE_KEYS, SpecError, load_spec, load_spec_text
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -109,6 +111,19 @@ def test_current_construction_rejects_a_nonzero_derivation():
     }
     with pytest.raises(SpecError, match="cannot carry a nonzero derivation"):
         load_spec_text(json.dumps(doc))
+
+
+def test_scalar_and_poly_load_as_the_1x1_carriers():
+    def carrier(base):
+        return load_spec_text(json.dumps({"name": "q", "base": base})).carrier
+
+    assert carrier({"kind": "poly"}) == MatrixPolyAlgebra(1)
+    assert carrier({"kind": "scalar"}) == MatrixAlgebra(1)
+    m1 = carrier({"kind": "matrix", "n": 1})
+    assert m1.parse_key("1") == m1.parse_key("e11") == (1, 1)
+    assert m1.key_name((1, 1)) == "1"
+    data = load_spec_text(json.dumps({"name": "c", "base": {"kind": "poly"}, "construction": "cend"}))
+    assert data.conformal == make_cend(1)
 
 
 def test_cend_requires_a_matrix_poly_carrier():
@@ -297,7 +312,7 @@ def test_d_dx_written_as_a_degree_8_table_loads():
     ddx = poly_table(8, lambda k: {poly_name(k - 1): str(k)} if k else {})
     data = load_spec_text(json.dumps({"name": "t", "base": {"kind": "poly"}, "derivation": ddx}))
     assert data.conformal.der.kind == "table"
-    assert data.conformal.nilp_key(8) == 9
+    assert data.conformal.nilp_key((8, 1, 1)) == 9
 
 
 def test_ad_of_the_7x7_jordan_block_loads():
