@@ -34,6 +34,12 @@ class AlgebraError(Exception):
     pass
 
 
+def normal_map(acc):
+    """A map of int and Fraction sums in normal form: zero values dropped,
+    integral Fractions made ints, order kept."""
+    return {k: c if type(c) is int else frac(c) for k, c in acc.items() if c}
+
+
 def parse_exponent(digits, name):
     """The exponent a decimal digit string in a basis or generator name
     stands for; above MAX_DEGREE it is refused before int() reads a long
@@ -405,6 +411,17 @@ class Element:
         self.alg = alg
         self.items = clean
 
+    @classmethod
+    def _trusted(cls, alg, items):
+        """An element from a map already in normal form (no zero value,
+        integral values as ints), which it keeps: no coercion, no scan, no
+        copy. For results the library has just built; the constructor
+        checks everything else."""
+        el = object.__new__(cls)
+        el.alg = alg
+        el.items = items
+        return el
+
     def is_zero(self):
         return not self.items
 
@@ -423,15 +440,23 @@ class Element:
     def add(self, other):
         self._compat(other)
         out = dict(self.items)
+        cancelled = False
         for k, c in other.items.items():
-            out[k] = out.get(k, 0) + c
-        return Element(self.alg, out)
+            v = out.get(k, 0) + c
+            if type(v) is not int:
+                v = frac(v)
+            out[k] = v
+            if not v:
+                cancelled = True
+        if cancelled:
+            out = {k: c for k, c in out.items() if c}
+        return Element._trusted(self.alg, out)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def neg(self):
-        return Element(self.alg, {k: -c for k, c in self.items.items()})
+        return Element._trusted(self.alg, {k: -c for k, c in self.items.items()})
 
     def scale(self, c):
         c = frac(c)
@@ -444,7 +469,7 @@ class Element:
             for k2, c2 in other.items.items():
                 for k, c in self.alg.mul_keys(k1, k2).items():
                     out[k] = out.get(k, 0) + c1 * c2 * c
-        return Element(self.alg, out)
+        return Element._trusted(self.alg, normal_map(out))
 
     def degree(self):
         if not self.items:
@@ -677,6 +702,16 @@ class OreElement:
         self.der = der
         self.items = {p: el for p, el in items.items() if not el.is_zero()}
 
+    @classmethod
+    def _trusted(cls, base, der, items):
+        """An Ore element from a map power -> nonzero Element, which it
+        keeps: no scan, no copy. For results the library has just built."""
+        x = object.__new__(cls)
+        x.base = base
+        x.der = der
+        x.items = items
+        return x
+
     def is_zero(self):
         return not self.items
 
@@ -747,9 +782,14 @@ class OreElement:
                             c *= c12
                             cur = slot.get(k)
                             slot[k] = c if cur is None else cur + c
-        return type(self)(
-            self.base, self.der, {p: Element(self.base, s) for p, s in out.items()}
-        )
+        # a power whose coefficients all cancel is dropped
+        base, trusted = self.base, Element._trusted
+        items = {}
+        for p, s in out.items():
+            s = normal_map(s)
+            if s:
+                items[p] = trusted(base, s)
+        return type(self)._trusted(base, self.der, items)
 
     def to_map(self):
         return {str(p): e.to_map() for p, e in sorted(self.items.items())}

@@ -11,7 +11,7 @@ import random
 from math import comb, perm
 
 from .algebra import AlgebraError, Element, parse_exponent, parse_unit
-from .rings import Poly, frac
+from .rings import Poly, frac, normal
 
 
 class ConformalError(AlgebraError):
@@ -124,20 +124,30 @@ class ConformalAlgebra:
         # nonzero basis product the terms add up to ff(n,n-m) w [u (m) v],
         # w = sum_i (-1)^i p_i q^[n-m-i], where q^[s] = sum_j C(j,s) q_j D^(j-s)
         # is the s-th divided derivative of q; divided[s] lists it, for s <= n.
+        orbits = self._orbits
         right = []
+        width = 0
         for k2, q in b.items.items():
-            qc, lq = q.coeffs, len(q.coeffs)
-            divided = [[comb(j, s) * qc[j] for j in range(s, lq)] for s in range(min(n + 1, lq))]
-            right.append((k2, divided, lq, self.nilp_key(k2)))
-        width = max((lq for _, _, lq, _ in right), default=0)
+            qc = q.coeffs
+            lq = len(qc)
+            top = lq if lq <= n else n + 1
+            divided = [[comb(j, s) * qc[j] for j in range(s, lq)] for s in range(top)]
+            nil = len(orbits.get(k2) or self._orbit(k2))
+            right.append((k2, divided, lq, nil))
+            if lq > width:
+                width = lq
         pairs = self._pairs
         acc = {}
         for k1, p in a.items.items():
             pc = p.coeffs
             lp = len(pc)
+            # (-1)^i p_i, signed once per left term
+            ps = [-c if i % 2 else c for i, c in enumerate(pc)]
             for k2, divided, lq, nil in right:
-                lo = max(0, n - lp - lq + 2)
-                hi = min(n, nil - 1)
+                lo = n - lp - lq + 2
+                if lo < 0:
+                    lo = 0
+                hi = nil - 1 if nil <= n else n
                 if lo > hi:
                     continue
                 row = pairs.get((k1, k2)) or pairs.setdefault((k1, k2), [None] * nil)
@@ -148,9 +158,12 @@ class ConformalAlgebra:
                     if not entry:
                         continue
                     t = n - m
+                    i0 = t - lq + 1
+                    if i0 < 0:
+                        i0 = 0
                     w = [0] * lq
-                    for i in range(max(0, t - lq + 1), min(t + 1, lp)):
-                        pi = -pc[i] if i % 2 else pc[i]
+                    for i in range(i0, t + 1 if t < lp else lp):
+                        pi = ps[i]
                         if pi:
                             for d, h in enumerate(divided[t - i]):
                                 w[d] += pi * h
@@ -161,7 +174,14 @@ class ConformalAlgebra:
                         for d, v in enumerate(w):
                             if v:
                                 slot[d] += c * v
-        return CElement(self, {bk: Poly(cs) for bk, cs in acc.items()})
+        # the sums can cancel, wholly or in their top coefficients
+        trusted = Poly._trusted
+        out = {}
+        for bk, cs in acc.items():
+            cs = normal(cs)
+            if cs:
+                out[bk] = trusted(cs)
+        return CElement._trusted(self, out)
 
     def nprod_all(self, a, b):
         """All nonzero orders of a (n) b, as a dict order -> element."""
@@ -192,6 +212,16 @@ class CElement:
         self.conf = conf
         self.items = clean
 
+    @classmethod
+    def _trusted(cls, conf, items):
+        """An element from a map key -> nonzero Poly, which it keeps: no
+        coercion, no scan, no copy. For results the library has just built;
+        the constructor checks everything else."""
+        el = object.__new__(cls)
+        el.conf = conf
+        el.items = items
+        return el
+
     def is_zero(self):
         return not self.items
 
@@ -210,23 +240,32 @@ class CElement:
     def add(self, other):
         self._compat(other)
         out = dict(self.items)
+        cancelled = False
         for k, p in other.items.items():
-            out[k] = out[k] + p if k in out else p
-        return CElement(self.conf, out)
+            if k in out:
+                p = out[k] + p
+                if not p.coeffs:
+                    cancelled = True
+            out[k] = p
+        if cancelled:
+            out = {k: p for k, p in out.items() if p.coeffs}
+        return CElement._trusted(self.conf, out)
 
     def neg(self):
-        return CElement(self.conf, {k: -p for k, p in self.items.items()})
+        return CElement._trusted(self.conf, {k: -p for k, p in self.items.items()})
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
         c = frac(c)
-        return CElement(self.conf, {k: p.scale(c) for k, p in self.items.items()})
+        if not c:
+            return CElement._trusted(self.conf, {})
+        return CElement._trusted(self.conf, {k: p.scale(c) for k, p in self.items.items()})
 
     def dapply(self, k=1):
         """Multiply by D^k."""
-        return CElement(self.conf, {key: p.shift(k) for key, p in self.items.items()})
+        return CElement._trusted(self.conf, {key: p.shift(k) for key, p in self.items.items()})
 
     def pdeg(self):
         if not self.items:
@@ -269,9 +308,10 @@ def sample_celement(c, rng, degree, pdeg=2, terms=3, coeff_bound=5):
     picked = rng.sample(keys, min(rng.randint(1, terms), len(keys)))
     items = {}
     for k in picked:
-        coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(pdeg + 1)]
-        items[k] = Poly(coeffs)
-    return CElement(c, items)
+        coeffs = normal([rng.randint(-coeff_bound, coeff_bound) for _ in range(pdeg + 1)])
+        if coeffs:
+            items[k] = Poly._trusted(coeffs)
+    return CElement._trusted(c, items)
 
 
 def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
@@ -331,7 +371,9 @@ def coeff_matrix(elems):
     keys = sorted(set().union(*[set(e.items) for e in elems])) if elems else []
     rows = []
     for e in elems:
-        rows.append([e.items.get(k, Poly.zero()) for k in keys])
+        # a zero of its own per absent cell, built only there
+        items = e.items
+        rows.append([items[k] if k in items else Poly.zero() for k in keys])
     return keys, rows
 
 

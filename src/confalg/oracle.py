@@ -221,10 +221,10 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
 
 
 def sample_ore(base, der, rng, degree=3, power=2, terms=2, coeff_bound=5):
+    keys = base.basis_upto(degree)
     items = {}
     for _ in range(rng.randint(1, terms)):
         p = rng.randint(-power, power)
-        keys = base.basis_upto(degree)
         picked = rng.sample(keys, min(rng.randint(1, 2), len(keys)))
         el = Element(base, {k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
         items[p] = items[p].add(el) if p in items else el

@@ -18,6 +18,15 @@ def frac(v):
     return v.numerator if v.denominator == 1 else v
 
 
+def normal(cs):
+    """A list of int and Fraction values as a coefficient tuple in normal
+    form: trailing zeros dropped, integral Fractions made ints. The list is
+    trimmed in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple([c if type(c) is int else frac(c) for c in cs])
+
+
 def div(a, b):
     """Exact quotient a / b. Two ints give an int when b divides a and a
     Fraction otherwise, never a float; other field elements (Fraction,
@@ -58,6 +67,16 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _trusted(cls, coeffs):
+        """A polynomial from a coefficient tuple already in normal form (no
+        trailing zero, integral values as ints): no coercion, no scan, no
+        copy. For results the library has just built; the constructor
+        checks everything else."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def zero(cls):
         return cls(())
 
@@ -95,14 +114,18 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
+    # a sum can cancel: its coefficients go through normal
+
     def __add__(self, other):
-        return Poly([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Poly._trusted(normal([x + y for x, y in pairs]))
 
     def __sub__(self, other):
-        return Poly([x - y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Poly._trusted(normal([x - y for x, y in pairs]))
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._trusted(tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -123,14 +146,14 @@ class Poly:
     def scale(self, c):
         c = frac(c)
         if c == 0:
-            return Poly.zero()
-        return Poly([a * c for a in self.coeffs])
+            return Poly._trusted(())
+        return Poly._trusted(normal([a * c for a in self.coeffs]))
 
     def shift(self, k):
         """Multiply by D^k."""
         if not self.coeffs:
             return self
-        return Poly((0,) * k + self.coeffs)
+        return Poly._trusted((0,) * k + self.coeffs)
 
     def __divmod__(self, other):
         if not other.coeffs:

@@ -369,10 +369,12 @@ def nilpotency_check(c, gens, degree=4, within=None):
     tildes. Right multiplication by V is Q(x)-linear, so the spans
     Z_k = X_k + X_{k+1} + ... shrink, stay put once two agree, and live in
     a space of dimension N = rank_0. A sequence that vanishes at all
-    vanishes by k = N + 1; one that does not is refused. A carrier level
-    equal to the one before it is refused at once: the sequence is constant
-    and nonzero from there on. So is a module level that spans the space of
-    the one before it: the next level spans the same as it does."""
+    vanishes by k = N + 1; one that does not is refused. A carrier slice
+    with a spanning element that is not nilpotent is refused before any
+    level: u^k lies in S_k, so no S_k is 0. A carrier level equal to the
+    one before it is refused at once: the sequence is constant and nonzero
+    from there on. So is a module level that spans the space of the one
+    before it: the next level spans the same as it does."""
     return _nilpotency_report(c, ideal_lift(c, gens, degree, within=within))
 
 
@@ -381,6 +383,14 @@ def _nilpotency_report(c, pair):
     caller that needs the pair too lifts it once."""
     last = rank_0(c.base) + 1
     s1 = pair.base_span
+    for u in s1:
+        try:
+            element_nilpotency_index(u)
+        except AlgebraError:
+            raise StructureError(
+                "carrier ideal slice is not nilpotent: its spanning element %r is not"
+                " nilpotent" % (u,)
+            ) from None
 
     base_index = None
     level = s1

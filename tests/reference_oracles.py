@@ -2,6 +2,7 @@
 against. They are deliberately naive and share no code with the routines
 they check."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
@@ -438,3 +439,74 @@ def naive_generate_closure(c, gens, rounds):
         if not new and stabilized is None:
             stabilized = r
     return spanning, ranks, sizes, stabilized
+
+
+def ore_product(sign):
+    """Product of B[t, t^-1; d] built from t b = b t + sign d(b); sign -1 is
+    the honest ring. Negative powers use the library's expansion."""
+
+    def mul(x, y):
+        out = {}
+        for p, a in x.items.items():
+            for q, b in y.items.items():
+                if p > 0:
+                    terms = {}
+                    dkb = b
+                    for k in range(p + 1):
+                        terms[p - k] = dkb.scale(sign**k * comb(p, k))
+                        dkb = x.der.apply(dkb)
+                else:
+                    terms = x.commute_t(p, b)
+                for pw, coef in terms.items():
+                    term = a.mul(coef)
+                    out[pw + q] = out[pw + q].add(term) if pw + q in out else term
+        return OreElement(x.base, x.der, out)
+
+    return mul
+
+
+def assert_canonical(x):
+    """x is in normal form: no zero or trailing coefficient, no zero value,
+    and every integral coefficient an int. Covers Poly, Element, CElement
+    and OreElement, down to their coefficients."""
+
+    def coefficient(c):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+    if isinstance(x, Poly):
+        assert type(x.coeffs) is tuple
+        assert not x.coeffs or x.coeffs[-1] != 0, x.coeffs
+        for c in x.coeffs:
+            coefficient(c)
+    elif isinstance(x, Element):
+        for c in x.items.values():
+            assert c != 0, x.items
+            coefficient(c)
+    elif isinstance(x, CElement):
+        for p in x.items.values():
+            assert type(p) is Poly and p.coeffs, x.items
+            assert_canonical(p)
+    elif isinstance(x, OreElement):
+        for el in x.items.values():
+            assert type(el) is Element and el.items and el.alg == x.base, x.items
+            assert_canonical(el)
+    else:
+        raise TypeError("not a ring element: %r" % (x,))
+
+
+TRUSTED = (Poly, Element, CElement, OreElement)
+
+
+@contextmanager
+def checked_constructors():
+    """While active, each class's private constructor _trusted calls its
+    public, checking constructor instead, so a run inside it builds every
+    result through the checks."""
+    saved = [(cls, vars(cls)["_trusted"]) for cls in TRUSTED]
+    for cls in TRUSTED:
+        setattr(cls, "_trusted", staticmethod(cls))
+    try:
+        yield
+    finally:
+        for cls, orig in saved:
+            setattr(cls, "_trusted", orig)

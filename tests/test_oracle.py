@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +17,7 @@ from confalg.oracle import (
     to_distribution,
 )
 from confalg.rings import Poly, falling
-from reference_oracles import naive_dist_nprod, naive_value, table_ddx_plus_ad_e12
+from reference_oracles import naive_dist_nprod, naive_value, ore_product, table_ddx_plus_ad_e12
 
 
 def test_distribution_window_and_sparsity():
@@ -345,30 +344,6 @@ def test_ore_associativity_check_passes_on_the_honest_ring():
     base = MatrixPolyAlgebra(2)
     report = coeff_assoc_check(base, Derivation.ddx(base), samples=30, seed=1)
     assert report["ok"]
-
-
-def ore_product(sign):
-    """Product of B[t, t^-1; d] built from t b = b t + sign d(b); sign -1 is
-    the honest ring. Negative powers use the library's expansion."""
-
-    def mul(x, y):
-        out = {}
-        for p, a in x.items.items():
-            for q, b in y.items.items():
-                if p > 0:
-                    terms = {}
-                    dkb = b
-                    for k in range(p + 1):
-                        terms[p - k] = dkb.scale(sign**k * comb(p, k))
-                        dkb = x.der.apply(dkb)
-                else:
-                    terms = x.commute_t(p, b)
-                for pw, coef in terms.items():
-                    term = a.mul(coef)
-                    out[pw + q] = out[pw + q].add(term) if pw + q in out else term
-        return OreElement(x.base, x.der, out)
-
-    return mul
 
 
 def test_ore_associativity_check_catches_a_flipped_commutation_sign():

@@ -289,6 +289,33 @@ def test_nilpotency_check_refuses_a_repeated_module_level_at_once():
         nilpotency_check(c, [m.parse_element({"e19": "1"})], degree=0, within=borel)
 
 
+def test_nilpotency_check_refuses_a_generator_that_is_not_nilpotent_before_any_level(
+    monkeypatch,
+):
+    # J = (x e11) under d/dx on 5x5 matrices over Q[x] at degree 2: x e11 is
+    # in the slice and x^k e11 is never 0, so no S_k is; the levels would
+    # shift in degree and never repeat, all N_0 + 1 = 26 of them
+    base = MatrixPolyAlgebra(5)
+    c = make_differential(base, Derivation.ddx(base))
+    gens = [base.parse_element({"x*e11": "1"})]
+    products = []
+    honest = Element.mul
+
+    def counted(self, other):
+        products.append(1)
+        return honest(self, other)
+
+    monkeypatch.setattr(Element, "mul", counted)
+    with pytest.raises(
+        StructureError,
+        match="carrier ideal slice is not nilpotent: its spanning element x\\*e11 is not",
+    ):
+        nilpotency_check(c, gens, degree=2)
+    # the lift's own 4,225 products and the 26 powers of x e11 up to the
+    # rank bound, not 26 levels of up to 50 x 50 products each
+    assert len(products) < 5000
+
+
 CARRIERS = {
     "M2": lambda: MatrixAlgebra(2),
     "M3": lambda: MatrixAlgebra(3),
