@@ -116,65 +116,131 @@ class ConformalAlgebra:
             raise ConformalError("product order must be >= 0")
         if a.conf != self or b.conf != self:
             raise ConformalError("arguments of a different conformal algebra")
-        # (D^i u) (n) (D^j v) = (-1)^i sum_s C(j,s) ff(n,i+s) D^(j-s) [u (n-i-s) v]
-        # with ff(n,k) = perm(n,k) the falling factorial. For symbols u, v
-        # with D-polynomials p, q, only the basis orders m = n-i-s in
-        # [n - deg p - deg q, nilp(v) - 1] and in [0, n] can be nonzero, so
-        # past the structural bound nothing is done. At an order m with a
-        # nonzero basis product the terms add up to ff(n,n-m) w [u (m) v],
-        # w = sum_i (-1)^i p_i q^[n-m-i], where q^[s] = sum_j C(j,s) q_j D^(j-s)
-        # is the s-th divided derivative of q; divided[s] lists it, for s <= n.
+        return self._element(self._products(a, b, n, n)[n])
+
+    def nprod_all(self, a, b):
+        """All nonzero orders of a (n) b, as a dict order -> element, from
+        one pass over the basis products."""
+        if a.conf != self or b.conf != self:
+            raise ConformalError("arguments of a different conformal algebra")
+        out = {}
+        for n, acc in sorted(self._products(a, b, 0, None).items()):
+            v = self._element(acc)
+            if v.items:
+                out[n] = v
+        return out
+
+    def _products(self, a, b, lo, hi):
+        """a (n) b for every order n in [lo, hi] (no upper end when hi is
+        None), as a map n -> {key: D-coefficient list}. An order with no
+        term is left out, except a single order, which is always listed; a
+        listed order's sums can still cancel.
+
+        (D^i u) (n) (D^j v) = (-1)^i sum_s C(j,s) ff(n,i+s) D^(j-s) [u (n-i-s) v]
+        with ff(n,k) = perm(n,k) the falling factorial. For symbols u, v
+        with D-polynomials p, q, the terms at a basis order m add up to
+        ff(n,t) w_t [u (m) v] with t = n - m <= deg p + deg q, where
+        w_t = sum_i (-1)^i p_i q^[t-i] and q^[s] = sum_j C(j,s) q_j D^(j-s)
+        is the s-th divided derivative of q; divided[s] lists it. Only the
+        basis orders m below nilp(v) can be nonzero. w_t is made only at a
+        nonzero basis product. It does not depend on n, so over a range of
+        orders each pair makes it once per t and spreads it to every order
+        m + t. A single order meets each t once, so its loop keeps no w_t
+        and no per-order map (a step shared with the range loop costs
+        single-order nprod about 5%)."""
         orbits = self._orbits
         right = []
         width = 0
         for k2, q in b.items.items():
             qc = q.coeffs
             lq = len(qc)
-            top = lq if lq <= n else n + 1
-            divided = [[comb(j, s) * qc[j] for j in range(s, lq)] for s in range(top)]
+            top = lq if hi is None or lq <= hi else hi + 1
+            divided = [qc]
+            for s in range(1, top):
+                divided.append([comb(j, s) * qc[j] for j in range(s, lq)])
             nil = len(orbits.get(k2) or self._orbit(k2))
             right.append((k2, divided, lq, nil))
             if lq > width:
                 width = lq
         pairs = self._pairs
-        acc = {}
+        single = lo == hi
+        accs = {}
+        if single:
+            acc = accs[lo] = {}
         for k1, p in a.items.items():
             pc = p.coeffs
             lp = len(pc)
             # (-1)^i p_i, signed once per left term
             ps = [-c if i % 2 else c for i, c in enumerate(pc)]
             for k2, divided, lq, nil in right:
-                lo = n - lp - lq + 2
-                if lo < 0:
-                    lo = 0
-                hi = nil - 1 if nil <= n else n
-                if lo > hi:
+                span = lp + lq - 2
+                mlo = lo - span if lo > span else 0
+                mhi = nil - 1 if hi is None or nil <= hi else hi
+                if mlo > mhi:
                     continue
                 row = pairs.get((k1, k2)) or pairs.setdefault((k1, k2), [None] * nil)
-                for m in range(lo, hi + 1):
+                if single:
+                    # one order: each basis order m meets the one t = lo - m
+                    for m in range(mlo, mhi + 1):
+                        entry = row[m]
+                        if entry is None:
+                            entry = row[m] = self.basis_nprod(k1, k2, m)
+                        if not entry:
+                            continue
+                        t = lo - m
+                        i0 = t - lq + 1
+                        if i0 < 0:
+                            i0 = 0
+                        w = [0] * lq
+                        for i in range(i0, t + 1 if t < lp else lp):
+                            pi = ps[i]
+                            if pi:
+                                for d, h in enumerate(divided[t - i]):
+                                    w[d] += pi * h
+                        ff = perm(lo, t)
+                        for bk, bc in entry.items():
+                            c = ff * bc
+                            slot = acc.get(bk) or acc.setdefault(bk, [0] * width)
+                            for d, v in enumerate(w):
+                                if v:
+                                    slot[d] += c * v
+                    continue
+                # several orders: the same steps, with w_t kept by t and
+                # spread to every order m + t in the range
+                ws = [None] * (span + 1)
+                for m in range(mlo, mhi + 1):
                     entry = row[m]
                     if entry is None:
                         entry = row[m] = self.basis_nprod(k1, k2, m)
                     if not entry:
                         continue
-                    t = n - m
-                    i0 = t - lq + 1
-                    if i0 < 0:
-                        i0 = 0
-                    w = [0] * lq
-                    for i in range(i0, t + 1 if t < lp else lp):
-                        pi = ps[i]
-                        if pi:
-                            for d, h in enumerate(divided[t - i]):
-                                w[d] += pi * h
-                    ff = perm(n, t)
-                    for bk, bc in entry.items():
-                        c = ff * bc
-                        slot = acc.get(bk) or acc.setdefault(bk, [0] * width)
-                        for d, v in enumerate(w):
-                            if v:
-                                slot[d] += c * v
-        # the sums can cancel, wholly or in their top coefficients
+                    thi = span if hi is None or hi - m >= span else hi - m
+                    for t in range(lo - m if lo > m else 0, thi + 1):
+                        w = ws[t]
+                        if w is None:
+                            i0 = t - lq + 1
+                            if i0 < 0:
+                                i0 = 0
+                            w = ws[t] = [0] * lq
+                            for i in range(i0, t + 1 if t < lp else lp):
+                                pi = ps[i]
+                                if pi:
+                                    for d, h in enumerate(divided[t - i]):
+                                        w[d] += pi * h
+                        n = m + t
+                        acc = accs.get(n) or accs.setdefault(n, {})
+                        ff = perm(n, t)
+                        for bk, bc in entry.items():
+                            c = ff * bc
+                            slot = acc.get(bk) or acc.setdefault(bk, [0] * width)
+                            for d, v in enumerate(w):
+                                if v:
+                                    slot[d] += c * v
+        return accs
+
+    def _element(self, acc):
+        """The element of a _products accumulation: the sums can cancel,
+        wholly or in their top coefficients."""
         trusted = Poly._trusted
         out = {}
         for bk, cs in acc.items():
@@ -182,18 +248,6 @@ class ConformalAlgebra:
             if cs:
                 out[bk] = trusted(cs)
         return CElement._trusted(self, out)
-
-    def nprod_all(self, a, b):
-        """All nonzero orders of a (n) b, as a dict order -> element."""
-        bound = self.structural_bound(a, b)
-        out = {}
-        if bound is None:
-            return out
-        for n in range(bound + 1):
-            v = self.nprod(a, b, n)
-            if not v.is_zero():
-                out[n] = v
-        return out
 
 
 class CElement:
@@ -292,15 +346,8 @@ class CElement:
 
 
 def locality_degree(c, a, b):
-    """Largest order with a nonzero product, or "none" when all orders vanish.
-    The scan starts at the structural bound, so the result is exact."""
-    bound = c.structural_bound(a, b)
-    if bound is None:
-        return "none"
-    for n in range(bound, -1, -1):
-        if not c.nprod(a, b, n).is_zero():
-            return n
-    return "none"
+    """Largest order with a nonzero product, or "none" when all orders vanish."""
+    return max(c.nprod_all(a, b), default="none")
 
 
 def sample_celement(c, rng, degree, pdeg=2, terms=3, coeff_bound=5):

@@ -8,7 +8,6 @@ and derivation get installed.
 from .algebra import AlgebraError, Derivation, MatrixPolyAlgebra
 from .conformal import ConformalAlgebra
 from .linalg import Echelon
-from .rings import RatFunc
 
 
 def make_current(base):
@@ -47,17 +46,79 @@ def product_table(c, named_gens):
     return entries
 
 
-class SpanReducer(Echelon):
-    """Echelon form over the fraction field Q(D) of conformal elements,
-    sparse rows keyed by base basis keys. Rank over Q(D) equals the
-    free-module rank of the Q[D]-span, which is what the closure and growth
-    profiles count."""
+def _evaluate(items, alpha):
+    """A conformal element's items at D = alpha: the sparse rational vector
+    key -> p(alpha), zeros left out."""
+    out = {}
+    for k, p in items.items():
+        cs = p.coeffs
+        if alpha:
+            v = 0
+            for c in reversed(cs):
+                v = v * alpha + c
+        else:
+            v = cs[0]
+        if v:
+            out[k] = v
+    return out
 
-    __slots__ = ()
+
+class SpanReducer:
+    """Rank over the fraction field Q(D) of conformal elements, which is
+    the free-module rank of their Q[D]-span, tested by evaluation at
+    D = alpha over Q.
+
+    The kept rows S have rank r. A minor of S and a candidate v is a
+    polynomial of degree at most B, the sum of their D-degrees, so when one
+    is nonzero it is nonzero at one of alpha = 0..B. Hence v raises the rank
+    exactly when, at some such point, S(alpha) has rank r and v(alpha) lies
+    outside the Q-span of S(alpha). One Echelon over Q per point holds
+    S(alpha); it takes in the rows kept since it was last read only when it
+    is read again. A point where S(alpha) has rank below r stays so for
+    every later S, and is not read again."""
+
+    __slots__ = ("rows", "degree", "points")
+
+    def __init__(self):
+        self.rows = []
+        # sum of the kept rows' D-degrees
+        self.degree = 0
+        # entry alpha: [Echelon of S(alpha), rows taken in], or None once
+        # S(alpha) falls short of rank r
+        self.points = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
 
     def add(self, elem):
         """Insert an element; True when it raised the rank."""
-        return super().add({k: RatFunc(p) for k, p in elem.items.items()})
+        items = elem.items
+        if not items:
+            return False
+        rows = self.rows
+        r = len(rows)
+        d = elem.pdeg()
+        points = self.points
+        for alpha in range(self.degree + d + 1):
+            if alpha == len(points):
+                points.append([Echelon(), 0])
+            point = points[alpha]
+            if point is None:
+                continue
+            ech, taken = point
+            for row in rows[taken:]:
+                ech.add(_evaluate(row, alpha))
+            point[1] = r
+            if ech.rank < r:
+                points[alpha] = None
+                continue
+            if ech.add(_evaluate(items, alpha)):
+                point[1] = r + 1
+                rows.append(items)
+                self.degree += d
+                return True
+        return False
 
 
 def first_sight(seen, elem):
@@ -83,11 +144,13 @@ class ClosureProfile:
 def generate_closure(c, gens, rounds=4):
     """Left-normed closure: round 1 keeps the generators, every later round
     multiplies the previous round's new elements by the generators at all
-    nonzero orders. Candidates that do not raise the Q(D)-rank are dropped;
-    the higher-bracketed products they would feed are then linear
-    combinations of towers already kept, so the rank trace is unaffected.
-    A candidate equal to an earlier one already lies in the span and is
-    skipped before it is reduced: each distinct candidate is reduced once."""
+    nonzero orders, each pair's orders in one nprod_all pass. Candidates
+    that do not raise the Q(D)-rank (SpanReducer, by evaluation over Q)
+    are dropped; the higher-bracketed products they would feed are then
+    linear combinations of towers already kept, so the rank trace is
+    unaffected. A candidate equal to an earlier one already lies in the
+    span and is skipped before its rank test: each distinct candidate is
+    tested once."""
     if rounds < 1:
         raise AlgebraError("rounds must be >= 1")
     reducer = SpanReducer()

@@ -1,11 +1,13 @@
 """Exact linear algebra: one sparse echelon kernel, its dense entry points,
 and a fraction-free rank kept as an independent reference.
 
-The kernel is generic over the entry field (rationals, stored as int or
-Fraction, or RatFunc): entries must support +, -, unary -, *, / and truth
-testing, and every division goes through rings.div. Vectors are sparse
-{key: entry} maps over orderable keys; every elimination in the package
-goes through Echelon.
+The kernel is generic over the entry field: entries must support +, -,
+unary -, *, / and truth testing, and every division goes through
+rings.div. The library feeds it rationals only, stored as int or Fraction
+(ranks over Q(D) are taken by evaluation, constructions.SpanReducer); the
+tests' reference reducer over Q(D) feeds it RatFunc entries. Vectors are
+sparse {key: entry} maps over orderable keys; every elimination in the
+package goes through Echelon.
 """
 
 from bisect import insort

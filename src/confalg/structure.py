@@ -46,11 +46,9 @@ def _identity_report(c, e, degree, images):
     for key, v, w in images:
         if w != v:
             failures.append({"check": "left_identity", "basis": c.base.key_name(key)})
-    bound = c.structural_bound(e, e)
-    if bound is not None:
-        for n in range(1, bound + 1):
-            if not c.nprod(e, e, n).is_zero():
-                failures.append({"check": "self_product", "order": n})
+    for n in c.nprod_all(e, e):
+        if n:
+            failures.append({"check": "self_product", "order": n})
     return {"ok": not failures, "degree": degree, "failures": failures}
 
 

@@ -8,11 +8,22 @@ from math import comb
 
 from confalg.algebra import Derivation, Element, MatrixPolyAlgebra, OreElement
 from confalg.conformal import CElement
-from confalg.constructions import SpanReducer
 from confalg.linalg import Echelon, solve_right
 from confalg.oracle import OracleError
-from confalg.rings import Poly, falling
+from confalg.rings import Poly, RatFunc, falling
 from confalg.structure import StructureError
+
+
+class RatFuncReducer(Echelon):
+    """Rank over the fraction field Q(D) of conformal elements by
+    elimination in RatFunc entries, sparse rows keyed by base basis keys:
+    the closure's reducer as first written."""
+
+    __slots__ = ()
+
+    def add(self, elem):
+        """Insert an element; True when it raised the rank."""
+        return super().add({k: RatFunc(p) for k, p in elem.items.items()})
 
 
 def enumerate_towers(c, gens, length):
@@ -399,7 +410,7 @@ def naive_unital_split(c, e, degree):
         for n in range(1, bound + 1):
             if not c.nprod(e, e, n).is_zero():
                 certified = False
-    image = SpanReducer()
+    image = RatFuncReducer()
     for key in keys:
         image.add(c.nprod(e, c.tilde(c.base.basis_element(key)), 0))
     return {
@@ -413,8 +424,9 @@ def naive_unital_split(c, e, degree):
 
 def naive_generate_closure(c, gens, rounds):
     """(spanning, ranks, frontier sizes, stabilized) of generate_closure,
-    with every candidate reduced, repeats included."""
-    reducer = SpanReducer()
+    with every candidate reduced, repeats included, and the products made
+    one order at a time up to the structural bound."""
+    reducer = RatFuncReducer()
     spanning = []
     frontier = []
     for g in gens:
@@ -428,11 +440,12 @@ def naive_generate_closure(c, gens, rounds):
         new = []
         for u in frontier:
             for g in gens:
-                prods = c.nprod_all(u, g)
-                for n in sorted(prods):
-                    if reducer.add(prods[n]):
-                        spanning.append(prods[n])
-                        new.append(prods[n])
+                bound = c.structural_bound(u, g)
+                for n in range(0 if bound is None else bound + 1):
+                    v = c.nprod(u, g, n)
+                    if not v.is_zero() and reducer.add(v):
+                        spanning.append(v)
+                        new.append(v)
         frontier = new
         ranks.append(reducer.rank)
         sizes.append(len(new))

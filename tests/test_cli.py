@@ -89,6 +89,9 @@ CLOSED_FORM_REPORTS = [
     ("gk_cend1_rmax12", ["gk", "cend1.json", "--rmax", "12"]),
     ("gk_cur_matrix2_rmax12", ["gk", "cur_matrix2.json", "--rmax", "12"]),
     ("gk_dif_matrix2_ad_e12_rmax12", ["gk", "dif_matrix2_ad_e12.json", "--rmax", "12"]),
+    # a closure whose rows have positive D-degree, so its rank is read at
+    # several points D = alpha
+    ("gk_cend2_ddeg1_rmax3", ["gk", "cend2_ddeg1.json", "--rmax", "3"]),
     (
         "dual_identity_dif_matrix2_ad_e12_ePrime_companion",
         ["dual-identity", "dif_matrix2_ad_e12.json", "ePrime", "companion"],

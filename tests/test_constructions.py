@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confalg.algebra import AlgebraError, Derivation, MatrixAlgebra, MatrixPolyAlgebra
-from confalg.conformal import locality_degree
+from confalg.conformal import CElement, locality_degree
 from confalg.constructions import (
     SpanReducer,
     generate_closure,
@@ -10,8 +11,8 @@ from confalg.constructions import (
     make_differential,
     product_table,
 )
-from confalg.rings import RatFunc
-from reference_oracles import enumerate_towers
+from confalg.rings import Poly
+from reference_oracles import RatFuncReducer, enumerate_towers
 
 
 def test_current_products_concentrate_at_order_zero():
@@ -93,13 +94,61 @@ def test_product_table_lists_nonzero_orders_only():
 def test_span_reducer_rank_over_the_fraction_field():
     c = make_current(MatrixAlgebra(2))
     e12 = c.tilde(c.base.parse_element({"e12": "1"}))
+    e21 = c.tilde(c.base.parse_element({"e21": "1"}))
     red = SpanReducer()
     assert red.add(e12)
     # D-multiples are dependent over Q(D)
     assert not red.add(e12.dapply())
-    multiple = e12.dapply().add(e12)
-    assert not red.reduce({k: RatFunc(p) for k, p in multiple.items.items()})
+    assert not red.add(e12.dapply(3).scale(-2))
     assert red.rank == 1
+    # (D + 1) e12 is in the span too
+    assert not red.add(e12.dapply().add(e12))
+    assert red.rank == 1
+    assert red.add(e12.dapply().add(e21))
+    assert not red.add(e12.add(e21.dapply(2)).dapply())
+    assert red.rank == 2
+
+
+def test_span_reducer_reads_past_a_rank_deficient_point():
+    c = make_current(MatrixAlgebra(2))
+    e12 = c.tilde(c.base.parse_element({"e12": "1"}))
+    e21 = c.tilde(c.base.parse_element({"e21": "1"}))
+    # S = {D e12} vanishes at D = 0, where e12 does not, yet e12 is in its
+    # span over Q(D): the test must read the point D = 1
+    red = SpanReducer()
+    assert red.add(e12.dapply())
+    assert not red.add(e12)
+    assert not red.add(e12.dapply().add(e12))
+    assert red.rank == 1
+    # two rows that are dependent at D = 0 and D = 1 but not over Q(D)
+    red = SpanReducer()
+    assert red.add(e12.dapply(2).add(e21))
+    assert red.add(e12.dapply().add(e21))
+    assert red.rank == 2
+    assert not red.add(e21)
+
+
+# D-polynomials of degree <= 2: small coefficients, and products of
+# (D - k) with roots at the first evaluation points
+SMALL_POLYS = st.one_of(
+    st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(Poly),
+    st.sampled_from([(0, 1), (-1, 1), (0, -1, 1), (2, -3, 1), (-2, 1), (1, 1)]).map(Poly),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_span_reducer_agrees_with_elimination_over_rational_functions(data):
+    c = make_current(MatrixAlgebra(2))
+    all_keys = c.base.basis_upto(0)
+    keys = data.draw(st.lists(st.sampled_from(all_keys), min_size=1, max_size=4, unique=True))
+    elems = data.draw(
+        st.lists(st.dictionaries(st.sampled_from(keys), SMALL_POLYS, max_size=3), max_size=7)
+    )
+    elems = [CElement(c, items) for items in elems]
+    red, ref = SpanReducer(), RatFuncReducer()
+    assert [red.add(e) for e in elems] == [ref.add(e) for e in elems]
+    assert red.rank == ref.rank
 
 
 def test_closure_of_the_full_matrix_current_is_flat():

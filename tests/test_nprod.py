@@ -1,6 +1,7 @@
 """ConformalAlgebra.nprod against the term-by-term closed form, on every
 order up to three past the structural bound, on cold and warm basis tables;
-the pair table fills only the orders the products reach."""
+the pair table fills only the orders the products reach. nprod_all against
+the per-order products it gathers in one pass."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -61,13 +62,16 @@ def rebase(x, c):
     return CElement(c, x.items)
 
 
+def filled_entries(c):
+    """(symbol pair, order) of every computed basis product in the pair
+    table."""
+    return {(pair, m) for pair, row in c._pairs.items() for m, e in enumerate(row) if e is not None}
+
+
 def top_filled_order(c):
     """Highest order at which any pair row holds a computed basis product,
     or -1 when none does."""
-    return max(
-        (m for row in c._pairs.values() for m, e in enumerate(row) if e is not None),
-        default=-1,
-    )
+    return max((m for _, m in filled_entries(c)), default=-1)
 
 
 @settings(max_examples=120, deadline=None)
@@ -97,3 +101,35 @@ def test_nprod_matches_the_term_by_term_product(name, data):
     assert got == [e.to_map() for e in expected]
     if bound is not None:
         assert all(e.is_zero() for e in expected[bound + 1 :])
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(FACTORIES)), data=st.data())
+def test_nprod_all_is_the_nonzero_per_order_map(name, data):
+    c = FACTORIES[name]()
+    degree = KEY_DEGREE.get(name, 2)
+    a, b = draw_celement(data, c, degree), draw_celement(data, c, degree)
+    got = c.nprod_all(a, b)
+    filled = filled_entries(c)
+    # the same pair one order at a time, up to three past the structural
+    # bound, on a fresh table
+    per = FACTORIES[name]()
+    pa, pb = rebase(a, per), rebase(b, per)
+    bound = per.structural_bound(pa, pb)
+    orders = {n: per.nprod(pa, pb, n) for n in range((-1 if bound is None else bound) + 4)}
+    expected = {n: v for n, v in orders.items() if not v.is_zero()}
+    assert got == expected
+    assert filled <= filled_entries(per)
+    # the kernel on an order window of its own
+    lo = data.draw(st.integers(0, len(orders) - 1))
+    hi = data.draw(st.integers(lo, len(orders) - 1))
+    window = {n: per._element(acc) for n, acc in per._products(pa, pb, lo, hi).items()}
+    assert {n: v for n, v in window.items() if v.items} == {
+        n: v for n, v in expected.items() if lo <= n <= hi
+    }
+    ref = FACTORIES[name]()
+    ra, rb = rebase(a, ref), rebase(b, ref)
+    naive = {n: naive_nprod(ref, ra, rb, n) for n in orders}
+    assert {n: v.to_map() for n, v in got.items()} == {
+        n: v.to_map() for n, v in naive.items() if not v.is_zero()
+    }
