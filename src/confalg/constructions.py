@@ -134,10 +134,9 @@ def first_sight(seen, elem):
 class ClosureProfile:
     """Spanning elements and the per-round rank trace of a closure run."""
 
-    def __init__(self, spanning, ranks, frontier_sizes, stabilized):
+    def __init__(self, spanning, ranks, stabilized):
         self.spanning = spanning
         self.ranks = ranks
-        self.frontier_sizes = frontier_sizes
         self.stabilized = stabilized
 
 
@@ -162,7 +161,6 @@ def generate_closure(c, gens, rounds=4):
             spanning.append(g)
             frontier.append(g)
     ranks = [reducer.rank]
-    sizes = [len(frontier)]
     stabilized = None
     for r in range(2, rounds + 1):
         new = []
@@ -176,10 +174,9 @@ def generate_closure(c, gens, rounds=4):
                         new.append(v)
         frontier = new
         ranks.append(reducer.rank)
-        sizes.append(len(new))
         if not new and stabilized is None:
             stabilized = r
-    return ClosureProfile(spanning, ranks, sizes, stabilized)
+    return ClosureProfile(spanning, ranks, stabilized)
 
 
 __all__ = [

@@ -13,9 +13,9 @@ a difference table per basis symbol, from which every order reads its terms.
 import random
 from math import comb, perm
 
-from .algebra import AlgebraError, Element, OreElement
+from .algebra import AlgebraError, Element, OreElement, normal_map
 from .conformal import sample_celement
-from .rings import falling, frac
+from .rings import falling
 
 
 class OracleError(AlgebraError):
@@ -37,7 +37,7 @@ class Distribution:
         self.der = der
         self.lo = lo
         self.hi = hi
-        self.terms = {t: c if type(c) is int else frac(c) for t, c in terms.items() if c}
+        self.terms = normal_map(terms)
 
     def _flat(self, n):
         """f(n) as a flat map (power, key) -> nonzero coefficient."""

@@ -325,8 +325,8 @@ def ideal_lift(c, gens, degree=4, within=None):
                 for b2, low2 in lows:
                     if low2 <= room2:
                         keep(left.mul(b2))
-    span = _echelon_elements(base, candidates)
-    ech = Echelon(u.items for u in span)
+    ech = Echelon(u.items for u in candidates)
+    span = [Element(base, row) for _, row in ech.basis()]
 
     def member(v):
         return not ech.reduce(v.items)

@@ -423,9 +423,9 @@ def naive_unital_split(c, e, degree):
 
 
 def naive_generate_closure(c, gens, rounds):
-    """(spanning, ranks, frontier sizes, stabilized) of generate_closure,
-    with every candidate reduced, repeats included, and the products made
-    one order at a time up to the structural bound."""
+    """(spanning, ranks, stabilized) of generate_closure, with every
+    candidate reduced, repeats included, and the products made one order at
+    a time up to the structural bound."""
     reducer = RatFuncReducer()
     spanning = []
     frontier = []
@@ -434,7 +434,6 @@ def naive_generate_closure(c, gens, rounds):
             spanning.append(g)
             frontier.append(g)
     ranks = [reducer.rank]
-    sizes = [len(frontier)]
     stabilized = None
     for r in range(2, rounds + 1):
         new = []
@@ -448,10 +447,9 @@ def naive_generate_closure(c, gens, rounds):
                         new.append(v)
         frontier = new
         ranks.append(reducer.rank)
-        sizes.append(len(new))
         if not new and stabilized is None:
             stabilized = r
-    return spanning, ranks, sizes, stabilized
+    return spanning, ranks, stabilized
 
 
 def ore_product(sign):

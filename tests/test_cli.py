@@ -1,21 +1,15 @@
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-import confalg
 import confalg.cli
 import confalg.structure
 from confalg.algebra import MAX_UNTWIST_KEYS
 from confalg.cli import main
 
-SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
-
-
-def spec(name):
-    return os.path.join(SPEC_DIR, name)
+import recorded_reports
+from recorded_reports import spec
 
 
 def run(capsys, *argv):
@@ -67,80 +61,16 @@ def test_text_mode_renders_lines_not_json(capsys):
         json.loads(out)
 
 
-# closed-form reports recorded under data/, as (file stem, argv)
-CLOSED_FORM_REPORTS = [
-    ("table_cend1", ["table", "cend1.json"]),
-    ("table_cur_matrix2", ["table", "cur_matrix2.json"]),
-    ("table_dif_matrix2_ad_e12", ["table", "dif_matrix2_ad_e12.json"]),
-    ("product_cend1_L1_1_L1", ["product", "cend1.json", "L1", "1", "L1"]),
-    ("locality_cend1_L1_L1", ["locality", "cend1.json", "L1", "L1"]),
-    ("untwist_dif_matrix2_ad_e12", ["untwist", "dif_matrix2_ad_e12.json"]),
-    ("is_current_noncur_a_degree4", ["is-current", "noncur.json", "a", "--degree", "4"]),
-    (
-        "ideal_check_ideal_triangular_J_degree0",
-        ["ideal-check", "ideal_triangular.json", "J", "--degree", "0"],
-    ),
-    (
-        "ideal_check_ideal_triangular_J_degree3",
-        ["ideal-check", "ideal_triangular.json", "J", "--degree", "3"],
-    ),
-    ("unital_split_cend1_one_degree4", ["unital-split", "cend1.json", "one", "--degree", "4"]),
-    ("unital_split_cend1_one_degree9", ["unital-split", "cend1.json", "one", "--degree", "9"]),
-    ("gk_cend1_rmax12", ["gk", "cend1.json", "--rmax", "12"]),
-    ("gk_cur_matrix2_rmax12", ["gk", "cur_matrix2.json", "--rmax", "12"]),
-    ("gk_dif_matrix2_ad_e12_rmax12", ["gk", "dif_matrix2_ad_e12.json", "--rmax", "12"]),
-    # a closure whose rows have positive D-degree, so its rank is read at
-    # several points D = alpha
-    ("gk_cend2_ddeg1_rmax3", ["gk", "cend2_ddeg1.json", "--rmax", "3"]),
-    (
-        "dual_identity_dif_matrix2_ad_e12_ePrime_companion",
-        ["dual-identity", "dif_matrix2_ad_e12.json", "ePrime", "companion"],
-    ),
-    ("kernel_decompose_cend1_x2", ["kernel-decompose", "cend1.json", "x^2"]),
-    # a graded carrier, where ideal_lift skips products past the window
-    (
-        "ideal_check_ideal_triangular_x_J_degree1",
-        ["ideal-check", "ideal_triangular_x.json", "J", "--degree", "1"],
-    ),
-    (
-        "ideal_check_ideal_triangular_x_J_degree3",
-        ["ideal-check", "ideal_triangular_x.json", "J", "--degree", "3"],
-    ),
-    # the scalar and poly kinds, which load as the 1x1 matrix and matrix_poly
-    ("table_poly_ddx", ["table", "poly_ddx.json"]),
-    ("check_axioms_poly_ddx_samples50", ["check-axioms", "poly_ddx.json", "--samples", "50"]),
-    ("oracle_check_poly_ddx_samples10", ["oracle-check", "poly_ddx.json", "--samples", "10"]),
-    ("gk_poly_ddx_rmax6", ["gk", "poly_ddx.json", "--rmax", "6"]),
-    ("kernel_decompose_poly_ddx_x3", ["kernel-decompose", "poly_ddx.json", "x^3"]),
-    ("table_sum_matrix2_scalar_ad", ["table", "sum_matrix2_scalar_ad.json"]),
-    (
-        "check_axioms_sum_matrix2_scalar_ad_samples50",
-        ["check-axioms", "sum_matrix2_scalar_ad.json", "--samples", "50"],
-    ),
-    (
-        "oracle_check_sum_matrix2_scalar_ad_samples10",
-        ["oracle-check", "sum_matrix2_scalar_ad.json", "--samples", "10"],
-    ),
-    ("gk_sum_matrix2_scalar_ad_rmax6", ["gk", "sum_matrix2_scalar_ad.json", "--rmax", "6"]),
-    (
-        "untwist_sum_matrix2_scalar_ad_degree0",
-        ["untwist", "sum_matrix2_scalar_ad.json", "--degree", "0"],
-    ),
-    (
-        "unital_split_sum_matrix2_scalar_ad_one_degree0",
-        ["unital-split", "sum_matrix2_scalar_ad.json", "one", "--degree", "0"],
-    ),
-]
+@pytest.mark.parametrize("stem", recorded_reports.REPORTS)
+def test_recorded_reports_match_in_process(capsys, stem):
+    argv = recorded_reports.command(recorded_reports.REPORTS[stem])
+    for suffix, extra in recorded_reports.FORMS:
+        assert run(capsys, *argv, *extra) == (0, recorded_reports.recorded(stem + suffix), "")
 
 
-@pytest.mark.parametrize("stem, argv", CLOSED_FORM_REPORTS)
-def test_closed_form_reports_match_the_recorded_ones(capsys, stem, argv):
-    command, name, *rest = argv
-    for suffix, extra in ((".json", []), (".txt", ["--text"])):
-        path = os.path.join(os.path.dirname(__file__), "data", stem + suffix)
-        with open(path, encoding="utf-8", newline="") as fh:
-            recorded = fh.read()
-        assert run(capsys, command, spec(name), *rest, *extra) == (0, recorded, "")
+def test_the_runner_renders_every_recorded_file_and_no_other():
+    names = [name for name, _, _ in recorded_reports.files()]
+    assert sorted(names) == sorted(os.listdir(recorded_reports.DATA))
 
 
 def test_ideal_check_lifts_the_ideal_once(capsys, monkeypatch):
@@ -450,11 +380,4 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys):
     capsys.readouterr()
     code, out, _ = run(capsys, "product", cend1, "L1", "1", "L1")
     assert code == 0
-    src = os.path.dirname(os.path.dirname(os.path.abspath(confalg.__file__)))
-    fresh = subprocess.run(
-        [sys.executable, "-m", "confalg.cli", "product", cend1, "L1", "1", "L1"],
-        capture_output=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        check=True,
-    )
-    assert fresh.stdout.decode("utf-8") == out
+    assert recorded_reports.fresh(["product", cend1, "L1", "1", "L1"]) == (0, out, "")

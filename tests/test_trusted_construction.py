@@ -36,8 +36,7 @@ from reference_oracles import (
     checked_constructors,
     table_ddx_plus_ad_e12,
 )
-from test_cli import CLOSED_FORM_REPORTS, spec
-import violation_reports
+import recorded_reports
 
 HERE = os.path.dirname(__file__)
 
@@ -302,29 +301,20 @@ def test_the_first_cycle_of_each_workload_is_the_same_through_the_checked_constr
     assert got == want
 
 
-GOLDEN = list(CLOSED_FORM_REPORTS) + [
-    ("oracle_check_%s_seed%d" % (name, seed), ["oracle-check", name + ".json", "--seed", str(seed)])
-    for name in ("cend1", "cur_matrix2", "dif_matrix2_ad_e12")
-    for seed in (0, 7)
-]
-
-
-@pytest.mark.parametrize("stem, argv", GOLDEN)
-def test_the_recorded_reports_are_the_same_through_the_checked_constructors(capsys, stem, argv):
-    command, name, *rest = argv
+@pytest.mark.parametrize("stem", recorded_reports.REPORTS)
+def test_the_recorded_reports_are_the_same_through_the_checked_constructors(capsys, stem):
+    argv = recorded_reports.command(recorded_reports.REPORTS[stem])
     with checked_constructors():
-        for suffix, extra in ((".json", []), (".txt", ["--text"])):
-            with open(os.path.join(HERE, "data", stem + suffix), encoding="utf-8", newline="") as fh:
-                recorded = fh.read()
-            code = main([command, spec(name), *rest, *extra])
+        for suffix, extra in recorded_reports.FORMS:
+            code = main(argv + extra)
             out, err = capsys.readouterr()
-            assert (code, out, err) == (0, recorded, "")
+            assert (code, out, err) == (0, recorded_reports.recorded(stem + suffix), "")
 
 
-@pytest.mark.parametrize("check", sorted(violation_reports.CHECKS))
+@pytest.mark.parametrize("check", sorted(recorded_reports.CHECKS))
 def test_violation_reports_match_the_recorded_ones(check):
-    recorded = violation_reports.recorded(check)
-    assert violation_reports.render(check) == recorded
+    recorded = recorded_reports.recorded(check + ".json")
+    assert recorded_reports.violations(check) == recorded
     with checked_constructors():
-        assert violation_reports.render(check) == recorded
+        assert recorded_reports.violations(check) == recorded
     assert any(r["violation"] for r in json.loads(recorded).values())
