@@ -744,22 +744,27 @@ class OreElement:
                 out[p - k] = v if coef == 1 else v.scale(coef)
         return out
 
-    def monomial_product(self, k1, p, k2):
-        """(b_k1 t^p) b_k2 as a list of (power, key, coefficient), built from
-        commute_t and mul_keys and memoised in the derivation's ore_table
-        under (k1, p, k2). A right factor t^q only shifts every power by q."""
+    @classmethod
+    def monomial_product(cls, base, der, k1, p, k2):
+        """(b_k1 t^p) b_k2 in B[t, t^-1; der] as a list of (power, key,
+        coefficient), built from commute_t and mul_keys and memoised in
+        der.ore_table under (k1, p, k2). A right factor t^q only shifts
+        every power by q. Called on the class, so that a caller holding
+        no Ore element reads the same table and the same commutation rule."""
         key = (k1, p, k2)
-        got = self.der.ore_table.get(key)
+        got = der.ore_table.get(key)
         if got is None:
-            mul_keys = self.base.mul_keys
+            mul_keys = base.mul_keys
+            # commute_t reads only the derivation, so an empty element will do
+            expansion = cls._trusted(base, der, {}).commute_t(p, base.basis_element(k2))
             got = []
-            for pw, coef in self.commute_t(p, self.base.basis_element(k2)).items():
+            for pw, coef in expansion.items():
                 acc = {}
                 for kk, cc in coef.items.items():
                     for k, c in mul_keys(k1, kk).items():
                         acc[k] = acc.get(k, 0) + cc * c
                 got.extend((pw, k, c) for k, c in acc.items() if c)
-            self.der.ore_table[key] = got
+            der.ore_table[key] = got
         return got
 
     def mul(self, other):
@@ -775,7 +780,7 @@ class OreElement:
                     for k2, c2 in b.items.items():
                         terms = table.get((k1, p, k2))
                         if terms is None:
-                            terms = self.monomial_product(k1, p, k2)
+                            terms = self.monomial_product(self.base, self.der, k1, p, k2)
                         c12 = c1 * c2
                         for pw, k, c in terms:
                             slot = out.setdefault(pw + q, {})

@@ -6,8 +6,9 @@ for all n by its coefficients on the family basis ff(n,s) b t^(n+d). The
 order-m product of two such families is computed by a residue-style sum in
 the ring itself, never through the closed-form n-product, so agreement of
 the two routes is evidence for both. The sum is an m-th forward difference
-in the left index: each ring product f(i) b_k is taken once and folded into
-a difference table per basis symbol, from which every order reads its terms.
+in the left index: each ring product f(i) b_k is read once, term by term,
+from the Ore monomial table of the derivation, and folded into a difference
+table per basis symbol, from which every order reads its terms.
 """
 
 import random
@@ -102,8 +103,9 @@ def dist_nprod(f, g, m, cache=None):
     (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j), for every n at once;
     needs f on [0, m] and is read on the window [g.lo, g.hi - m].
 
-    Each left value f(i) goes into rows R(i, k) = f(i) b_k, one Ore product
-    per basis symbol: as x (b t^q) = (x b) t^q, a term c ff(n+j,s) b_k t^(n+j+d)
+    Each left value f(i) goes into rows R(i, k) = f(i) b_k, one per basis
+    symbol, read from the Ore monomial table: (b_key t^p) b_k for every term
+    of f(i). As x (b t^q) = (x b) t^q, a term c ff(n+j,s) b_k t^(n+j+d)
     of g(n+j) adds c ff(n+j,s) R(i, k) t^(n+j+d), and Vandermonde,
     ff(n+j,s) = sum_r C(s,r) ff(j,u) ff(n,r) with u = s - r, puts it on the
     family basis. With R^(i, k) the row R(i, k) with every power lowered by i,
@@ -111,9 +113,10 @@ def dist_nprod(f, g, m, cache=None):
     difference in i: the part on ff(n,r) is
     c C(s,r) (-1)^u ff(m,u) (Delta^(m-u) R^(., k))(0) t^(n+m+d).
     The leading differences (Delta^q R^(., k))(0), q <= m, come from a table
-    per symbol k, extended one row at a time; its leading and last diagonals
-    and the left values are kept in cache, which calls with the same f may
-    share across orders, in any order."""
+    per symbol k, extended one row at a time and read once per symbol of g;
+    its leading and last diagonals and the flat left values are kept in
+    cache, which calls with the same f may share across orders, in any
+    order."""
     if m < 0:
         raise OracleError("product order must be >= 0")
     if f.lo > 0 or f.hi < m:
@@ -124,9 +127,12 @@ def dist_nprod(f, g, m, cache=None):
         cache = {}
     lefts = cache.setdefault("lefts", {})
     tables = cache.setdefault("tables", {})
+    leads = {}
     acc = {}
     for (d, k, s), c in g.terms.items():
-        lead = _leading_differences(f, k, m, lefts, tables)
+        lead = leads.get(k)
+        if lead is None:
+            lead = leads[k] = _leading_differences(f, k, m, lefts, tables)
         # ff(m, u) vanishes for u > m
         for r in range(max(0, s - m), s + 1):
             u = s - r
@@ -142,21 +148,29 @@ def dist_nprod(f, g, m, cache=None):
 def _leading_differences(f, k, m, lefts, tables):
     """[(Delta^q R^(., k))(0) for q <= m or more], each a list of (power, key,
     coefficient), where R^(i, k) is f(i) b_k with every power lowered by i.
-    tables[k] holds these and the last diagonal [(Delta^q R^)(i - q)], i the
-    last row; row i + 1 then costs i + 1 subtractions of maps. Every level is
-    kept, zero or not: a left factor may vanish on its first indices only."""
+    A row is read from the flat left value, lefts[i] = f._flat(i), and the
+    derivation's Ore monomial table: an entry c at (p, key) adds c x at
+    (pw - i, kk) for each (pw, kk, x) of (b_key t^p) b_k, a miss filled by
+    OreElement.monomial_product. tables[k] holds the leading differences
+    and the last diagonal [(Delta^q R^)(i - q)], i the last row; row i + 1
+    then costs i + 1 subtractions of maps. Every level is kept, zero or
+    not: a left factor may vanish on its first indices only."""
     lead, last = tables.setdefault(k, ([], []))
     base, der = f.base, f.der
+    ore = der.ore_table
     for i in range(len(lead), m + 1):
         left = lefts.get(i)
         if left is None:
-            left = lefts[i] = f.value(i)
+            left = lefts[i] = f._flat(i)
         diff = {}
-        if not left.is_zero():
-            prod = left.mul(OreElement(base, der, {0: base.basis_element(k)}))
-            for p, el in prod.items.items():
-                for kk, x in el.items.items():
-                    diff[(p - i, kk)] = x
+        for (p, key), c in left.items():
+            terms = ore.get((key, p, k))
+            if terms is None:
+                terms = OreElement.monomial_product(base, der, key, p, k)
+            for pw, kk, x in terms:
+                slot = (pw - i, kk)
+                diff[slot] = diff.get(slot, 0) + c * x
+        diff = {slot: x for slot, x in diff.items() if x}
         for q in range(i):
             prev, last[q] = last[q], diff
             diff = dict(diff)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confalg import oracle as oracle_module
 from confalg.algebra import AlgebraError, Derivation, MatrixAlgebra, MatrixPolyAlgebra, OreElement
 from confalg.conformal import CElement, ConformalAlgebra, sample_celement
 from confalg.constructions import make_cend, make_current, make_differential
@@ -303,7 +304,7 @@ def test_oracle_route_shares_no_code_with_the_closed_form(monkeypatch):
         c = STRUCTURES[name]()
         rng = random.Random(5)
         samples.append((sample_celement(c, rng, 3, 2), sample_celement(c, rng, 3, 2)))
-    for attr in ("nprod", "basis_nprod", "_delta_pow"):
+    for attr in ("nprod", "nprod_all", "_products", "basis_nprod", "_delta_pow"):
         monkeypatch.setattr(ConformalAlgebra, attr, refuse)
     for a, b in samples:
         f, g = to_distribution(a, -4, 4), to_distribution(b, -4, 4)
@@ -338,6 +339,78 @@ def test_oracle_catches_a_corrupted_structure_table():
     report = oracle_check(bad, samples=50, seed=0, window=6, degree=3)
     assert not report["ok"]
     assert report["violation"]["order"] == 1
+
+
+def test_oracle_catches_a_corrupted_ore_commutation(monkeypatch):
+    honest = OreElement.commute_t
+
+    def flipped(self, p, b):
+        out = honest(self, p, b)
+        if p - 1 in out:
+            out[p - 1] = out[p - 1].neg()
+        return out
+
+    monkeypatch.setattr(OreElement, "commute_t", flipped)
+    # a fresh structure: its Ore monomial table is empty, so every row is
+    # filled through the corrupted rule
+    c = make_cend(1)
+    assert not c.der.ore_table
+    report = oracle_check(c, samples=50, seed=0, window=6, degree=3)
+    assert not report["ok"]
+    assert report["violation"]["order"] == 1
+
+
+def test_dist_nprod_work_counts(monkeypatch):
+    c = make_cend(1)
+    keys = c.base.basis_upto(4)
+    rng = random.Random(7)
+
+    def element():
+        return CElement(
+            c,
+            {
+                k: Poly([Fraction(rng.randint(-3, 3)) for _ in range(3)])
+                for k in rng.sample(keys, 3)
+            },
+        )
+
+    f = to_distribution(element(), 0, 6)
+    g = to_distribution(element(), -6, 6)
+    evaluated, filled = [], []
+    flat, fill = Distribution._flat, OreElement.monomial_product.__func__
+
+    def counted_flat(self, n):
+        if self is f:
+            evaluated.append(n)
+        return flat(self, n)
+
+    def counted_fill(cls, base, der, k1, p, k2):
+        if (k1, p, k2) not in der.ore_table:
+            filled.append((k1, p, k2))
+        return fill(cls, base, der, k1, p, k2)
+
+    fetched = []
+    lead = oracle_module._leading_differences
+
+    def counted_lead(dist, k, m, lefts, tables):
+        fetched.append((m, k))
+        return lead(dist, k, m, lefts, tables)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row went through OreElement.mul")
+
+    monkeypatch.setattr(Distribution, "_flat", counted_flat)
+    monkeypatch.setattr(OreElement, "monomial_product", classmethod(counted_fill))
+    monkeypatch.setattr(oracle_module, "_leading_differences", counted_lead)
+    monkeypatch.setattr(OreElement, "mul", refuse)
+    cache = {}
+    for m in range(7):
+        dist_nprod(f, g, m, cache)
+    symbols = {k for _, k, _ in g.terms}
+    assert len(g.terms) > len(symbols)
+    assert sorted(fetched) == sorted((m, k) for m in range(7) for k in symbols)
+    assert sorted(evaluated) == list(range(7))
+    assert filled and len(filled) == len(set(filled))
 
 
 def test_ore_associativity_check_passes_on_the_honest_ring():
