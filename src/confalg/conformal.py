@@ -118,13 +118,14 @@ class ConformalAlgebra:
             raise ConformalError("arguments of a different conformal algebra")
         return self._element(self._products(a, b, n, n)[n])
 
-    def nprod_all(self, a, b):
-        """All nonzero orders of a (n) b, as a dict order -> element, from
-        one pass over the basis products."""
+    def nprod_all(self, a, b, top=None):
+        """All nonzero orders of a (n) b up to top (every order when top is
+        None), as a dict order -> element, from one pass over the basis
+        products. An order left out is zero."""
         if a.conf != self or b.conf != self:
             raise ConformalError("arguments of a different conformal algebra")
         out = {}
-        for n, acc in sorted(self._products(a, b, 0, None).items()):
+        for n, acc in sorted(self._products(a, b, 0, top).items()):
             v = self._element(acc)
             if v.items:
                 out[n] = v
@@ -366,9 +367,11 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
 
     product may override the n-product under test; the default is the
     algebra's own. Returns a report dict; ok is False with a witness when a
-    violation is found. A check of no samples is refused, not reported ok."""
-    if samples < 1:
-        raise ConformalError("samples must be >= 1, got %d" % samples)
+    violation is found. A check of no samples, or of samples that are all
+    zero (degree or pdeg below 0), is refused, not reported ok."""
+    for name, value, least in (("samples", samples, 1), ("degree", degree, 0), ("pdeg", pdeg, 0)):
+        if value < least:
+            raise ConformalError("%s must be >= %d, got %d" % (name, least, value))
     if product is None:
         product = c.nprod
     rng = random.Random(seed)

@@ -8,7 +8,9 @@ the ring itself, never through the closed-form n-product, so agreement of
 the two routes is evidence for both. The sum is an m-th forward difference
 in the left index: each ring product f(i) b_k is read once, term by term,
 from the Ore monomial table of the derivation, and folded into a difference
-table per basis symbol, from which every order reads its terms.
+table per basis symbol, kept as coefficient lists over the slots
+(power, key) its rows reach, from which every order reads its terms. The
+check reads every order of the closed form it compares from one pass.
 """
 
 import random
@@ -151,51 +153,64 @@ def _leading_differences(f, k, m, lefts, tables):
     A row is read from the flat left value, lefts[i] = f._flat(i), and the
     derivation's Ore monomial table: an entry c at (p, key) adds c x at
     (pw - i, kk) for each (pw, kk, x) of (b_key t^p) b_k, a miss filled by
-    OreElement.monomial_product. tables[k] holds the leading differences
-    and the last diagonal [(Delta^q R^)(i - q)], i the last row; row i + 1
-    then costs i + 1 subtractions of maps. Every level is kept, zero or
-    not: a left factor may vanish on its first indices only."""
-    lead, last = tables.setdefault(k, ([], []))
+    OreElement.monomial_product. tables[k] is (index, lead, last): index
+    maps each slot (power, key) the rows have reached to its position, in
+    the order they reached it, so a row or difference is a coefficient list
+    over the index, zero-padded when a later row brings a new slot. lead
+    holds the leading differences, zeros dropped, and last the last
+    diagonal [(Delta^q R^)(i - q)], i the last row; row i + 1 then costs
+    i + 1 list subtractions. Every level is kept, zero or not: a left
+    factor may vanish on its first indices only."""
+    index, lead, last = tables.setdefault(k, ({}, [], []))
     base, der = f.base, f.der
     ore = der.ore_table
     for i in range(len(lead), m + 1):
         left = lefts.get(i)
         if left is None:
             left = lefts[i] = f._flat(i)
-        diff = {}
+        diff = [0] * len(index)
         for (p, key), c in left.items():
             terms = ore.get((key, p, k))
             if terms is None:
                 terms = OreElement.monomial_product(base, der, key, p, k)
             for pw, kk, x in terms:
                 slot = (pw - i, kk)
-                diff[slot] = diff.get(slot, 0) + c * x
-        diff = {slot: x for slot, x in diff.items() if x}
+                at = index.get(slot)
+                if at is None:
+                    at = index[slot] = len(diff)
+                    diff.append(0)
+                diff[at] += c * x
+        width = len(diff)
         for q in range(i):
             prev, last[q] = last[q], diff
-            diff = dict(diff)
-            for slot, x in prev.items():
-                v = diff.get(slot, 0) - x
-                if v:
-                    diff[slot] = v
-                else:
-                    del diff[slot]
+            if len(prev) < width:
+                prev += [0] * (width - len(prev))
+            diff = [x - y for x, y in zip(diff, prev)]
         last.append(diff)
-        lead.append([(p, kk, x) for (p, kk), x in diff.items()])
+        lead.append([(p, kk, x) for (p, kk), x in zip(index, diff) if x])
     return lead
 
 
 def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
     """Randomized two-route agreement check: for sampled pairs and every
-    order up to one past the structural bound, the distribution of the
-    closed-form product must match the ring-side residue product as a
+    order m up to top = min(structural bound + 1, window), the distribution
+    of the closed-form product must match the ring-side residue product as a
     family of n, which lhs.first_difference(rhs) decides by comparing the
-    two coefficient maps. A violation's index is the first n of the window
-    [-window, window - m] where the values differ or, when the maps differ
-    but every value on the window agrees, the first such n past the window.
-    A check of no samples is refused, not reported ok."""
-    if samples < 1:
-        raise OracleError("samples must be >= 1, got %d" % samples)
+    two coefficient maps. Each sample reads every closed-form order from one
+    nprod_all pass over [0, top], and every residue order from one cache. A
+    violation's index is the first n of the window [-window, window - m]
+    where the values differ or, when the maps differ but every value on the
+    window agrees, the first such n past the window. A check of no samples,
+    of samples that are all zero (degree or pdeg below 0) or on no window
+    is refused, not reported ok."""
+    for name, value, least in (
+        ("samples", samples, 1),
+        ("window", window, 0),
+        ("degree", degree, 0),
+        ("pdeg", pdeg, 0),
+    ):
+        if value < least:
+            raise OracleError("%s must be >= %d, got %d" % (name, least, value))
     rng = random.Random(seed)
     report = {
         "ok": True,
@@ -214,9 +229,11 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
         # the residue sum reads the left factor only on [0, top]
         f = to_distribution(a, 0, top)
         g = to_distribution(b, -window, window)
+        closed = c.nprod_all(a, b, top)
+        zero = c.zero()
         cache = {}
         for m in range(top + 1):
-            lhs = to_distribution(c.nprod(a, b, m), g.lo, g.hi - m)
+            lhs = to_distribution(closed.get(m, zero), g.lo, g.hi - m)
             rhs = dist_nprod(f, g, m, cache)
             n = lhs.first_difference(rhs)
             report["orders_checked"] += 1

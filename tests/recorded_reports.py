@@ -126,18 +126,25 @@ def recorded(name):
 
 @contextmanager
 def order_doubled(order):
-    """Inside the block, every algebra's closed form doubles its given order."""
-    honest = ConformalAlgebra.nprod
+    """Inside the block, every algebra's closed form doubles its given order,
+    one order at a time (nprod) and over a range of orders (nprod_all)."""
+    honest, honest_all = ConformalAlgebra.nprod, ConformalAlgebra.nprod_all
 
     def doubled(self, a, b, n):
         v = honest(self, a, b, n)
         return v.scale(2) if n == order else v
 
-    ConformalAlgebra.nprod = doubled
+    def doubled_all(self, a, b, top=None):
+        out = honest_all(self, a, b, top)
+        if order in out:
+            out[order] = out[order].scale(2)
+        return out
+
+    ConformalAlgebra.nprod, ConformalAlgebra.nprod_all = doubled, doubled_all
     try:
         yield
     finally:
-        ConformalAlgebra.nprod = honest
+        ConformalAlgebra.nprod, ConformalAlgebra.nprod_all = honest, honest_all
 
 
 def flip1(c, seed):

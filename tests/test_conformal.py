@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from confalg import conformal as conformal_module
 from confalg.algebra import Derivation, MatrixAlgebra, MatrixPolyAlgebra
 from confalg.conformal import (
     CElement,
@@ -180,6 +181,19 @@ def test_check_axioms_refuses_an_empty_sample(samples):
 
     with pytest.raises(ConformalError, match="samples"):
         check_axioms(make_cend(1), samples=samples, product=product)
+
+
+@pytest.mark.parametrize("arg", ["degree", "pdeg"])
+def test_check_axioms_refuses_samples_that_are_all_zero(monkeypatch, arg):
+    """Below 0, degree or pdeg makes every sampled element zero, so both
+    rules would hold on nothing: refused before any sample is drawn."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sample may be drawn")
+
+    monkeypatch.setattr(conformal_module, "sample_celement", refuse)
+    with pytest.raises(ConformalError, match="%s must be >= 0, got -1" % arg):
+        check_axioms(make_cend(1), samples=3, **{arg: -1})
 
 
 @pytest.mark.parametrize("make", STRUCTURES)

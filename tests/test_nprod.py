@@ -127,6 +127,8 @@ def test_nprod_all_is_the_nonzero_per_order_map(name, data):
     assert {n: v for n, v in window.items() if v.items} == {
         n: v for n, v in expected.items() if lo <= n <= hi
     }
+    # and up to a highest order
+    assert c.nprod_all(a, b, hi) == {n: v for n, v in expected.items() if n <= hi}
     ref = FACTORIES[name]()
     ra, rb = rebase(a, ref), rebase(b, ref)
     naive = {n: naive_nprod(ref, ra, rb, n) for n in orders}

@@ -283,8 +283,61 @@ def test_dist_nprod_on_a_deep_difference_table():
         assert agrees(dist_nprod(f, g, m, cache), expected)
     # every level of each symbol's table, down to the eighth, is nonzero
     assert cache["tables"] and all(
-        len(lead) == 9 and all(lead) for lead, _ in cache["tables"].values()
+        len(lead) == 9 and all(lead) for _, lead, _ in cache["tables"].values()
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(STRUCTURES)), data=st.data())
+def test_dist_nprod_through_one_cache_matches_the_reference(name, data):
+    """Families with int and Fraction coefficients, mixed in one family;
+    terms of s up to 4 vanish on the first indices, so their slots enter a
+    difference table at a later row. The orders are asked for in shuffled
+    order through one shared cache, each compared with the reference sum."""
+    c = STRUCTURES[name]()
+    keys = c.base.basis_upto(2)
+
+    def terms():
+        out = {}
+        for _ in range(data.draw(st.integers(1, 5))):
+            t = (
+                data.draw(st.integers(-3, 3)),
+                data.draw(st.sampled_from(keys)),
+                data.draw(st.integers(0, 4)),
+            )
+            x = data.draw(st.integers(-6, 6).filter(bool))
+            if data.draw(st.booleans()):
+                x = Fraction(x, data.draw(st.sampled_from([2, 3])))
+            out[t] = x
+        return out
+
+    top = data.draw(st.integers(0, 6))
+    f = Distribution(c.base, c.der, 0, top, terms())
+    glo = data.draw(st.integers(-4, 1))
+    g = Distribution(c.base, c.der, glo, glo + top + data.draw(st.integers(0, 3)), terms())
+    cache = {}
+    for m in data.draw(st.permutations(range(top + 1))):
+        assert agrees(dist_nprod(f, g, m, cache), naive_dist_nprod(f, g, m))
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_a_slot_that_first_appears_at_a_later_row(name):
+    """f(i) = u t^i + (1/2) i (i - 1) u t^(i-2), u the sum of the basis
+    symbols of degree <= 1: rows 0 and 1 hold slots at power 0 only, and
+    row 2 brings slots at power -2 and below, so the earlier differences
+    are zero-padded to them."""
+    c = STRUCTURES[name]()
+    keys = c.base.basis_upto(1)
+    terms = {(0, k, 0): 1 for k in keys}
+    terms.update({(-2, k, 2): Fraction(1, 2) for k in keys})
+    f = Distribution(c.base, c.der, 0, 5, terms)
+    g = to_distribution(sample_celement(c, random.Random(3), 2, 2), -3, 9)
+    cache = {}
+    for m in [5, 0, 3, 1, 4, 2]:
+        assert agrees(dist_nprod(f, g, m, cache), naive_dist_nprod(f, g, m))
+    for index, lead, _ in cache["tables"].values():
+        first = {(p, kk) for p, kk, _ in lead[0]}
+        assert first and any(slot not in first for slot in index)
 
 
 def test_dist_nprod_refuses_distributions_over_different_rings():
@@ -324,6 +377,40 @@ def test_oracle_agreement_on_the_stock_structures():
         report = oracle_check(c, samples=15, seed=3, window=6, degree=3)
         assert report["ok"], report["violation"]
         assert report["orders_checked"] > 0
+
+
+@pytest.mark.parametrize("window", [1, 8])
+def test_oracle_check_reads_the_closed_form_once_per_sample(monkeypatch, window):
+    """Every order a sample checks comes from one nprod_all pass over
+    [0, top], top = min(structural bound + 1, window): nprod is never
+    called, and the pass makes no order above top."""
+    honest_all, honest_products = ConformalAlgebra.nprod_all, ConformalAlgebra._products
+    passes, made = [], []
+
+    def counted_all(self, a, b, top=None):
+        passes.append(top)
+        return honest_all(self, a, b, top)
+
+    def counted_products(self, a, b, lo, hi):
+        accs = honest_products(self, a, b, lo, hi)
+        made.append((lo, hi, sorted(accs)))
+        return accs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle_check called nprod")
+
+    monkeypatch.setattr(ConformalAlgebra, "nprod", refuse)
+    monkeypatch.setattr(ConformalAlgebra, "nprod_all", counted_all)
+    monkeypatch.setattr(ConformalAlgebra, "_products", counted_products)
+    checked = 0
+    for name in sorted(STRUCTURES):
+        report = oracle_check(STRUCTURES[name](), samples=6, seed=2, window=window, degree=3)
+        assert report["ok"], report["violation"]
+        checked += report["orders_checked"]
+    assert len(passes) == len(made) == 6 * len(STRUCTURES)
+    assert checked == sum(top + 1 for top in passes)
+    assert [hi for _, hi, _ in made] == passes and max(passes) == window
+    assert all(lo == 0 and all(n <= hi for n in orders) for lo, hi, orders in made)
 
 
 def test_oracle_catches_a_corrupted_structure_table():
@@ -456,3 +543,16 @@ def test_oracle_checks_refuse_an_empty_sample(samples):
         oracle_check(c, samples=samples)
     with pytest.raises(OracleError, match="samples"):
         coeff_assoc_check(c.base, c.der, samples=samples, mul=mul)
+
+
+@pytest.mark.parametrize("arg", ["window", "degree", "pdeg"])
+def test_oracle_check_refuses_an_argument_below_zero(monkeypatch, arg):
+    """Below 0, degree or pdeg makes every sampled element zero and window
+    leaves no index to read: refused before any sample is drawn."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sample may be drawn")
+
+    monkeypatch.setattr(oracle_module, "sample_celement", refuse)
+    with pytest.raises(OracleError, match="%s must be >= 0, got -1" % arg):
+        oracle_check(make_cend(1), samples=3, **{arg: -1})

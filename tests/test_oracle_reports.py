@@ -50,13 +50,19 @@ def test_a_mismatch_that_vanishes_on_the_window_is_reported(capsys, monkeypatch,
     """A D-multiple added at order 0 has the distribution -n b t^(n-1) + ...,
     zero at n = 0, so the window 0 cannot see it: the maps differ, and the
     violation's index is the first n past the window where the values do."""
-    honest = ConformalAlgebra.nprod
+    honest, honest_all = ConformalAlgebra.nprod, ConformalAlgebra.nprod_all
 
     def shifted(self, a, b, n):
         v = honest(self, a, b, n)
         return v.add(b.dapply()) if n == 0 else v
 
+    def shifted_all(self, a, b, top=None):
+        out = honest_all(self, a, b, top)
+        out[0] = out.get(0, self.zero()).add(b.dapply())
+        return out
+
     monkeypatch.setattr(ConformalAlgebra, "nprod", shifted)
+    monkeypatch.setattr(ConformalAlgebra, "nprod_all", shifted_all)
     code, out = run(capsys, ["oracle-check", spec(name + ".json"), "--window", "0", "--samples", "5"])
     report = json.loads(out)
     assert (code, report["ok"], report["orders_checked"]) == (1, False, 1)
