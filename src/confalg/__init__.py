@@ -20,7 +20,6 @@ from .conformal import (
     ConformalAlgebra,
     ConformalError,
     check_axioms,
-    coeff_matrix,
     locality_degree,
     sample_celement,
 )

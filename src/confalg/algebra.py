@@ -382,10 +382,13 @@ class Subalgebra:
         """Products of spanning elements must stay in the declared-degree span."""
         if self.unital and not self.member(self.parent.one(), self.degree):
             raise AlgebraError("subalgebra marked unital but 1 is not in the span")
-        for u in self.spanning:
-            for w in self.spanning:
-                if u.degree() + w.degree() > self.degree:
-                    continue
+        # spanning is sorted by degree, so each u's partners within the
+        # window are a prefix of it
+        degrees = [v.degree() for v in self.spanning]
+        for u, du in zip(self.spanning, degrees):
+            for w, dw in zip(self.spanning, degrees):
+                if du + dw > self.degree:
+                    break
                 p = u.mul(w)
                 if not self.member(p, self.degree):
                     raise AlgebraError(

@@ -415,18 +415,6 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
     return report
 
 
-def coeff_matrix(elems):
-    """Common-support coefficient matrix of conformal elements; rows are
-    D-polynomial vectors, one per element."""
-    keys = sorted(set().union(*[set(e.items) for e in elems])) if elems else []
-    rows = []
-    for e in elems:
-        # a zero of its own per absent cell, built only there
-        items = e.items
-        rows.append([items[k] if k in items else Poly.zero() for k in keys])
-    return keys, rows
-
-
 __all__ = [
     "ConformalError",
     "ConformalAlgebra",
@@ -434,5 +422,4 @@ __all__ = [
     "locality_degree",
     "sample_celement",
     "check_axioms",
-    "coeff_matrix",
 ]

@@ -7,30 +7,43 @@ rings.div. The library feeds it rationals only, stored as int or Fraction
 (ranks over Q(D) are taken by evaluation, constructions.SpanReducer); the
 tests' reference reducer over Q(D) feeds it RatFunc entries. Vectors are
 sparse {key: entry} maps over orderable keys; every elimination in the
-package goes through Echelon.
+package goes through Echelon, which keeps its rows by pivot and reduces a
+vector by the rows at the pivots it holds, never walking the others.
 """
 
-from bisect import insort
-from operator import itemgetter
+from heapq import heapify, heappop, heappush
 
 from .rings import Poly, div
 
 
 def _eliminate(vec, rows):
-    """Subtract from vec, in place, the multiple of each (pivot, row) that
-    clears vec at the pivot. Each row is 1 at its pivot and 0 at the pivots
-    of the rows before it, so one pass leaves vec 0 at every pivot."""
-    for pivot, row in rows:
+    """Subtract from vec, in place, the multiple of each row (rows maps
+    pivot -> row) that clears vec at the pivot. Each row is 1 at its pivot
+    and its other keys lie past it, so clearing the pivots vec holds in
+    increasing order leaves vec 0 at every pivot. Only those pivots are
+    visited: a heap holds the pivot keys of vec, and a key a subtraction
+    brings in joins it when it is a pivot. The subtractions, and their
+    order, are those of one increasing pass over every row."""
+    heap = [k for k in vec if k in rows]
+    heapify(heap)
+    while heap:
+        pivot = heappop(heap)
         c = vec.get(pivot)
         if not c:
             continue
-        for k, v in row.items():
+        for k, v in rows[pivot].items():
             cur = vec.get(k)
-            cur = -c * v if cur is None else cur - c * v
-            if cur:
-                vec[k] = cur
+            if cur is None:
+                # c and v are nonzero, and a field has no zero divisors
+                vec[k] = -c * v
+                if k in rows:
+                    heappush(heap, k)
             else:
-                vec.pop(k, None)
+                cur = cur - c * v
+                if cur:
+                    vec[k] = cur
+                else:
+                    del vec[k]
     return vec
 
 
@@ -38,13 +51,14 @@ class Echelon:
     """Incremental row echelon form over a field.
 
     Rows are sparse maps normalized to 1 at their minimal key, their pivot,
-    and kept sorted by pivot. A row's entries all sit at keys >= its pivot,
-    so one increasing pass over the rows reduces any vector."""
+    and kept in a map pivot -> row. A row's entries all sit at keys >= its
+    pivot, so a vector is reduced by the rows at the pivots it holds, taken
+    in increasing order."""
 
     __slots__ = ("rows",)
 
     def __init__(self, vectors=()):
-        self.rows = []
+        self.rows = {}
         for vec in vectors:
             self.add(vec)
 
@@ -53,9 +67,9 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec):
-        """Residual of vec modulo the rows, as a new map; empty exactly when
-        vec lies in their span."""
-        return _eliminate(dict(vec), self.rows)
+        """Residual of vec modulo the rows, as a new map without zero
+        entries; empty exactly when vec lies in their span."""
+        return _eliminate({k: v for k, v in vec.items() if v}, self.rows)
 
     def add(self, vec):
         """Insert a vector; True when it raised the rank."""
@@ -64,17 +78,16 @@ class Echelon:
             return False
         pivot = min(vec)
         inv = vec[pivot]
-        insort(self.rows, (pivot, {k: div(v, inv) for k, v in vec.items()}), key=itemgetter(0))
+        self.rows[pivot] = {k: div(v, inv) for k, v in vec.items()}
         return True
 
     def basis(self):
         """The reduced basis sorted by pivot: every pivot entry is 1 and is
         the only nonzero entry of its key across the basis."""
-        done = []
-        for pivot, row in reversed(self.rows):
-            done.append((pivot, _eliminate(dict(row), done)))
-        done.reverse()
-        return done
+        done = {}
+        for pivot in sorted(self.rows, reverse=True):
+            done[pivot] = _eliminate(dict(self.rows[pivot]), done)
+        return sorted(done.items())
 
 
 def rref(rows):
@@ -143,38 +156,34 @@ def bareiss_rank(rows):
 
 def pol_constant_intersection(rows):
     """Reduced basis, over Q, of the constant vectors inside the
-    Q[D]-module spanned by the rows.
+    Q[D]-module spanned by the rows. Rows are sparse maps key -> Poly with
+    no zero cell, as CElement.items are; the basis comes as sparse maps
+    key -> rational, sorted by pivot.
 
     Combination coefficients of polynomial degree at most
     nrows * maxdeg + 1 suffice: back substitution in echelon form raises the
     degree by at most maxdeg per step. Each unknown coefficient (row i,
     power t) contributes one vector: its share of every positive-degree
-    coefficient, keyed (0, column, degree), then its share of the constant
-    term, keyed (1, column). Echelon rows with a pivot in the second block
+    coefficient, keyed (0, key, degree), then its share of the constant
+    term, keyed (1, key). Echelon rows with a pivot in the second block
     vanish on the first, and they span exactly the constant vectors."""
-    rows = [list(r) for r in rows if any(r)]
+    rows = [[(k, p.coeffs) for k, p in r.items()] for r in rows if r]
     if not rows:
         return []
-    nc = len(rows[0])
-    maxdeg = max(p.degree() for row in rows for p in row)
+    maxdeg = max(len(cs) for row in rows for _, cs in row) - 1
     bound = len(rows) * maxdeg + 1
     ech = Echelon()
     for row in rows:
         for t in range(bound + 1):
             vec = {}
-            for c, p in enumerate(row):
-                for d in range(max(1, t), t + p.degree() + 1):
-                    coef = p.coeff(d - t)
-                    if coef:
-                        vec[(0, c, d)] = coef
-                if t == 0 and p.coeff(0):
-                    vec[(1, c)] = p.coeff(0)
+            for k, cs in row:
+                for i in range(0 if t else 1, len(cs)):
+                    if cs[i]:
+                        vec[(0, k, i + t)] = cs[i]
+                if t == 0 and cs[0]:
+                    vec[(1, k)] = cs[0]
             ech.add(vec)
-    return [
-        [row.get((1, c), 0) for c in range(nc)]
-        for pivot, row in ech.basis()
-        if pivot[0] == 1
-    ]
+    return [{k: v for (_, k), v in row.items()} for pivot, row in ech.basis() if pivot[0] == 1]
 
 
 __all__ = [

@@ -7,7 +7,7 @@ component slices, ideal transfer in both directions, and nilpotency indices.
 import itertools
 
 from .algebra import MAX_UNTWIST_KEYS, AlgebraError, Element, element_nilpotency_index, rank_0
-from .conformal import CElement, coeff_matrix
+from .conformal import CElement
 from .constructions import SpanReducer, first_sight, make_current, product_table
 from .linalg import Echelon, pol_constant_intersection, solve_right
 from .rings import inv_factorial
@@ -352,8 +352,7 @@ def ideal_lift(c, gens, degree=4, within=None):
 def ideal_restrict(c, celems):
     """Constant part of the module span: all base elements b with b~ in the
     Q[D]-span of the given conformal elements, as a reduced echelon basis."""
-    keys, rows = coeff_matrix(list(celems))
-    return [Element(c.base, dict(zip(keys, vec))) for vec in pol_constant_intersection(rows)]
+    return [Element(c.base, vec) for vec in pol_constant_intersection([e.items for e in celems])]
 
 
 def nilpotency_check(c, gens, degree=4, within=None):

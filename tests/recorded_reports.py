@@ -85,6 +85,10 @@ REPORTS = {
     "unital_split_sum_matrix2_scalar_ad_one_degree0": [
         "unital-split", "sum_matrix2_scalar_ad.json", "one", "--degree", "0"
     ],
+    # dense evaluation rows through larger echelons than rmax 3 reaches
+    "gk_cend2_ddeg1_rmax5": ["gk", "cend2_ddeg1.json", "--rmax", "5"],
+    # the largest solve_right over the full slice
+    "is_current_noncur_a_degree6": ["is-current", "noncur.json", "a", "--degree", "6"],
 }
 # oracle-check at the default window and at the small windows 1 and 2, where
 # a check on the window and one for every n could part

@@ -396,6 +396,39 @@ def naive_ideal_lift(c, gens, degree, within=None):
     return span, delta_stable, two_sided
 
 
+def naive_ideal_restrict(c, celems):
+    """ideal_restrict on a dense matrix: every conformal element a row of
+    D-polynomials over the common support, an absent cell a zero
+    polynomial. The combination coefficients run up to degree
+    nrows * maxdeg + 1; each (row, power t) gives one vector, its share of
+    the positive-degree coefficients keyed (0, column, degree) and of the
+    constant term keyed (1, column). Echelon rows pivoting in the second
+    block span the constant vectors."""
+    keys = sorted(set().union(*[set(e.items) for e in celems])) if celems else []
+    rows = [[e.items.get(k, Poly.zero()) for k in keys] for e in celems]
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return []
+    maxdeg = max(p.degree() for row in rows for p in row)
+    bound = len(rows) * maxdeg + 1
+    ech = Echelon()
+    for row in rows:
+        for t in range(bound + 1):
+            vec = {}
+            for col, p in enumerate(row):
+                for d in range(max(1, t), t + p.degree() + 1):
+                    if p.coeff(d - t):
+                        vec[(0, col, d)] = p.coeff(d - t)
+                if t == 0 and p.coeff(0):
+                    vec[(1, col)] = p.coeff(0)
+            ech.add(vec)
+    return [
+        Element(c.base, {keys[col]: row.get((1, col), 0) for col in range(len(keys))})
+        for pivot, row in ech.basis()
+        if pivot[0] == 1
+    ]
+
+
 def naive_unital_split(c, e, degree):
     """unital_split's report, with every order-0 image made twice: once for
     the identity certificate and once for the span."""

@@ -139,6 +139,38 @@ def test_subalgebra_closure_failure_has_a_witness():
         bad.check_closure()
 
 
+def test_check_closure_multiplies_exactly_the_pairs_inside_the_window(monkeypatch):
+    m = MatrixPolyAlgebra(2)
+    # given out of degree order, and mixed in degree: e12 + x^2 e12 has degree 2
+    spanning = [m.basis_element(k) for k in reversed(m.basis_upto(3))]
+    spanning.append(m.parse_element({"e12": "1", "x^2*e12": "1"}))
+    sub = Subalgebra(m, spanning, degree=3)
+    calls = []
+    honest = Element.mul
+
+    def counted(u, w):
+        calls.append((u.degree(), w.degree()))
+        return honest(u, w)
+
+    monkeypatch.setattr(Element, "mul", counted)
+    sub.check_closure()
+    degrees = [v.degree() for v in sub.spanning]
+    want = [(du, dw) for du in degrees for dw in degrees if du + dw <= 3]
+    assert sorted(calls) == sorted(want)
+    assert 0 < len(calls) < len(degrees) ** 2
+
+
+def test_check_closure_refuses_a_product_at_the_window_edge():
+    m = MatrixPolyAlgebra(2)
+    x_e12, x_e21, x2_e22 = (m.parse_element({n: "1"}) for n in ("x*e12", "x*e21", "x^2*e22"))
+    # (x e21)(x e12) = x^2 e22 is kept; (x e12)(x e21) = x^2 e11, of degree
+    # exactly the window, is the only product that leaves the span
+    sub = Subalgebra(m, [x2_e22, x_e21, x_e12], degree=2)
+    with pytest.raises(AlgebraError, match="not closed"):
+        sub.check_closure()
+    Subalgebra(m, [x2_e22, x_e21, x_e12, m.parse_element({"x^2*e11": "1"})], degree=2).check_closure()
+
+
 def test_subalgebra_unital_flag_is_checked():
     m = MatrixAlgebra(2)
     s = Subalgebra(m, [m.basis_element((1, 2))], unital=True, degree=0)

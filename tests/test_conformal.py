@@ -9,7 +9,6 @@ from confalg.conformal import (
     CElement,
     ConformalError,
     check_axioms,
-    coeff_matrix,
     locality_degree,
     sample_celement,
 )
@@ -157,14 +156,6 @@ def test_nprod_all_collects_exactly_the_nonzero_orders():
     got = c.nprod_all(l1, l1)
     assert sorted(got) == [0, 1]
     assert got[1] == c.named_element("L1").neg()
-
-
-def test_coeff_matrix_shape():
-    c = cur_m2()
-    e12 = c.tilde(c.base.parse_element({"e12": "1"}))
-    keys, rows = coeff_matrix([e12, e12.dapply()])
-    assert keys == [(1, 2)]
-    assert len(rows) == 2 and len(rows[0]) == 1
 
 
 def test_sample_celement_deterministic():

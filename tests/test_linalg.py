@@ -148,8 +148,71 @@ def test_pol_constant_intersection():
     one = Poly.one()
     # module generated by (x, 1) and (x^2, x): x*(x,1) - (x^2,x) = 0, so
     # constants come only from the first row scaled, none exist
-    vecs = pol_constant_intersection([[x, one], [x * x, x]])
+    vecs = pol_constant_intersection([{0: x, 1: one}, {0: x * x, 1: x}])
     assert vecs == []
     # (1+x, x) and (x, x): difference is (1, 0)
-    vecs = pol_constant_intersection([[one + x, x], [x, x]])
-    assert vecs == [[I, Z]]
+    vecs = pol_constant_intersection([{0: one + x, 1: x}, {0: x, 1: x}])
+    assert vecs == [{0: I}]
+    assert pol_constant_intersection([]) == pol_constant_intersection([{}]) == []
+
+
+def test_echelon_takes_no_pivot_at_a_stored_zero():
+    ech = Echelon()
+    assert ech.add({1: 1})
+    assert ech.add({0: 0, 2: 3})
+    assert sorted(ech.rows.items()) == [(1, {1: 1}), (2, {2: 1})]
+    assert not ech.add({0: 0})
+
+
+def test_echelon_reduces_a_zero_vector_to_nothing():
+    ech = Echelon([{0: 1}])
+    assert ech.reduce({1: 0}) == {}
+    assert ech.reduce({0: 2, 1: 0}) == {}
+    assert ech.reduce({0: 0, 1: 5}) == {1: 5}
+
+
+# keys (a, b) with a < 6 and b < 5: thirty tuple keys
+tuple_key = st.tuples(st.integers(0, 5), st.integers(0, 4))
+nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+sparse_vector = st.dictionaries(tuple_key, nonzero, min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(sparse_vector, min_size=1, max_size=40),
+    st.lists(sparse_vector, min_size=1, max_size=4),
+    st.lists(st.integers(-2, 2), min_size=40, max_size=40),
+)
+def test_pivot_lookup_agrees_with_sympy(vectors, probes, weights):
+    # sparse rows inserted in random order, so that a subtraction often
+    # brings in a key that is a later pivot
+    sympy = pytest.importorskip("sympy")
+    keys = sorted(set().union(*vectors, *probes))
+    col = {k: j for j, k in enumerate(keys)}
+
+    def dense(vec):
+        row = [sympy.Integer(0)] * len(keys)
+        for k, v in vec.items():
+            row[col[k]] = sympy.Rational(v.numerator, v.denominator)
+        return row
+
+    m = sympy.Matrix([dense(v) for v in vectors])
+    reduced, pivots = m.rref()
+    ech = Echelon(vectors)
+    assert ech.rank == len(pivots) == m.rank()
+    want = []
+    for i, p in enumerate(pivots):
+        row = {keys[j]: to_fraction(e) for j, e in enumerate(reduced.row(i)) if e}
+        want.append((keys[p], row))
+    assert ech.basis() == want
+
+    combination = {}
+    for w, v in zip(weights, vectors):
+        for k, e in v.items():
+            combination[k] = combination.get(k, 0) + w * e
+    for vec in probes + [combination]:
+        residual = ech.reduce(vec)
+        assert all(residual.values()) and not set(residual) & set(ech.rows)
+        member = m.col_join(sympy.Matrix([dense(vec)])).rank() == len(pivots)
+        assert (not residual) == member
+    assert not ech.reduce(combination)

@@ -15,7 +15,7 @@ from confalg.algebra import (
     element_nilpotency_index,
     rank_0,
 )
-from confalg.conformal import ConformalAlgebra, sample_celement
+from confalg.conformal import CElement, ConformalAlgebra, sample_celement
 from confalg.constructions import (
     SpanReducer,
     generate_closure,
@@ -23,6 +23,7 @@ from confalg.constructions import (
     make_current,
     make_differential,
 )
+from confalg.rings import Poly
 from confalg.structure import (
     StructureError,
     component_slices,
@@ -42,6 +43,7 @@ from reference_oracles import (
     module_index_by_iteration,
     naive_generate_closure,
     naive_ideal_lift,
+    naive_ideal_restrict,
     naive_is_current,
     naive_unital_split,
     slices_rebuild,
@@ -257,6 +259,42 @@ def test_ideal_restrict_keeps_only_constant_directions():
     # D e11~ spans no constants over Q[D], so only e12 survives
     got = ideal_restrict(c, [e12, e11_shifted])
     assert got == [m2.parse_element({"e12": "1"})]
+
+
+CURRENT_M2 = make_current(MatrixAlgebra(2))
+d_poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any).map(Poly)
+
+
+@st.composite
+def module_rows(draw):
+    """Conformal elements over the 2x2 matrices: D-polynomial cells of
+    degree at most 2 on some of the four keys (the others are zero cells of
+    the dense matrix), rows that are sums of D-multiples of earlier rows,
+    and pairs whose difference is a constant; drawn in a random order, the
+    first few dropped."""
+    keys = CURRENT_M2.base.basis_upto(0)
+    cell_maps = st.dictionaries(st.sampled_from(keys), d_poly, min_size=1, max_size=4)
+    rows = [CElement(CURRENT_M2, m) for m in draw(st.lists(cell_maps, min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        other = rows[j].dapply(draw(st.integers(0, 2))).scale(draw(st.integers(-2, 2)))
+        if draw(st.booleans()):
+            rows.append(rows[i].dapply(draw(st.integers(0, 1))).add(other))
+        else:
+            # a constant that only the difference of two rows shows
+            hidden = CElement(CURRENT_M2, draw(st.dictionaries(st.sampled_from(keys), st.integers(-2, 2))))
+            rows += [hidden.add(other.dapply()), other.dapply()]
+    rows = draw(st.permutations(rows))
+    return rows[draw(st.integers(0, len(rows) // 2)) :]
+
+
+@settings(max_examples=50, deadline=None)
+@given(module_rows())
+def test_ideal_restrict_agrees_with_the_dense_intersection(rows):
+    # rows of positive D-degree, whose combination bound exceeds 1; the
+    # workloads feed ideal_restrict constant tildes only, where it is 1
+    assert ideal_restrict(CURRENT_M2, rows) == naive_ideal_restrict(CURRENT_M2, rows)
 
 
 def test_nilpotency_indices_agree_across_the_transfer():
