@@ -112,6 +112,28 @@ class BaseAlgebra:
     def mul_keys(self, k1, k2):
         raise NotImplementedError
 
+    def mul_items(self, left, right):
+        """The product of two key -> coefficient maps in normal form: no
+        zero value, integral values as ints, keys in the order their first
+        term is built (left's keys outer, right's inner). Every carrier
+        product goes through it; a caller that reads a product only as a
+        map calls it on Element.items and builds no Element."""
+        mul_keys = self.mul_keys
+        out = {}
+        for k1, c1 in left.items():
+            for k2, c2 in right.items():
+                for k, c in mul_keys(k1, k2).items():
+                    out[k] = out.get(k, 0) + c1 * c2 * c
+        return normal_map(out) if out else out
+
+    def commutator_items(self, left, right):
+        """[left, right] = left right - right left on item maps, in normal
+        form, keys in the order Element.sub gives."""
+        out = self.mul_items(left, right)
+        for k, c in self.mul_items(right, left).items():
+            out[k] = out.get(k, 0) - c
+        return normal_map(out)
+
     def key_name(self, key):
         raise NotImplementedError
 
@@ -345,10 +367,10 @@ class Subalgebra:
             # entries reach each row with j ascending: row j gets i < j
             # from the earlier passes and j' > j from its own
             rows = [{} for _ in vs]
+            commutator = self.parent.commutator_items
             for i, u in enumerate(vs):
                 for j in range(i + 1, len(vs)):
-                    v = vs[j]
-                    for key, c in v.mul(u).sub(u.mul(v)).items.items():
+                    for key, c in commutator(vs[j].items, u.items).items():
                         rows[i].setdefault(key, []).append((j, c))
                         rows[j].setdefault(key, []).append((i, -c))
             # equal keys and equal pair tuples recur across the rows (all
@@ -385,12 +407,13 @@ class Subalgebra:
         # spanning is sorted by degree, so each u's partners within the
         # window are a prefix of it
         degrees = [v.degree() for v in self.spanning]
+        mul = self.parent.mul_items
+        ech = self._echelon(self.degree)
         for u, du in zip(self.spanning, degrees):
             for w, dw in zip(self.spanning, degrees):
                 if du + dw > self.degree:
                     break
-                p = u.mul(w)
-                if not self.member(p, self.degree):
+                if ech.reduce(mul(u.items, w.items)):
                     raise AlgebraError(
                         "subalgebra not closed: (%s)*(%s) leaves the span"
                         % (u, w)
@@ -466,13 +489,9 @@ class Element:
         return Element(self.alg, {k: v * c for k, v in self.items.items()})
 
     def mul(self, other):
+        """The carrier product, read from BaseAlgebra.mul_items."""
         self._compat(other)
-        out = {}
-        for k1, c1 in self.items.items():
-            for k2, c2 in other.items.items():
-                for k, c in self.alg.mul_keys(k1, k2).items():
-                    out[k] = out.get(k, 0) + c1 * c2 * c
-        return Element._trusted(self.alg, normal_map(out))
+        return Element._trusted(self.alg, self.alg.mul_items(self.items, other.items))
 
     def degree(self):
         if not self.items:
@@ -585,7 +604,7 @@ class Derivation:
                     out[kk] = out.get(kk, 0) + c * cc
             return Element(x.alg, out)
         if self.kind == "ad":
-            return self.r.mul(x).sub(x.mul(self.r))
+            return Element._trusted(x.alg, x.alg.commutator_items(self.r.items, x.items))
         if self.kind == "table":
             out = x.alg.zero()
             for k, c in x.items.items():

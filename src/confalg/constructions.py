@@ -121,10 +121,11 @@ class SpanReducer:
         return False
 
 
-def first_sight(seen, elem):
-    """True the first time an element with these items is met, which it
-    records in the set seen; False for an element equal to one met before."""
-    key = frozenset(elem.items.items())
+def first_sight(seen, items):
+    """True the first time an item map (an element's items) with these
+    entries is met, which it records in the set seen; False for one equal
+    to a map met before."""
+    key = frozenset(items.items())
     if key in seen:
         return False
     seen.add(key)
@@ -157,7 +158,7 @@ def generate_closure(c, gens, rounds=4):
     spanning = []
     frontier = []
     for g in gens:
-        if first_sight(seen, g) and reducer.add(g):
+        if first_sight(seen, g.items) and reducer.add(g):
             spanning.append(g)
             frontier.append(g)
     ranks = [reducer.rank]
@@ -169,7 +170,7 @@ def generate_closure(c, gens, rounds=4):
                 prods = c.nprod_all(u, g)
                 for n in sorted(prods):
                     v = prods[n]
-                    if first_sight(seen, v) and reducer.add(v):
+                    if first_sight(seen, v.items) and reducer.add(v):
                         spanning.append(v)
                         new.append(v)
         frontier = new

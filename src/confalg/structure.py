@@ -17,6 +17,13 @@ class StructureError(AlgebraError):
     pass
 
 
+def _check_degree(degree):
+    """Refuse a degree window below 0: it holds no basis symbol, so a
+    report on it would certify nothing."""
+    if degree < 0:
+        raise StructureError("degree must be >= 0, got %d" % degree)
+
+
 def component_slices(a):
     """D-power slices of a conformal element, as base elements: the map
     k -> a_k with a = sum_k D^k (a_k)~."""
@@ -57,7 +64,8 @@ def is_conformal_identity(c, e, degree=4):
     degree window, and all self-products of order >= 1 vanish. The order-0
     rule extends over D-multiples exactly, so basis symbols suffice; each
     symbol's order-0 image is made once. Returns a report; ok is True
-    exactly when e is certified."""
+    exactly when e is certified. A degree below 0 is refused."""
+    _check_degree(degree)
     return _identity_report(c, e, degree, _order0_images(c, e, degree))
 
 
@@ -93,7 +101,9 @@ def untwist(c, degree=2):
     the image of the base product, higher orders zero). The double action of
     e' on r~ reproduces r~ exactly when r^2 = 0; for higher nilpotency the
     defect is reported, not raised. A window of more than MAX_UNTWIST_KEYS
-    basis symbols is refused before any product is taken."""
+    basis symbols, or a degree below 0, is refused before any product is
+    taken."""
+    _check_degree(degree)
     if c.der.kind != "ad":
         raise StructureError("untwist needs an inner derivation")
     keys = c.base.basis_upto(degree)
@@ -213,7 +223,7 @@ def is_current(sub, a, degree):
     """Decide whether a acts on the degree slice of the subalgebra like one
     of its own elements: solve sum_s c_s [v_s, u] = [a, u] over all spanning
     u. The witness is the canonical particular solution (free unknowns
-    zero), so reruns are reproducible.
+    zero), so reruns are reproducible. A degree below 0 is refused.
 
     The commutators of the spanning elements depend only on the view and
     the degree, so they are read from the view's cached table
@@ -221,7 +231,9 @@ def is_current(sub, a, degree):
     a degree makes s(s-1) products for the table, and every call makes 2s
     for the targets [a, u]. Each distinct equation is passed to the solver
     once: the reduced echelon form, and so the witness, depends only on the
-    row space."""
+    row space. The targets are read as item maps
+    (BaseAlgebra.commutator_items); no Element is built for them."""
+    _check_degree(degree)
     if a.alg != sub.parent:
         raise StructureError("element must live in the parent algebra")
     vs, table = sub.commutators(degree)
@@ -230,8 +242,9 @@ def is_current(sub, a, degree):
     # one equation per basis key of [v, u] or [a, u], as its nonzero
     # (unknown, coefficient) pairs and its right-hand side
     equations = {}
+    commutator = sub.parent.commutator_items
     for u, row in zip(vs, table):
-        target = a.mul(u).sub(u.mul(a)).items
+        target = commutator(a.items, u.items)
         for key, b in target.items():
             equations[row.get(key, ()), b] = None
         for key, coeffs in row.items():
@@ -252,12 +265,6 @@ def is_current(sub, a, degree):
     return CurrentnessVerdict(degree, True, witness)
 
 
-def _echelon_elements(alg, elems):
-    """Canonical Q-spanning list for a set of base elements: the reduced
-    echelon basis, sorted by pivot key."""
-    return [Element(alg, row) for _, row in Echelon(e.items for e in elems).basis()]
-
-
 class IdealPair:
     """A base-ideal degree slice together with its conformal counterpart."""
 
@@ -276,18 +283,25 @@ def ideal_lift(c, gens, degree=4, within=None):
     view of it), lifted to the module: span of b1 g b2 up to the degree
     window, its symbols as conformal spanning set. Also reports whether the
     slice is stable under delta; only a stable slice generates a conformal
-    ideal.
+    ideal. A degree below 0 is refused.
 
     A left factor b1 g may leave the window while b1 g b2 comes back into
     it, so every nonzero left factor is multiplied by the basis, each
     distinct one once; a zero one is not. Only distinct nonzero candidates
     inside the window enter the echelon, and the two-sided check reduces
-    each distinct product once.
+    each distinct product once, skipping those the echelon was built from.
+
+    Products are taken on item maps (BaseAlgebra.mul_items); an Element is
+    built only for a span row. Each product of a factor (g or a left
+    factor) with a basis element, on either side, is made once per call:
+    for a span element equal to such a factor, the two-sided check skips
+    the products the lift has made and kept.
 
     The carrier is graded (BaseAlgebra.key_degree), so a product whose
     factors' low degrees sum past the window has no term inside it; such a
     product, here or in the two-sided check, is skipped before it is
     made."""
+    _check_degree(degree)
     base = c.base
     for g in gens:
         if g.alg != base:
@@ -301,50 +315,64 @@ def ideal_lift(c, gens, degree=4, within=None):
             if not within.member(g, degree):
                 raise StructureError("ideal generator outside the subalgebra")
         basis = within.span_upto(degree)
+    mul, key_degree = base.mul_items, base.key_degree
     candidates = []
     seen = set()
 
-    def keep(p):
-        if p.items and p.degree() <= degree and first_sight(seen, p):
-            candidates.append(p)
+    def keep(m):
+        if m and max(map(key_degree, m)) <= degree and first_sight(seen, m):
+            candidates.append(m)
 
-    lows = [(b, b.low_degree()) for b in basis]
+    lows = [(b.items, b.low_degree()) for b in basis]
     for g in gens:
-        keep(g)
+        keep(g.items)
     lefts = set()
     for g in gens:
+        gi = g.items
         room = degree - g.low_degree()
         for b1, low1 in lows:
             if low1 > room:
                 continue
-            left = b1.mul(g)
+            left = mul(b1, gi)
             keep(left)
-            keep(g.mul(b1))
-            if left.items and first_sight(lefts, left):
-                room2 = degree - left.low_degree()
+            keep(mul(gi, b1))
+            if left and first_sight(lefts, left):
+                room2 = degree - min(map(key_degree, left))
                 for b2, low2 in lows:
                     if low2 <= room2:
-                        keep(left.mul(b2))
-    ech = Echelon(u.items for u in candidates)
+                        keep(mul(left, b2))
+    # the factors whose products with every basis element inside the room
+    # their low degree leaves the lift has made and kept: b g and g b for a
+    # generator g, l b for a left factor l. Each such product is 0, past
+    # the window or a candidate, so the two-sided check does not make it
+    # again for a span element with the same items.
+    lefts_made = {frozenset(g.items.items()) for g in gens}
+    rights_made = lefts_made | lefts
+    ech = Echelon(candidates)
     span = [Element(base, row) for _, row in ech.basis()]
 
-    def member(v):
-        return not ech.reduce(v.items)
+    def outside(p):
+        # every candidate lies in the span, so seen, which holds them, is
+        # extended here, not restarted
+        return p and max(map(key_degree, p)) <= degree and first_sight(seen, p) and ech.reduce(p)
 
     def two_sided():
-        seen = set()
         for u in span:
+            ui = u.items
+            key = frozenset(ui.items())
+            check_left = key not in lefts_made
+            check_right = key not in rights_made
             room = degree - u.low_degree()
-            for b, low in lows:
-                if low > room:
+            for b, lowb in lows:
+                if lowb > room:
                     continue
-                for p in (b.mul(u), u.mul(b)):
-                    if p.items and p.degree() <= degree and first_sight(seen, p):
-                        if not member(p):
-                            return False
+                if check_left and outside(mul(b, ui)):
+                    return False
+                if check_right and outside(mul(ui, b)):
+                    return False
         return True
 
-    delta_stable = all(member(c.der.apply(u)) for u in span)
+    delta_stable = all(not ech.reduce(c.der.apply(u).items) for u in span)
     conf_span = [c.tilde(u) for u in span]
     return IdealPair(span, conf_span, degree, delta_stable, two_sided())
 
@@ -371,13 +399,19 @@ def nilpotency_check(c, gens, degree=4, within=None):
     level: u^k lies in S_k, so no S_k is 0. A carrier level equal to the
     one before it is refused at once: the sequence is constant and nonzero
     from there on. So is a module level that spans the space of the one
-    before it: the next level spans the same as it does."""
+    before it: the next level spans the same as it does. A zero slice is
+    refused before any level: it has no index to compare, and S_1 = 0
+    would read as index 1."""
     return _nilpotency_report(c, ideal_lift(c, gens, degree, within=within))
 
 
 def _nilpotency_report(c, pair):
     """nilpotency_check's report for an ideal slice already lifted, so a
     caller that needs the pair too lifts it once."""
+    if not pair.base_span:
+        raise StructureError(
+            "ideal slice of degree %d is 0: there is no level to take an index of" % pair.degree
+        )
     last = rank_0(c.base) + 1
     s1 = pair.base_span
     for u in s1:
@@ -389,10 +423,13 @@ def _nilpotency_report(c, pair):
                 " nilpotent" % (u,)
             ) from None
 
+    # the carrier levels as the item maps of their echelon rows
+    mul = c.base.mul_items
+    s1 = [u.items for u in s1]
     base_index = None
     level = s1
     for k in range(2, last + 1):
-        nxt = _echelon_elements(c.base, [u.mul(v) for u in level for v in s1])
+        nxt = [row for _, row in Echelon(mul(u, v) for u in level for v in s1).basis()]
         if not nxt:
             base_index = k
             break
@@ -438,13 +475,15 @@ def unital_split(c, e, degree=4):
     idempotent when e (0) e = e, so the window is image plus kernel; ranks
     are reported over the fraction field of Q[D]. Each basis symbol's
     order-0 image is made once and serves both the identity certificate and
-    the image span, which reduces each distinct nonzero image once."""
+    the image span, which reduces each distinct nonzero image once. A
+    degree below 0 is refused."""
+    _check_degree(degree)
     images = _order0_images(c, e, degree)
     certified = _identity_report(c, e, degree, images)["ok"]
     image = SpanReducer()
     seen = set()
     for _, _, w in images:
-        if w.items and first_sight(seen, w):
+        if w.items and first_sight(seen, w.items):
             image.add(w)
     image_rank = image.rank
     module_rank = len(images)

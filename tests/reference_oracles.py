@@ -334,6 +334,18 @@ def naive_nprod(c, a, b, n):
     return CElement(c, items)
 
 
+def naive_mul_items(alg, left, right):
+    """BaseAlgebra.mul_items term by term: every key pair's product in
+    Fractions, summed per key in the order the keys first appear, then the
+    zero sums dropped and the integral ones made ints."""
+    sums = {}
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            for k, c in alg.mul_keys(k1, k2).items():
+                sums[k] = sums.get(k, Fraction(0)) + Fraction(c1) * Fraction(c2) * Fraction(c)
+    return {k: v.numerator if v.denominator == 1 else v for k, v in sums.items() if v}
+
+
 # The structure routines as first written: every ordered product, every
 # equation and every candidate, repeats included.
 

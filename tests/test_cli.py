@@ -178,6 +178,26 @@ def test_ideal_check_on_the_triangular_description(capsys):
     assert report["roundtrip_ok"] is True
 
 
+def test_ideal_check_refuses_a_zero_slice(tmp_path, capsys):
+    # x e12 lies past the degree-0 window of 2x2 matrices over Q[x]: the
+    # slice is 0 and has no nilpotency index to report
+    p = tmp_path / "zero_slice.json"
+    p.write_text(
+        json.dumps(
+            {
+                "construction": "current",
+                "base": {"kind": "matrix_poly", "n": 2},
+                "base_elements": {"g": {"x*e12": "1"}},
+                "ideals": {"J": ["g"]},
+            }
+        )
+    )
+    code, out, err = run(capsys, "ideal-check", str(p), "J", "--degree", "0")
+    assert code == 2
+    assert out == ""
+    assert "ideal slice of degree 0 is 0" in err
+
+
 def test_unital_split_report(capsys):
     code, out, _ = run(
         capsys, "unital-split", spec("cend1.json"), "one", "--degree", "2"
