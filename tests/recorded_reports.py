@@ -10,10 +10,12 @@ Three kinds of file:
     interpreter and must exit 0 with nothing on stderr;
   - CORRUPTED: oracle-check with one order of the closed form doubled,
     recorded the same way; each runs in this process and must exit 1;
-  - CHECKS: the violation reports of three sabotaged checks, recorded as
+  - CHECKS: the violation reports of four sabotaged checks, recorded as
     <stem>.json. Each check runs on the three check-axioms
     descriptions at seeds 0 and 7:
       - check_axioms with a product whose order 1 is negated (flip1);
+      - check_axioms on its own default route, with the closed-form
+        kernel's order-1 sums doubled;
       - coeff_assoc_check with the Ore product of the wrong commutation
         sign, t b = b t + d(b);
       - oracle_check with a closed form whose order 1 is doubled.
@@ -151,12 +153,38 @@ def order_doubled(order):
         ConformalAlgebra.nprod, ConformalAlgebra.nprod_all = honest, honest_all
 
 
+@contextmanager
+def kernel_order_scaled(order, factor):
+    """Inside the block, every algebra's closed-form kernel _products scales
+    the D-coefficient lists of its given order, so every route that reads
+    the kernel (nprod, nprod_all and check_axioms's own) sees it."""
+    honest = ConformalAlgebra._products
+
+    def scaled(self, a, b, lo, hi):
+        accs = honest(self, a, b, lo, hi)
+        acc = accs.get(order)
+        if acc is not None:
+            accs[order] = {k: [factor * v for v in cs] for k, cs in acc.items()}
+        return accs
+
+    ConformalAlgebra._products = scaled
+    try:
+        yield
+    finally:
+        ConformalAlgebra._products = honest
+
+
 def flip1(c, seed):
     def product(a, b, n):
         v = c.nprod(a, b, n)
         return v.neg() if n == 1 else v
 
     return check_axioms(c, samples=200, seed=seed, product=product)
+
+
+def kernel_order1_doubled(c, seed):
+    with kernel_order_scaled(1, 2):
+        return check_axioms(c, samples=200, seed=seed)
 
 
 def wrong_sign(c, seed):
@@ -171,6 +199,7 @@ def order1_doubled(c, seed):
 # file stem -> check
 CHECKS = {
     "violations_check_axioms_flip1": flip1,
+    "violations_check_axioms_kernel_order1_doubled": kernel_order1_doubled,
     "violations_coeff_assoc_check_wrong_sign": wrong_sign,
     "violations_oracle_check_order1_doubled": order1_doubled,
 }
