@@ -8,6 +8,7 @@ nilpotent derivation delta, with delta = 0 giving the pure current case.
 """
 
 import random
+from itertools import zip_longest
 from math import comb, perm
 
 from .algebra import AlgebraError, Element, parse_exponent, parse_unit
@@ -365,15 +366,36 @@ def sample_celement(c, rng, degree, pdeg=2, terms=3, coeff_bound=5):
 def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
     """Randomized check of the two shift rules on sampled element pairs.
 
-    product may override the n-product under test; the default is the
-    algebra's own. Returns a report dict; ok is False with a witness when a
-    violation is found. A check of no samples, or of samples that are all
-    zero (degree or pdeg below 0), is refused, not reported ok."""
+    Each sample draws a, b and an order n, then makes three passes of the
+    closed-form kernel c._products, the one nprod and nprod_all read:
+    (a, b) over the orders [n-1, n] (order 0 alone at n = 0), giving
+    P1 = a (n) b and P4 = a (n-1) b; (Da, b) at n, giving P2; and (a, Db)
+    at n, giving P3. The rules are compared in place on the kernel's
+    key -> D-coefficient lists, padded with zeros, an order missing from a
+    pass read as zero, values compared exactly:
+      leibniz: D P1 - P2 - P3 = 0 at every key and D-power;
+      shift:   P2 + n P4 = 0.
+    No element is built for a product. Leibniz is checked before shift.
+
+    product(x, y, m) may override the n-product under test; it must return
+    a CElement. It feeds the same loop: each pass calls it once per order,
+    so a sample makes 4 calls, or 3 at n = 0. Returns a report dict; ok is
+    False with the first failing sample when a violation is found. A check
+    of no samples, or of samples that are all zero (degree or pdeg below 0),
+    is refused, not reported ok."""
     for name, value, least in (("samples", samples, 1), ("degree", degree, 0), ("pdeg", pdeg, 0)):
         if value < least:
             raise ConformalError("%s must be >= %d, got %d" % (name, least, value))
     if product is None:
-        product = c.nprod
+        passes = c._products
+    else:
+
+        def passes(x, y, lo, hi):
+            return {
+                m: {k: p.coeffs for k, p in product(x, y, m).items.items()}
+                for m in range(lo, hi + 1)
+            }
+
     rng = random.Random(seed)
     report = {
         "ok": True,
@@ -389,30 +411,38 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
         bound = c.structural_bound(a, b)
         top = 1 if bound is None else bound + 1
         n = rng.randint(0, max(top, 1))
-        # (Da) (n) b enters both rules; it is computed once
-        da_b = product(a.dapply(), b, n)
-        lhs = product(a, b, n).dapply()
-        rhs = da_b.add(product(a, b.dapply(), n))
-        if lhs != rhs:
-            report["ok"] = False
-            report["violation"] = {
-                "axiom": "leibniz",
-                "order": n,
-                "a": a.to_map(),
-                "b": b.to_map(),
-            }
-            return report
-        rhs = c.zero() if n == 0 else product(a, b, n - 1).scale(-n)
-        if da_b != rhs:
-            report["ok"] = False
-            report["violation"] = {
-                "axiom": "shift",
-                "order": n,
-                "a": a.to_map(),
-                "b": b.to_map(),
-            }
-            return report
+        ab = passes(a, b, max(n - 1, 0), n)
+        p1, p4 = ab.get(n, {}), ab.get(n - 1, {})
+        p2 = passes(a.dapply(), b, n, n).get(n, {})
+        p3 = passes(a, b.dapply(), n, n).get(n, {})
+        if not _leibniz_holds(p1, p2, p3):
+            axiom = "leibniz"
+        elif not _shift_holds(p2, p4, n):
+            axiom = "shift"
+        else:
+            continue
+        report["ok"] = False
+        report["violation"] = {"axiom": axiom, "order": n, "a": a.to_map(), "b": b.to_map()}
+        return report
     return report
+
+
+def _leibniz_holds(p1, p2, p3):
+    """D P1 = P2 + P3 on key -> D-coefficient lists."""
+    for k in p1.keys() | p2.keys() | p3.keys():
+        for u, v, w in zip_longest((0, *p1.get(k, ())), p2.get(k, ()), p3.get(k, ()), fillvalue=0):
+            if u != v + w:
+                return False
+    return True
+
+
+def _shift_holds(p2, p4, n):
+    """P2 = -n P4 on key -> D-coefficient lists."""
+    for k in p2.keys() | p4.keys():
+        for v, w in zip_longest(p2.get(k, ()), p4.get(k, ()), fillvalue=0):
+            if v != -n * w:
+                return False
+    return True
 
 
 __all__ = [

@@ -154,24 +154,28 @@ def order_doubled(order):
 
 
 @contextmanager
-def kernel_order_scaled(order, factor):
-    """Inside the block, every algebra's closed-form kernel _products scales
-    the D-coefficient lists of its given order, so every route that reads
-    the kernel (nprod, nprod_all and check_axioms's own) sees it."""
+def kernel_order_changed(order, change):
+    """Inside the block, every algebra's closed-form kernel _products passes
+    each D-coefficient list of its given order through change, so every
+    route that reads the kernel (nprod, nprod_all and check_axioms's own)
+    sees it."""
     honest = ConformalAlgebra._products
 
-    def scaled(self, a, b, lo, hi):
+    def changed(self, a, b, lo, hi):
         accs = honest(self, a, b, lo, hi)
-        acc = accs.get(order)
-        if acc is not None:
-            accs[order] = {k: [factor * v for v in cs] for k, cs in acc.items()}
+        if order in accs:
+            accs[order] = {k: change(cs) for k, cs in accs[order].items()}
         return accs
 
-    ConformalAlgebra._products = scaled
+    ConformalAlgebra._products = changed
     try:
         yield
     finally:
         ConformalAlgebra._products = honest
+
+
+def doubled(cs):
+    return [2 * v for v in cs]
 
 
 def flip1(c, seed):
@@ -183,7 +187,7 @@ def flip1(c, seed):
 
 
 def kernel_order1_doubled(c, seed):
-    with kernel_order_scaled(1, 2):
+    with kernel_order_changed(1, doubled):
         return check_axioms(c, samples=200, seed=seed)
 
 

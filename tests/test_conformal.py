@@ -1,18 +1,24 @@
+import os
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confalg import conformal as conformal_module
 from confalg.algebra import Derivation, MatrixAlgebra, MatrixPolyAlgebra
 from confalg.conformal import (
     CElement,
+    ConformalAlgebra,
     ConformalError,
     check_axioms,
     locality_degree,
     sample_celement,
 )
 from confalg.constructions import make_cend, make_current, make_differential
+from confalg.specfile import load_spec
+from recorded_reports import SPECS, doubled, kernel_order_changed, spec
 from reference_oracles import table_ddx_plus_ad_e12
 
 
@@ -187,6 +193,19 @@ def test_check_axioms_refuses_samples_that_are_all_zero(monkeypatch, arg):
         check_axioms(make_cend(1), samples=3, **{arg: -1})
 
 
+def drawn_orders(c, samples, seed):
+    """The orders check_axioms draws from its seed at the default degree and
+    pdeg, replayed."""
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(samples):
+        a = sample_celement(c, rng, 4, 2)
+        b = sample_celement(c, rng, 4, 2)
+        bound = c.structural_bound(a, b)
+        drawn.append(rng.randint(0, 1 if bound is None else bound + 1))
+    return drawn
+
+
 @pytest.mark.parametrize("make", STRUCTURES)
 def test_check_axioms_computes_each_product_once(make):
     c = make()
@@ -198,14 +217,7 @@ def test_check_axioms_computes_each_product_once(make):
 
     report = check_axioms(c, samples=60, seed=3, product=counted)
     assert report == check_axioms(c, samples=60, seed=3)
-    # replay the orders check_axioms draws from its seed
-    rng = random.Random(3)
-    drawn = []
-    for _ in range(60):
-        a = sample_celement(c, rng, 4, 2)
-        b = sample_celement(c, rng, 4, 2)
-        bound = c.structural_bound(a, b)
-        drawn.append(rng.randint(0, 1 if bound is None else bound + 1))
+    drawn = drawn_orders(c, 60, 3)
     assert 0 in drawn and max(drawn) > 0
     # per sample: a (n) b, (Da) (n) b, a (n) (Db), and a (n-1) b unless n == 0
     pos = 0
@@ -214,6 +226,81 @@ def test_check_axioms_computes_each_product_once(make):
         assert sorted(orders[pos : pos + count]) == sorted([n] * 3 + [n - 1] * (count - 3))
         pos += count
     assert pos == len(orders)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_check_axioms_default_route_reads_the_kernel(name):
+    """Without product=, doubling the kernel's order-1 sums must be seen."""
+    c = load_spec(spec(name + ".json")).conformal
+    assert check_axioms(c, samples=200, seed=0)["ok"]
+    with kernel_order_changed(1, doubled):
+        report = check_axioms(c, samples=200, seed=0)
+    assert not report["ok"]
+    assert report["violation"]["axiom"] == "shift"
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_check_axioms_makes_three_kernel_passes_per_sample(monkeypatch, name):
+    """Per sample: (a, b) over [n-1, n] (order 0 alone at n = 0), then
+    (Da, b) and (a, Db) at n; no product is built as an element."""
+    c = load_spec(spec(name + ".json")).conformal
+    honest = ConformalAlgebra._products
+    passes = []
+
+    def counted(self, a, b, lo, hi):
+        passes.append((lo, hi))
+        return honest(self, a, b, lo, hi)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_axioms built a product element")
+
+    monkeypatch.setattr(ConformalAlgebra, "_products", counted)
+    monkeypatch.setattr(ConformalAlgebra, "nprod", refuse)
+    monkeypatch.setattr(ConformalAlgebra, "_element", refuse)
+    assert check_axioms(c, samples=60, seed=3)["ok"]
+    drawn = drawn_orders(c, 60, 3)
+    assert 0 in drawn and max(drawn) > 0
+    assert passes == [p for n in drawn for p in [(max(n - 1, 0), n), (n, n), (n, n)]]
+
+
+SPEC_FILES = sorted(os.listdir(spec("")))
+
+
+def negated(cs):
+    return [-v for v in cs]
+
+
+def constant_doubled(cs):
+    """Breaks Leibniz at the order it changes, not only shift."""
+    return [2 * cs[0], *cs[1:]]
+
+
+def zeroed(cs):
+    """Leaves zero lists in the kernel's sums, where nprod's elements have
+    no key at all."""
+    return [0] * len(cs)
+
+
+KERNEL_SABOTAGES = [None] + [
+    (r, f) for r in (0, 1, 2) for f in (negated, doubled, constant_doubled, zeroed)
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(SPEC_FILES),
+    st.integers(0, 2**16),
+    st.integers(1, 30),
+    st.sampled_from(KERNEL_SABOTAGES),
+)
+def test_check_axioms_routes_agree(filename, seed, samples, sabotage):
+    """The kernel's sums compared in place and the same kernel read through
+    nprod's elements give the same report, the first violation included."""
+    c = load_spec(spec(filename)).conformal
+    with kernel_order_changed(*sabotage) if sabotage else nullcontext():
+        assert check_axioms(c, samples=samples, seed=seed) == check_axioms(
+            c, samples=samples, seed=seed, product=c.nprod
+        )
 
 
 def dif_m2_ad_e12():
