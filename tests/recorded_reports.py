@@ -131,29 +131,6 @@ def recorded(name):
 
 
 @contextmanager
-def order_doubled(order):
-    """Inside the block, every algebra's closed form doubles its given order,
-    one order at a time (nprod) and over a range of orders (nprod_all)."""
-    honest, honest_all = ConformalAlgebra.nprod, ConformalAlgebra.nprod_all
-
-    def doubled(self, a, b, n):
-        v = honest(self, a, b, n)
-        return v.scale(2) if n == order else v
-
-    def doubled_all(self, a, b, top=None):
-        out = honest_all(self, a, b, top)
-        if order in out:
-            out[order] = out[order].scale(2)
-        return out
-
-    ConformalAlgebra.nprod, ConformalAlgebra.nprod_all = doubled, doubled_all
-    try:
-        yield
-    finally:
-        ConformalAlgebra.nprod, ConformalAlgebra.nprod_all = honest, honest_all
-
-
-@contextmanager
 def kernel_order_changed(order, change):
     """Inside the block, every algebra's closed-form kernel _products passes
     each D-coefficient list of its given order through change, so every
@@ -186,7 +163,7 @@ def flip1(c, seed):
     return check_axioms(c, samples=200, seed=seed, product=product)
 
 
-def kernel_order1_doubled(c, seed):
+def axioms_kernel_order1_doubled(c, seed):
     with kernel_order_changed(1, doubled):
         return check_axioms(c, samples=200, seed=seed)
 
@@ -195,17 +172,17 @@ def wrong_sign(c, seed):
     return coeff_assoc_check(c.base, c.der, samples=100, seed=seed, mul=ore_product(1))
 
 
-def order1_doubled(c, seed):
-    with order_doubled(1):
+def oracle_order1_doubled(c, seed):
+    with kernel_order_changed(1, doubled):
         return oracle_check(c, samples=100, seed=seed)
 
 
 # file stem -> check
 CHECKS = {
     "violations_check_axioms_flip1": flip1,
-    "violations_check_axioms_kernel_order1_doubled": kernel_order1_doubled,
+    "violations_check_axioms_kernel_order1_doubled": axioms_kernel_order1_doubled,
     "violations_coeff_assoc_check_wrong_sign": wrong_sign,
-    "violations_oracle_check_order1_doubled": order1_doubled,
+    "violations_oracle_check_order1_doubled": oracle_order1_doubled,
 }
 
 
@@ -234,7 +211,7 @@ def corrupted(order, argv):
     """(exit code, stdout, stderr) of the command, in this process, with the
     given order doubled."""
     out, err = io.StringIO(), io.StringIO()
-    with order_doubled(order), redirect_stdout(out), redirect_stderr(err):
+    with kernel_order_changed(order, doubled), redirect_stdout(out), redirect_stderr(err):
         code = cli_main(argv)
     return code, out.getvalue(), err.getvalue()
 

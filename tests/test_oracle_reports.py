@@ -11,7 +11,7 @@ from confalg.cli import main
 from confalg.conformal import ConformalAlgebra
 from confalg.oracle import to_distribution
 from confalg.specfile import load_spec
-from recorded_reports import CORRUPTED, FORMS, SPECS, command, order_doubled, recorded, spec
+from recorded_reports import CORRUPTED, FORMS, SPECS, command, doubled, kernel_order_changed, recorded, spec
 from reference_oracles import naive_dist_nprod
 
 
@@ -26,7 +26,7 @@ def run(capsys, argv):
 def test_a_corrupted_order_is_reported_as_the_reference_route_sees_it(capsys, stem):
     order, argv = CORRUPTED[stem]
     argv = command(argv)
-    with order_doubled(order):
+    with kernel_order_changed(order, doubled):
         for suffix, extra in FORMS:
             assert run(capsys, argv + extra) == (1, recorded(stem + suffix))
 
