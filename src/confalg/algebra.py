@@ -107,9 +107,17 @@ class BaseAlgebra:
         raise NotImplementedError
 
     def basis_upto(self, degree):
+        """Every basis key of key_degree at most degree, each once."""
         raise NotImplementedError
 
     def mul_keys(self, k1, k2):
+        """The product of two basis keys as a key -> coefficient map. Every
+        carrier is monomial: the map is {} or holds one key with a nonzero
+        coefficient (matrix units multiply to a unit or 0, powers of x to a
+        power, and a direct sum's summands to 0 across). Together with
+        associativity, the grading (key_degree) and basis_upto holding
+        every key of its window, this lets ideal_lift prove a slice
+        two-sided without checking its products."""
         raise NotImplementedError
 
     def mul_items(self, left, right):

@@ -310,15 +310,6 @@ class CElement:
     def neg(self):
         return CElement._trusted(self.conf, {k: -p for k, p in self.items.items()})
 
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def scale(self, c):
-        c = frac(c)
-        if not c:
-            return CElement._trusted(self.conf, {})
-        return CElement._trusted(self.conf, {k: p.scale(c) for k, p in self.items.items()})
-
     def dapply(self, k=1):
         """Multiply by D^k."""
         return CElement._trusted(self.conf, {key: p.shift(k) for key, p in self.items.items()})

@@ -300,7 +300,39 @@ def ideal_lift(c, gens, degree=4, within=None):
     The carrier is graded (BaseAlgebra.key_degree), so a product whose
     factors' low degrees sum past the window has no term inside it; such a
     product, here or in the two-sided check, is skipped before it is
-    made."""
+    made.
+
+    On the full basis (no view) the slice is two-sided by proof unless a
+    product the lift made straddles the window, with keys both inside and
+    past it; then, and inside a view, whose spanning elements need not be
+    keys, the check makes its products. The proof rests on the carrier
+    contract (BaseAlgebra.mul_keys): a product of two keys is 0 or a
+    nonzero multiple of one key, the product is associative, a product's
+    keys have degree at least the sum of its factors', and basis_upto(d)
+    holds every key of degree <= d. Every candidate c is g, b1 g, g b1 or
+    b1 g b2 for basis keys b1, b2. For a basis key b, regrouping b c and c
+    b gives one of these forms again: b g, g b and b1 g b as they stand,
+    and b (b1 g) = (b b1) g, b (b1 g b2) = (b b1) g b2, b (g b1) = (b g)
+    b1, g b1 b = g (b1 b) and b1 g b2 b = b1 g (b2 b), where b b1 and b2 b
+    are 0 or a multiple of one key b'. So b c and c b are 0, a scalar times
+    a product the lift made, or wholly past the window: the lift skips only
+    products whose factors leave no room in it, and b' is a basis key
+    unless its degree is past it. Each product the lift made is 0, a
+    candidate or a repeat of one (so in the span), wholly past the window,
+    or straddling. If none straddled, then for a span element u = sum
+    lambda_c c the product b u is a span element plus terms wholly past the
+    window; the check reads b u only when it lies inside the window, and
+    then those terms cancel, so b u is in the span. The same holds for u b,
+    so the slice is two-sided and no product is made."""
+    pair, two_sided = _lift(c, gens, degree, within)
+    pair.two_sided = two_sided()
+    return pair
+
+
+def _lift(c, gens, degree, within):
+    """The lift of ideal_lift, which nilpotency_check shares: the IdealPair
+    with two_sided left None, and ideal_lift's two-sided check, which makes
+    its products only when called."""
     _check_degree(degree)
     base = c.base
     for g in gens:
@@ -318,10 +350,19 @@ def ideal_lift(c, gens, degree=4, within=None):
     mul, key_degree = base.mul_items, base.key_degree
     candidates = []
     seen = set()
+    straddled = False
 
+    # every product the lift makes passes through keep, which also records
+    # whether one had keys both inside and past the window
     def keep(m):
-        if m and max(map(key_degree, m)) <= degree and first_sight(seen, m):
-            candidates.append(m)
+        nonlocal straddled
+        if not m:
+            return
+        if max(map(key_degree, m)) <= degree:
+            if first_sight(seen, m):
+                candidates.append(m)
+        elif min(map(key_degree, m)) <= degree:
+            straddled = True
 
     lows = [(b.items, b.low_degree()) for b in basis]
     for g in gens:
@@ -357,6 +398,8 @@ def ideal_lift(c, gens, degree=4, within=None):
         return p and max(map(key_degree, p)) <= degree and first_sight(seen, p) and ech.reduce(p)
 
     def two_sided():
+        if within is None and not straddled:
+            return True
         for u in span:
             ui = u.items
             key = frozenset(ui.items())
@@ -374,7 +417,7 @@ def ideal_lift(c, gens, degree=4, within=None):
 
     delta_stable = all(not ech.reduce(c.der.apply(u).items) for u in span)
     conf_span = [c.tilde(u) for u in span]
-    return IdealPair(span, conf_span, degree, delta_stable, two_sided())
+    return IdealPair(span, conf_span, degree, delta_stable, None), two_sided
 
 
 def ideal_restrict(c, celems):
@@ -401,8 +444,9 @@ def nilpotency_check(c, gens, degree=4, within=None):
     from there on. So is a module level that spans the space of the one
     before it: the next level spans the same as it does. A zero slice is
     refused before any level: it has no index to compare, and S_1 = 0
-    would read as index 1."""
-    return _nilpotency_report(c, ideal_lift(c, gens, degree, within=within))
+    would read as index 1. The slice is lifted as ideal_lift lifts it,
+    without the two-sided check, whose verdict the report does not read."""
+    return _nilpotency_report(c, _lift(c, gens, degree, within)[0])
 
 
 def _nilpotency_report(c, pair):

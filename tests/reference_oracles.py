@@ -10,7 +10,7 @@ from confalg.algebra import Derivation, Element, MatrixPolyAlgebra, OreElement
 from confalg.conformal import CElement
 from confalg.linalg import Echelon, solve_right
 from confalg.oracle import OracleError
-from confalg.rings import Poly, RatFunc, falling
+from confalg.rings import Poly, RatFunc, falling, frac
 from confalg.structure import StructureError
 
 
@@ -50,6 +50,19 @@ def random_element(alg, rng, degree, terms=3, coeff_bound=5):
     keys = alg.basis_upto(degree)
     picked = rng.sample(keys, min(rng.randint(1, terms), len(keys)))
     return Element(alg, {k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
+
+
+def cscale(a, c):
+    """c a for a conformal element a: each D-polynomial scaled by c."""
+    c = frac(c)
+    if not c:
+        return CElement._trusted(a.conf, {})
+    return CElement._trusted(a.conf, {k: p.scale(c) for k, p in a.items.items()})
+
+
+def csub(a, b):
+    """a - b for conformal elements."""
+    return a.add(b.neg())
 
 
 def leibniz_violation(d, degree):

@@ -27,7 +27,7 @@ from confalg.structure import (
     unital_split,
     untwist,
 )
-from reference_oracles import random_element
+from reference_oracles import cscale, random_element
 
 
 def _done(n, t0, budget, detail):
@@ -52,7 +52,7 @@ def test_criterion_01_rank_one_endomorphism_table():
     assert table[("L1", "L1")] == {"0": {"x^2": {"0": "1"}}, "1": {"x": {"0": "-1"}}}
     l1, l2 = c.named_element("L1"), c.named_element("L2")
     assert c.nprod(l1, l1, 0) == l2
-    assert c.nprod(l1, l2, 2) == l1.scale(2)
+    assert c.nprod(l1, l2, 2) == cscale(l1, 2)
     assert locality_degree(c, l1, l1) == 1
     _done(1, t0, 1, "generator table of the rank-one endomorphism structure")
 

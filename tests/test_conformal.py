@@ -19,7 +19,7 @@ from confalg.conformal import (
 from confalg.constructions import make_cend, make_current, make_differential
 from confalg.specfile import load_spec
 from recorded_reports import SPECS, doubled, kernel_order_changed, spec
-from reference_oracles import table_ddx_plus_ad_e12
+from reference_oracles import cscale, table_ddx_plus_ad_e12
 
 
 def cur_m2():
@@ -42,12 +42,12 @@ def _ref_term(c, k1, i, k2, j, n):
     if i > 0:
         if n == 0:
             return c.zero()
-        return _ref_term(c, k1, i - 1, k2, j, n - 1).scale(Fraction(-n))
+        return cscale(_ref_term(c, k1, i - 1, k2, j, n - 1), Fraction(-n))
     if j > 0:
         head = _ref_term(c, k1, 0, k2, j - 1, n).dapply()
         if n == 0:
             return head
-        return head.add(_ref_term(c, k1, 0, k2, j - 1, n - 1).scale(Fraction(n)))
+        return head.add(cscale(_ref_term(c, k1, 0, k2, j - 1, n - 1), Fraction(n)))
     return CElement(c, dict(c.basis_nprod(k1, k2, n)))
 
 
@@ -63,7 +63,7 @@ def reference_nprod(c, a, b, n):
                     cj = q.coeff(j)
                     if not cj:
                         continue
-                    out = out.add(_ref_term(c, k1, i, k2, j, n).scale(ci * cj))
+                    out = out.add(cscale(_ref_term(c, k1, i, k2, j, n), ci * cj))
     return out
 
 

@@ -12,7 +12,7 @@ from confalg.constructions import (
     product_table,
 )
 from confalg.rings import Poly
-from reference_oracles import RatFuncReducer, enumerate_towers
+from reference_oracles import RatFuncReducer, cscale, enumerate_towers
 
 
 def test_current_products_concentrate_at_order_zero():
@@ -99,7 +99,7 @@ def test_span_reducer_rank_over_the_fraction_field():
     assert red.add(e12)
     # D-multiples are dependent over Q(D)
     assert not red.add(e12.dapply())
-    assert not red.add(e12.dapply(3).scale(-2))
+    assert not red.add(cscale(e12.dapply(3), -2))
     assert red.rank == 1
     # (D + 1) e12 is in the span too
     assert not red.add(e12.dapply().add(e12))

@@ -9,6 +9,7 @@ from confalg.constructions import make_cend
 from confalg.linalg import Echelon, rref, solve_right
 from confalg.oracle import dist_nprod, to_distribution
 from confalg.rings import Poly, RatFunc, div, frac
+from reference_oracles import cscale
 
 
 def exact(v):
@@ -82,7 +83,7 @@ def test_integer_inputs_give_exact_results():
 
     c = make_cend(1)
     l1 = c.named_element("L1")
-    a = l1.add(l1.dapply().scale(3))
+    a = l1.add(cscale(l1.dapply(), 3))
     b = c.named_element("L0").add(c.named_element("L1").dapply(2))
     for n in range(4):
         assert all(poly_normal(p) for p in c.nprod(a, b, n).items.values())
@@ -92,8 +93,8 @@ def test_integer_inputs_give_exact_results():
     assert h.terms and flat_normal(h.terms) and values_normal(h)
     # halves meeting doubles: every coefficient is integral, so every one is
     # an int, on both sides of the residue sum
-    f2 = to_distribution(a.scale(F(1, 2)), -4, 4)
-    g2 = to_distribution(b.scale(2), -4, 4)
+    f2 = to_distribution(cscale(a, F(1, 2)), -4, 4)
+    g2 = to_distribution(cscale(b, 2), -4, 4)
     assert any(type(c) is F for c in f2.terms.values())
     h2 = dist_nprod(f2, g2, 2)
     assert h2 == h and all(type(c) is int for c in h2.terms.values())

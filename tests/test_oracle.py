@@ -18,7 +18,13 @@ from confalg.oracle import (
     to_distribution,
 )
 from confalg.rings import Poly, falling
-from reference_oracles import naive_dist_nprod, naive_value, ore_product, table_ddx_plus_ad_e12
+from reference_oracles import (
+    cscale,
+    naive_dist_nprod,
+    naive_value,
+    ore_product,
+    table_ddx_plus_ad_e12,
+)
 
 
 def test_distribution_window_and_sparsity():
@@ -52,7 +58,7 @@ def test_window_and_first_difference():
     # one map for every n: the window only says where the family is read
     assert g.terms == f.terms == {(0, k, 0): 1 for k in c.base.one().items}
     assert f.first_difference(g) is None
-    h = to_distribution(one.scale(Fraction(2)), -4, 4)
+    h = to_distribution(cscale(one, Fraction(2)), -4, 4)
     assert f.first_difference(h) == -4
     with pytest.raises(OracleError, match="empty window"):
         to_distribution(one, 1, 0)

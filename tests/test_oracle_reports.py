@@ -12,7 +12,7 @@ from confalg.conformal import ConformalAlgebra
 from confalg.oracle import to_distribution
 from confalg.specfile import load_spec
 from recorded_reports import CORRUPTED, FORMS, SPECS, command, doubled, kernel_order_changed, recorded, spec
-from reference_oracles import naive_dist_nprod
+from reference_oracles import cscale, naive_dist_nprod
 
 
 def run(capsys, argv):
@@ -40,7 +40,7 @@ def test_a_corrupted_order_is_reported_as_the_reference_route_sees_it(capsys, st
     residue = naive_dist_nprod(f, g, m).value(n).to_map()
     assert v["residue"] == residue
     honest = c.nprod(a, b, m)
-    assert v["closed_form"] == to_distribution(honest.scale(2), -w, w - m).value(n).to_map()
+    assert v["closed_form"] == to_distribution(cscale(honest, 2), -w, w - m).value(n).to_map()
     # the honest closed form agrees with the reference route at that index
     assert to_distribution(honest, -w, w - m).value(n).to_map() == residue
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from confalg.structure import (
 )
 from reference_oracles import (
     carrier_index_by_iteration,
+    cscale,
     element_index_by_iteration,
     extract_current_components,
     module_index_by_iteration,
@@ -282,7 +284,7 @@ def module_rows(draw):
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(rows) - 1))
         j = draw(st.integers(0, len(rows) - 1))
-        other = rows[j].dapply(draw(st.integers(0, 2))).scale(draw(st.integers(-2, 2)))
+        other = cscale(rows[j].dapply(draw(st.integers(0, 2))), draw(st.integers(-2, 2)))
         if draw(st.booleans()):
             rows.append(rows[i].dapply(draw(st.integers(0, 1))).add(other))
         else:
@@ -442,6 +444,29 @@ def test_every_carrier_is_graded_by_key_degree(data):
     p = x.mul(y)
     if not p.is_zero():
         assert p.low_degree() >= x.low_degree() + y.low_degree()
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS) + ["Q", "Q[x]"])
+def test_every_carrier_is_monomial(name):
+    # the contract ideal_lift's two-sided proof reads (BaseAlgebra.mul_keys),
+    # on every key of the degree-2 window; the grading is checked above
+    alg = {"Q": lambda: MatrixAlgebra(1), "Q[x]": lambda: MatrixPolyAlgebra(1), **CARRIERS}[name]()
+    top = 2
+    keys = alg.basis_upto(top)
+    assert len(set(keys)) == len(keys)
+    for d in range(top + 1):
+        assert set(alg.basis_upto(d)) == {k for k in keys if alg.key_degree(k) <= d}
+    products = {}
+    for k1 in keys:
+        for k2 in keys:
+            p = alg.mul_keys(k1, k2)
+            assert len(p) <= 1 and all(p.values())
+            # a product key inside the window is a window key
+            assert all(k in keys for k in p if alg.key_degree(k) <= top)
+            products[k1, k2] = p
+    for k1, k2, k3 in itertools.product(keys, repeat=3):
+        left = alg.mul_items(products[k1, k2], {k3: 1})
+        assert left == alg.mul_items({k1: 1}, products[k2, k3])
 
 
 # integral and proper fractions, so sums can cancel or turn integral
@@ -725,6 +750,35 @@ def test_ideal_lift_flags_a_truncated_slice_that_is_not_two_sided():
     assert (pair.base_span, pair.delta_stable, pair.two_sided) == naive_ideal_lift(c, [g], 2)
 
 
+@pytest.mark.parametrize(
+    "spanning, gen",
+    [
+        # u b leaves the span for u = e21 and b either spanning element;
+        # every b u stays in it
+        (({"e21": 1, "x*e11": -1}, {"e22": 1, "x*e12": 1}), {"e21": 1, "x*e11": -1}),
+        # b u leaves the span for u = e12; every u b stays in it
+        (({"e12": 1, "x*e11": -1}, {"x*e21": 1}), {"e12": 1, "x*e11": -1}),
+        # both sides leave it, and no product of the lift straddles the
+        # window: on the full basis that would prove the slice two-sided
+        (({"e12": 2, "e22": 1, "x*e21": 2}, {"e22": 1}, {"x*e21": 1}), {"e22": 1}),
+    ],
+)
+def test_ideal_lift_checks_both_sides_inside_a_view(spanning, gen):
+    # views of M_2 over Q[x] whose spanning elements are not basis keys;
+    # ideal_lift does not check a view's closure, and none of these is
+    # closed inside the degree-1 window. The slice is not two-sided, and
+    # a check of one side only, or none inside a view, would say it is
+    mp = MatrixPolyAlgebra(2)
+    c = make_current(mp)
+    view = Subalgebra(mp, [mp.parse_element(m) for m in spanning], degree=1)
+    g = mp.parse_element(gen)
+    pair = ideal_lift(c, [g], degree=1, within=view)
+    assert pair.two_sided is False
+    assert (pair.base_span, pair.delta_stable, pair.two_sided) == naive_ideal_lift(
+        c, [g], 1, within=view
+    )
+
+
 def counted(monkeypatch, cls, name):
     """Arguments of every call of cls.name from now on, in call order."""
     calls = []
@@ -776,27 +830,46 @@ def test_ideal_lift_skips_products_past_the_window(monkeypatch):
     central = mp.parse_element({"x*e11": "1", "x*e22": "1"})
     row = mp.parse_element({"x*e11": "1", "x*e12": "1"})
     # every product b1 g, g b1, b1 g b2 and of the two-sided check is made
-    # only when its factors' low degrees leave room in the window, and the
-    # two-sided check does not make again the products u b the lift made
-    # for a span element u equal to a left factor b1 g. For x(e11 + e22)
-    # every span element is one, and the check makes half its products:
-    # making them all took 1,080, 1,584 and 2,184, and the window alone
-    # 512, 760 and 1,056. For x(e11 + e12) only some are. No fewer are
-    # made: a product the check skips without the lift having made it
-    # goes unchecked
-    for g, degree, exact in (
-        (central, 4, 352),
-        (central, 5, 520),
-        (central, 6, 720),
-        (row, 2, 136),
-        (row, 4, 432),
+    # only when its factors' low degrees leave room in the window. On the
+    # full basis no product the lift makes for x(e11 + e22) or x(e11 + e12)
+    # straddles the window, so the slice is two-sided by proof and the
+    # check makes none: these are the lift's own products. Checking every
+    # product took 1,080, 1,584 and 2,184 for x(e11 + e22), the window
+    # alone 512, 760 and 1,056, and skipping what the lift made and kept
+    # 352, 520 and 720 (136 and 432 for x(e11 + e12)).
+    # The generator of test_ideal_lift_flags_a_truncated_slice_that_is_not_two_sided
+    # straddles the window: its lift makes 80 products and the check 9
+    # more, up to the first outside the span. Inside the triangular view
+    # the spanning elements need not be keys: the lift of x(e11 + e22)
+    # makes 39 and the check 27. Only these counts tell the check on both
+    # sides from a check on one: the outputs agree either way
+    truncated = mp.parse_element(
+        {
+            "e21": -1,
+            "e22": -1,
+            "x^2*e11": 1,
+            "x^2*e21": -1,
+            "x^3*e12": -1,
+            "x^3*e22": -1,
+            "x^4*e12": 1,
+            "x^4*e22": 1,
+        }
+    )
+    for g, degree, within, exact in (
+        (central, 4, None, 192),
+        (central, 5, None, 280),
+        (central, 6, None, 384),
+        (row, 2, None, 40),
+        (row, 4, None, 112),
+        (truncated, 2, None, 89),
+        (central, 2, triangular(mp, 2), 66),
     ):
         calls = counted(monkeypatch, BaseAlgebra, "mul_items")
-        pair = ideal_lift(c, [g], degree)
+        pair = ideal_lift(c, [g], degree, within=within)
         assert len(calls) == exact
         monkeypatch.undo()
         assert (pair.base_span, pair.delta_stable, pair.two_sided) == naive_ideal_lift(
-            c, [g], degree
+            c, [g], degree, within=within
         )
 
 

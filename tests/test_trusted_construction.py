@@ -34,6 +34,8 @@ from reference_oracles import (
     TRUSTED,
     assert_canonical,
     checked_constructors,
+    cscale,
+    csub,
     table_ddx_plus_ad_e12,
 )
 import recorded_reports
@@ -132,7 +134,7 @@ def test_conformal_operations_and_products(name, x, y, c, k):
         # a fresh structure on each side: nprod's basis table starts empty
         conf = STRUCTURES[name]()
         a, b = celement(conf, x), celement(conf, y)
-        out = [a.add(b), a.sub(b), a.sub(a), a.neg(), a.scale(c), a.scale(0), a.dapply(k)]
+        out = [a.add(b), csub(a, b), csub(a, a), a.neg(), cscale(a, c), cscale(a, 0), a.dapply(k)]
         bound = conf.structural_bound(a, b)
         for n in range(0 if bound is None else bound + 2):
             out.append(conf.nprod(a, b, n))
