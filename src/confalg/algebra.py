@@ -409,19 +409,27 @@ class Subalgebra:
         return not self._echelon(degree).reduce(v.items)
 
     def check_closure(self):
-        """Products of spanning elements must stay in the declared-degree span."""
+        """Products of spanning elements must stay in the declared-degree
+        span. A product's keys have degree at least the sum of its factors'
+        low degrees (BaseAlgebra.key_degree), so only the pairs whose low
+        degrees add up to at most the window can reach it; every such
+        product of degree inside the window must lie in the span."""
         if self.unital and not self.member(self.parent.one(), self.degree):
             raise AlgebraError("subalgebra marked unital but 1 is not in the span")
-        # spanning is sorted by degree, so each u's partners within the
-        # window are a prefix of it
-        degrees = [v.degree() for v in self.spanning]
+        # partners sorted by low degree, so each u's partners that can reach
+        # the window are a prefix of them
+        by_low = sorted(((w.low_degree(), w) for w in self.spanning), key=lambda lw: lw[0])
         mul = self.parent.mul_items
+        key_degree = self.parent.key_degree
         ech = self._echelon(self.degree)
-        for u, du in zip(self.spanning, degrees):
-            for w, dw in zip(self.spanning, degrees):
-                if du + dw > self.degree:
+        for lu, u in by_low:
+            for lw, w in by_low:
+                if lu + lw > self.degree:
                     break
-                if ech.reduce(mul(u.items, w.items)):
+                prod = mul(u.items, w.items)
+                if not prod or max(map(key_degree, prod)) > self.degree:
+                    continue
+                if ech.reduce(prod):
                     raise AlgebraError(
                         "subalgebra not closed: (%s)*(%s) leaves the span"
                         % (u, w)
@@ -548,7 +556,8 @@ class Derivation:
     orbit(x) yields the nonzero iterates x, d(x), d^2(x), ...; every
     nilpotency index, d-power and Ore expansion is read from it. ore_table
     memoises the monomial products of the twisted Laurent ring over this
-    derivation; OreElement fills it."""
+    derivation, and ore_expansions the expansions of t^p b_key they are
+    read from; OreElement fills both."""
 
     def __init__(self, alg, kind, r=None, images=None):
         self.alg = alg
@@ -556,6 +565,7 @@ class Derivation:
         self.r = r
         self.images = images
         self.ore_table = {}
+        self.ore_expansions = {}
 
     @classmethod
     def zero(cls, alg):
@@ -778,15 +788,20 @@ class OreElement:
     def monomial_product(cls, base, der, k1, p, k2):
         """(b_k1 t^p) b_k2 in B[t, t^-1; der] as a list of (power, key,
         coefficient), built from commute_t and mul_keys and memoised in
-        der.ore_table under (k1, p, k2). A right factor t^q only shifts
-        every power by q. Called on the class, so that a caller holding
-        no Ore element reads the same table and the same commutation rule."""
+        der.ore_table under (k1, p, k2); the expansion of t^p b_k2 is
+        memoised in der.ore_expansions under (p, k2), once for every left
+        key k1. A right factor t^q only shifts every power by q. Called on
+        the class, so that a caller holding no Ore element reads the same
+        tables and the same commutation rule."""
         key = (k1, p, k2)
         got = der.ore_table.get(key)
         if got is None:
             mul_keys = base.mul_keys
-            # commute_t reads only the derivation, so an empty element will do
-            expansion = cls._trusted(base, der, {}).commute_t(p, base.basis_element(k2))
+            expansion = der.ore_expansions.get((p, k2))
+            if expansion is None:
+                # commute_t reads only the derivation, so an empty element will do
+                expansion = cls._trusted(base, der, {}).commute_t(p, base.basis_element(k2))
+                der.ore_expansions[(p, k2)] = expansion
             got = []
             for pw, coef in expansion.items():
                 acc = {}

@@ -7,14 +7,17 @@ order-m product of two such families is computed by a residue-style sum in
 the ring itself, never through the closed-form n-product, so agreement of
 the two routes is evidence for both. The sum is an m-th forward difference
 in the left index: each ring product f(i) b_k is read once, term by term,
-from the Ore monomial table of the derivation, and folded into a difference
-table per basis symbol, kept as coefficient lists over the slots
-(power, key) its rows reach, from which every order reads its terms. The
-check reads every order of the closed form it compares from one pass.
+from the Ore monomial table of the derivation, and folded into one
+difference table for all basis symbols k of the right factor, kept as
+coefficient lists over the slots (k, power, key) its rows reach, from
+whose leading diagonal one pass builds every order. The check compares,
+order by order, that pass with one closed-form pass over the same orders,
+as coefficient maps; a Distribution is built only for a mismatch.
 """
 
 import random
 from math import comb, perm
+from operator import sub
 
 from .algebra import AlgebraError, Element, OreElement, normal_map
 from .conformal import sample_celement
@@ -89,105 +92,111 @@ class Distribution:
         return n
 
 
-def to_distribution(a, lo, hi):
-    """Distribution of a conformal element, read on the window [lo, hi]:
-    (D^i b)~ goes to n -> (-1)^i ff(n,i) b t^(n-i), the term (-i, b, i)."""
-    terms = {
+def _family_terms(a):
+    """The (d, key, s) -> coefficient map of a conformal element's
+    distribution, in normal form: c_i (D^i b)~ goes to
+    n -> (-1)^i c_i ff(n,i) b t^(n-i), the term (-i, b, i)."""
+    return {
         (-i, k, i): -ci if i % 2 else ci
         for k, p in a.items.items()
         for i, ci in enumerate(p.coeffs)
+        if ci
     }
-    return Distribution(a.conf.base, a.conf.der, lo, hi, terms)
 
 
-def dist_nprod(f, g, m, cache=None):
-    """Order-m product of distributions by the ring-side residue sum
-    (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j), for every n at once;
-    needs f on [0, m] and is read on the window [g.lo, g.hi - m].
+def to_distribution(a, lo, hi):
+    """Distribution of a conformal element, read on the window [lo, hi]."""
+    return Distribution(a.conf.base, a.conf.der, lo, hi, _family_terms(a))
+
+
+def dist_nprod(f, g, top):
+    """Every order m <= top of the product of distributions by the
+    ring-side residue sum (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j),
+    for every n at once, from one pass; needs f on [0, top]. Returns the
+    list whose entry m is the (d, key, s) -> coefficient map of f m g in
+    normal form (no zero, integral values as ints), the family read on the
+    window [g.lo, g.hi - m].
 
     Each left value f(i) goes into rows R(i, k) = f(i) b_k, one per basis
-    symbol, read from the Ore monomial table: (b_key t^p) b_k for every term
-    of f(i). As x (b t^q) = (x b) t^q, a term c ff(n+j,s) b_k t^(n+j+d)
-    of g(n+j) adds c ff(n+j,s) R(i, k) t^(n+j+d), and Vandermonde,
-    ff(n+j,s) = sum_r C(s,r) ff(j,u) ff(n,r) with u = s - r, puts it on the
-    family basis. With R^(i, k) the row R(i, k) with every power lowered by i,
-    C(m,j) ff(j,u) = ff(m,u) C(m-u, j-u) turns the sum over j into a forward
-    difference in i: the part on ff(n,r) is
+    symbol k of g, read from the Ore monomial table: (b_key t^p) b_k for
+    every term of f(i). As x (b t^q) = (x b) t^q, a term c ff(n+j,s) b_k
+    t^(n+j+d) of g(n+j) adds c ff(n+j,s) R(i, k) t^(n+j+d), and
+    Vandermonde, ff(n+j,s) = sum_r C(s,r) ff(j,u) ff(n,r) with u = s - r,
+    puts it on the family basis. With R^(i, k) the row R(i, k) with every
+    power lowered by i, C(m,j) ff(j,u) = ff(m,u) C(m-u, j-u) turns the sum
+    over j into a forward difference in i: the part on ff(n,r) is
     c C(s,r) (-1)^u ff(m,u) (Delta^(m-u) R^(., k))(0) t^(n+m+d).
-    The leading differences (Delta^q R^(., k))(0), q <= m, come from a table
-    per symbol k, extended one row at a time and read once per symbol of g;
-    its leading and last diagonals and the flat left values are kept in
-    cache, which calls with the same f may share across orders, in any
-    order."""
-    if m < 0:
+    An entry x of level q of _leading_differences, at the slot
+    (k, p, key), thus adds c C(s,u) (-1)^u ff(q+u,u) x at
+    (p + q + u + d, key, s - u) to order q + u, for each term (d, k, s) of
+    g and each u <= s. Nothing outlives the call."""
+    if top < 0:
         raise OracleError("product order must be >= 0")
-    if f.lo > 0 or f.hi < m:
-        raise OracleError("left window [%d, %d] does not cover [0, %d]" % (f.lo, f.hi, m))
+    if f.lo > 0 or f.hi < top:
+        raise OracleError("left window [%d, %d] does not cover [0, %d]" % (f.lo, f.hi, top))
     if f.base != g.base or f.der != g.der:
         raise AlgebraError("Ore elements over different rings")
-    if cache is None:
-        cache = {}
-    lefts = cache.setdefault("lefts", {})
-    tables = cache.setdefault("tables", {})
-    leads = {}
-    acc = {}
+    # g's terms by symbol, each as (d, s, [c C(s,u) (-1)^u for u <= s])
+    right = {}
     for (d, k, s), c in g.terms.items():
-        lead = leads.get(k)
-        if lead is None:
-            lead = leads[k] = _leading_differences(f, k, m, lefts, tables)
-        # ff(m, u) vanishes for u > m
-        for r in range(max(0, s - m), s + 1):
-            u = s - r
-            w = c * comb(s, r) * perm(m, u)
-            if u % 2:
-                w = -w
-            for p, kk, x in lead[m - u]:
-                slot = (p + m + d, kk, r)
-                acc[slot] = acc.get(slot, 0) + w * x
-    return Distribution(f.base, f.der, g.lo, g.hi - m, acc)
+        ws = [c * comb(s, u) for u in range(s + 1)]
+        for u in range(1, s + 1, 2):
+            ws[u] = -ws[u]
+        right.setdefault(k, []).append((d, s, ws))
+    accs = [{} for _ in range(top + 1)]
+    for q, level in enumerate(_leading_differences(f, list(right), top)):
+        for (k, p, kk), x in level:
+            for d, s, ws in right[k]:
+                # order q + u <= top reads level q
+                for u in range((s if s < top - q else top - q) + 1):
+                    n = q + u
+                    slot = (p + n + d, kk, s - u)
+                    acc = accs[n]
+                    acc[slot] = acc.get(slot, 0) + ws[u] * perm(n, u) * x
+    return [normal_map(acc) for acc in accs]
 
 
-def _leading_differences(f, k, m, lefts, tables):
-    """[(Delta^q R^(., k))(0) for q <= m or more], each a list of (power, key,
-    coefficient), where R^(i, k) is f(i) b_k with every power lowered by i.
-    A row is read from the flat left value, lefts[i] = f._flat(i), and the
-    derivation's Ore monomial table: an entry c at (p, key) adds c x at
-    (pw - i, kk) for each (pw, kk, x) of (b_key t^p) b_k, a miss filled by
-    OreElement.monomial_product. tables[k] is (index, lead, last): index
-    maps each slot (power, key) the rows have reached to its position, in
-    the order they reached it, so a row or difference is a coefficient list
-    over the index, zero-padded when a later row brings a new slot. lead
-    holds the leading differences, zeros dropped, and last the last
+def _leading_differences(f, symbols, top):
+    """[(Delta^q R^)(0) for q <= top], each a list of (slot, coefficient)
+    with the zeros dropped, where the row R^(i) holds f(i) b_k with every
+    power lowered by i, for every k in symbols, on the slots
+    (k, power, key). A row is one walk over the flat left value
+    f._flat(i), evaluated once: an entry c at (p, key) adds c x at
+    (k, pw - i, kk) for each symbol k and each (pw, kk, x) of
+    (b_key t^p) b_k in the derivation's Ore monomial table, a miss filled
+    by OreElement.monomial_product. Slots are indexed in the order the
+    rows reach them, so a row or difference is one coefficient list,
+    zero-padded when a later row brings a new slot. last holds the last
     diagonal [(Delta^q R^)(i - q)], i the last row; row i + 1 then costs
-    i + 1 list subtractions. Every level is kept, zero or not: a left
-    factor may vanish on its first indices only."""
-    index, lead, last = tables.setdefault(k, ({}, [], []))
+    i + 1 list subtractions for all symbols at once. Every level is
+    returned, zero or not: a left factor may vanish on its first indices
+    only."""
     base, der = f.base, f.der
     ore = der.ore_table
-    for i in range(len(lead), m + 1):
-        left = lefts.get(i)
-        if left is None:
-            left = lefts[i] = f._flat(i)
-        diff = [0] * len(index)
-        for (p, key), c in left.items():
-            terms = ore.get((key, p, k))
-            if terms is None:
-                terms = OreElement.monomial_product(base, der, key, p, k)
-            for pw, kk, x in terms:
-                slot = (pw - i, kk)
-                at = index.get(slot)
-                if at is None:
-                    at = index[slot] = len(diff)
-                    diff.append(0)
-                diff[at] += c * x
+    index, slots, last, lead = {}, [], [], []
+    for i in range(top + 1):
+        diff = [0] * len(slots)
+        for (p, key), c in f._flat(i).items():
+            for k in symbols:
+                terms = ore.get((key, p, k))
+                if terms is None:
+                    terms = OreElement.monomial_product(base, der, key, p, k)
+                for pw, kk, x in terms:
+                    slot = (k, pw - i, kk)
+                    at = index.get(slot)
+                    if at is None:
+                        at = index[slot] = len(slots)
+                        slots.append(slot)
+                        diff.append(0)
+                    diff[at] += c * x
         width = len(diff)
         for q in range(i):
             prev, last[q] = last[q], diff
             if len(prev) < width:
                 prev += [0] * (width - len(prev))
-            diff = [x - y for x, y in zip(diff, prev)]
+            diff = list(map(sub, diff, prev))
         last.append(diff)
-        lead.append([(p, kk, x) for (p, kk), x in zip(index, diff) if x])
+        lead.append([(slot, x) for slot, x in zip(slots, diff) if x])
     return lead
 
 
@@ -195,14 +204,16 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
     """Randomized two-route agreement check: for sampled pairs and every
     order m up to top = min(structural bound + 1, window), the distribution
     of the closed-form product must match the ring-side residue product as a
-    family of n, which lhs.first_difference(rhs) decides by comparing the
-    two coefficient maps. Each sample reads every closed-form order from one
-    nprod_all pass over [0, top], and every residue order from one cache. A
-    violation's index is the first n of the window [-window, window - m]
-    where the values differ or, when the maps differ but every value on the
-    window agrees, the first such n past the window. A check of no samples,
-    of samples that are all zero (degree or pdeg below 0) or on no window
-    is refused, not reported ok."""
+    family of n. Each sample makes one pass per route over [0, top]: one
+    nprod_all pass, each order's element read as family terms, and one
+    dist_nprod pass. The two are compared order by order as coefficient
+    maps in normal form, equal exactly when the families agree at every n.
+    On a mismatch both become Distributions on the window
+    [-window, window - m], and the violation's index is the first n of it
+    where the values differ or, when every value on the window agrees, the
+    first such n past the window. A check of no samples, of samples that
+    are all zero (degree or pdeg below 0) or on no window is refused, not
+    reported ok."""
     for name, value, least in (
         ("samples", samples, 1),
         ("window", window, 0),
@@ -231,13 +242,13 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
         g = to_distribution(b, -window, window)
         closed = c.nprod_all(a, b, top)
         zero = c.zero()
-        cache = {}
-        for m in range(top + 1):
-            lhs = to_distribution(closed.get(m, zero), g.lo, g.hi - m)
-            rhs = dist_nprod(f, g, m, cache)
-            n = lhs.first_difference(rhs)
+        for m, rhs in enumerate(dist_nprod(f, g, top)):
+            lhs = _family_terms(closed.get(m, zero))
             report["orders_checked"] += 1
-            if n is not None:
+            if lhs != rhs:
+                lhs = Distribution(c.base, c.der, g.lo, g.hi - m, lhs)
+                rhs = Distribution(c.base, c.der, g.lo, g.hi - m, rhs)
+                n = lhs.first_difference(rhs)
                 report["ok"] = False
                 report["violation"] = {
                     "order": m,

@@ -142,23 +142,48 @@ def test_subalgebra_closure_failure_has_a_witness():
 
 def test_check_closure_multiplies_exactly_the_pairs_inside_the_window(monkeypatch):
     m = MatrixPolyAlgebra(2)
-    # given out of degree order, and mixed in degree: e12 + x^2 e12 has degree 2
+    # given out of degree order, and mixed in degree: e12 + x^2 e12 has low
+    # degree 0 and degree 2
     spanning = [m.basis_element(k) for k in reversed(m.basis_upto(3))]
     spanning.append(m.parse_element({"e12": "1", "x^2*e12": "1"}))
     sub = Subalgebra(m, spanning, degree=3)
     calls = []
     honest = BaseAlgebra.mul_items
 
+    def degrees(alg, items):
+        el = Element(alg, items)
+        return el.low_degree(), el.degree()
+
     def counted(alg, u, w):
-        calls.append((Element(alg, u).degree(), Element(alg, w).degree()))
+        calls.append((degrees(alg, u), degrees(alg, w)))
         return honest(alg, u, w)
 
     monkeypatch.setattr(BaseAlgebra, "mul_items", counted)
     sub.check_closure()
-    degrees = [v.degree() for v in sub.spanning]
-    want = [(du, dw) for du in degrees for dw in degrees if du + dw <= 3]
+    spans = [(v.low_degree(), v.degree()) for v in sub.spanning]
+    want = [(u, w) for u in spans for w in spans if u[0] + w[0] <= 3]
     assert sorted(calls) == sorted(want)
-    assert 1 <= len(calls) < len(degrees) ** 2
+    # by its low degree, the mixed element meets partners of degree 2 and 3,
+    # which its degree 2 would have left out
+    assert ((0, 2), (3, 3)) in calls and ((3, 3), (0, 2)) in calls
+    assert ((0, 2), (2, 2)) in calls
+    assert 1 <= len(calls) < len(spans) ** 2
+
+
+def test_check_closure_sees_a_product_of_mixed_degree_inside_the_window():
+    """(2 e12 + e22 + 2x e21)(x e21) = 2x e11 + x e21 has degree 1, inside
+    the window, and is not in the span; the factors' degrees add up to 2, so
+    only their low degrees, 0 and 1, show the product can reach it."""
+    m = MatrixPolyAlgebra(2)
+    u, e22, x_e21 = (
+        m.parse_element(v) for v in ({"e12": "2", "e22": "1", "x*e21": "2"}, {"e22": "1"}, {"x*e21": "1"})
+    )
+    sub = Subalgebra(m, [u, e22, x_e21], degree=1)
+    prod = u.mul(x_e21)
+    assert prod == m.parse_element({"x*e11": "2", "x*e21": "1"})
+    assert u.degree() + x_e21.degree() > 1 and prod.degree() == 1 and not sub.member(prod, 1)
+    with pytest.raises(AlgebraError, match="not closed"):
+        sub.check_closure()
 
 
 def test_check_closure_refuses_a_product_at_the_window_edge():

@@ -7,7 +7,7 @@ import pytest
 
 from confalg.constructions import make_cend
 from confalg.linalg import Echelon, rref, solve_right
-from confalg.oracle import dist_nprod, to_distribution
+from confalg.oracle import Distribution, dist_nprod, to_distribution
 from confalg.rings import Poly, RatFunc, div, frac
 from reference_oracles import cscale
 
@@ -89,12 +89,13 @@ def test_integer_inputs_give_exact_results():
         assert all(poly_normal(p) for p in c.nprod(a, b, n).items.values())
     f, g = to_distribution(a, -4, 4), to_distribution(b, -4, 4)
     assert all(flat_normal(d.terms) and values_normal(d) for d in (f, g))
-    h = dist_nprod(f, g, 2)
-    assert h.terms and flat_normal(h.terms) and values_normal(h)
+    terms = dist_nprod(f, g, 2)[2]
+    assert terms and flat_normal(terms)
+    assert values_normal(Distribution(f.base, f.der, g.lo, g.hi - 2, terms))
     # halves meeting doubles: every coefficient is integral, so every one is
     # an int, on both sides of the residue sum
     f2 = to_distribution(cscale(a, F(1, 2)), -4, 4)
     g2 = to_distribution(cscale(b, 2), -4, 4)
     assert any(type(c) is F for c in f2.terms.values())
-    h2 = dist_nprod(f2, g2, 2)
-    assert h2 == h and all(type(c) is int for c in h2.terms.values())
+    terms2 = dist_nprod(f2, g2, 2)[2]
+    assert terms2 == terms and all(type(c) is int for c in terms2.values())

@@ -84,8 +84,10 @@ def test_dist_nprod_window_requirements():
     f = to_distribution(one, -2, 2)
     with pytest.raises(OracleError):
         dist_nprod(f, f, 3)
-    out = dist_nprod(f, f, 1)
-    assert (out.lo, out.hi) == (-2, 1)
+    with pytest.raises(OracleError):
+        dist_nprod(f, f, -1)
+    # every order from 0 to top, one map each
+    assert dist_nprod(f, f, 1) == [{(0, k, 0): 1 for k in c.base.one().items}, {}]
 
 
 def test_current_distributions_collapse_above_order_zero():
@@ -96,10 +98,9 @@ def test_current_distributions_collapse_above_order_zero():
     g = to_distribution(b, -5, 5)
     # order zero carries the base product, higher orders vanish identically
     base_prod = c.tilde(c.base.parse_element({"e11": "-2"}))
-    got = dist_nprod(f, g, 0)
-    assert got.first_difference(to_distribution(base_prod, -5, 5)) is None
-    for m in (1, 2, 3):
-        assert dist_nprod(f, g, m).terms == {}
+    got = dist_nprod(f, g, 3)
+    assert got[0] == to_distribution(base_prod, -5, 5).terms
+    assert got[1:] == [{}, {}, {}]
 
 
 def _dif_matrix_poly2_ad_e12():
@@ -203,17 +204,14 @@ def test_dist_nprod_matches_the_pairwise_residue_sum(name, data):
     )
     glo = data.draw(st.integers(-4, 2))
     g = draw_distribution(data, c, rng, glo, glo + top + data.draw(st.integers(0, 4)))
-    expected = {m: naive_dist_nprod(f, g, m) for m in range(top + 1)}
-    # a cold cache on every call
-    cold = {m: dist_nprod(f, g, m) for m in range(top + 1)}
+    # one pass for every order up to top, as oracle_check makes it
+    every = one_pass(f, g, top)
+    assert sorted(every) == list(range(top + 1))
     for m in range(top + 1):
-        assert agrees(cold[m], expected[m])
-    # one cache shared across orders, in any order and with repeats, as
-    # oracle_check shares it
-    cache = {}
-    orders = data.draw(st.permutations(range(top + 1)))
-    for m in orders + orders[:1]:
-        assert dist_nprod(f, g, m, cache) == cold[m]
+        assert agrees(every[m], naive_dist_nprod(f, g, m))
+    # a pass up to a lower order: the same maps, whatever the pass's top
+    low = data.draw(st.integers(0, top))
+    assert dist_nprod(f, g, low) == [every[m].terms for m in range(low + 1)]
 
 
 def agrees(d, ref):
@@ -221,6 +219,30 @@ def agrees(d, ref):
     return (d.lo, d.hi) == (ref.lo, ref.hi) and all(
         d.value(n) == ref.value(n) for n in range(ref.lo, ref.hi + 1)
     )
+
+
+def one_pass(f, g, top):
+    """Every order m of one dist_nprod pass up to top, each as a
+    Distribution on its window [g.lo, g.hi - m]."""
+    return {
+        m: Distribution(f.base, f.der, g.lo, g.hi - m, terms)
+        for m, terms in enumerate(dist_nprod(f, g, top))
+    }
+
+
+def traced_levels(monkeypatch):
+    """A list that receives (symbols, levels) of every _leading_differences
+    call dist_nprod makes."""
+    seen = []
+    honest = oracle_module._leading_differences
+
+    def traced(dist, symbols, top):
+        lead = honest(dist, symbols, top)
+        seen.append((symbols, lead))
+        return lead
+
+    monkeypatch.setattr(oracle_module, "_leading_differences", traced)
+    return seen
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,8 +261,8 @@ def test_distributions_hold_at_every_n(name, data):
     bound = c.structural_bound(a, b)
     m = data.draw(st.integers(0, min(0 if bound is None else bound + 1, 8)))
     f = to_distribution(a, 0, m)
-    wide = dist_nprod(f, to_distribution(b, -20, 20 + m), m)
-    assert dist_nprod(f, to_distribution(b, 0, m), m).terms == wide.terms
+    wide = one_pass(f, to_distribution(b, -20, 20 + m), m)[m]
+    assert dist_nprod(f, to_distribution(b, 0, m), m)[m] == wide.terms
     assert agrees(wide, naive_dist_nprod(f, to_distribution(b, -20, 20 + m), m))
 
 
@@ -249,8 +271,8 @@ def test_distributions_hold_at_every_n(name, data):
 def test_a_left_factor_vanishing_on_its_first_indices(name, lower):
     """a = D^3 b~ has f(0) = f(1) = f(2) = 0 and f(3) != 0, so every level of
     a short difference table is zero and the first nonzero row comes late;
-    a lower term D^lower b'~ makes the earlier rows nonzero. One cache serves
-    the orders in descending and then ascending order."""
+    a lower term D^lower b'~ makes the earlier rows nonzero. Every order
+    comes from one pass."""
     c = STRUCTURES[name]()
     keys = c.base.basis_upto(2)
     a = c.tilde(c.base.basis_element(keys[-1])).dapply(3)
@@ -262,15 +284,15 @@ def test_a_left_factor_vanishing_on_its_first_indices(name, lower):
     assert not f.value(3).is_zero()
     expected = {m: naive_dist_nprod(f, g, m) for m in range(7)}
     assert any(not expected[m].value(n).is_zero() for m in range(4, 7) for n in range(-4, 4))
-    cache = {}
-    for m in list(range(6, -1, -1)) + list(range(7)):
-        assert agrees(dist_nprod(f, g, m, cache), expected[m])
+    every = one_pass(f, g, 6)
+    for m in range(7):
+        assert agrees(every[m], expected[m])
 
 
-def test_dist_nprod_on_a_deep_difference_table():
+def test_dist_nprod_on_a_deep_difference_table(monkeypatch):
     """Keys of degree 6 to 8 on cend1: the rows f(i) b_k, powers lowered by
     i, are polynomials of degree >= 6 in i, so every order m <= 8 reads a
-    nonzero level of the table, cold and through one shared cache."""
+    nonzero level of the table of the one pass."""
     c = make_cend(1)
     keys = [k for k in c.base.basis_upto(8) if k not in set(c.base.basis_upto(5))]
     rng = random.Random(23)
@@ -282,24 +304,26 @@ def test_dist_nprod_on_a_deep_difference_table():
 
     a, b = element(keys[:2]), element(keys[-2:])
     f, g = to_distribution(a, 0, 8), to_distribution(b, -3, 11)
-    cache = {}
+    seen = traced_levels(monkeypatch)
+    every = one_pass(f, g, 8)
     for m in range(9):
-        expected = naive_dist_nprod(f, g, m)
-        assert agrees(dist_nprod(f, g, m), expected)
-        assert agrees(dist_nprod(f, g, m, cache), expected)
-    # every level of each symbol's table, down to the eighth, is nonzero
-    assert cache["tables"] and all(
-        len(lead) == 9 and all(lead) for _, lead, _ in cache["tables"].values()
-    )
+        assert agrees(every[m], naive_dist_nprod(f, g, m))
+    # the one pass's table: every level, down to the eighth, is nonzero on
+    # the slots of each symbol of g
+    [(symbols, lead)] = seen
+    assert sorted(symbols) == sorted({k for _, k, _ in g.terms}) and len(symbols) == 2
+    assert len(lead) == 9
+    for level in lead:
+        assert {k for (k, _, _), _ in level} == set(symbols)
 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(STRUCTURES)), data=st.data())
-def test_dist_nprod_through_one_cache_matches_the_reference(name, data):
+def test_one_dist_nprod_pass_matches_the_reference(name, data):
     """Families with int and Fraction coefficients, mixed in one family;
-    terms of s up to 4 vanish on the first indices, so their slots enter a
-    difference table at a later row. The orders are asked for in shuffled
-    order through one shared cache, each compared with the reference sum."""
+    terms of s up to 4 vanish on the first indices, so their slots enter the
+    difference table at a later row. Every order of one pass is compared
+    with the reference sum."""
     c = STRUCTURES[name]()
     keys = c.base.basis_upto(2)
 
@@ -321,29 +345,56 @@ def test_dist_nprod_through_one_cache_matches_the_reference(name, data):
     f = Distribution(c.base, c.der, 0, top, terms())
     glo = data.draw(st.integers(-4, 1))
     g = Distribution(c.base, c.der, glo, glo + top + data.draw(st.integers(0, 3)), terms())
-    cache = {}
-    for m in data.draw(st.permutations(range(top + 1))):
-        assert agrees(dist_nprod(f, g, m, cache), naive_dist_nprod(f, g, m))
+    every = one_pass(f, g, top)
+    for m in range(top + 1):
+        assert agrees(every[m], naive_dist_nprod(f, g, m))
+
+
+def test_two_right_symbols_reaching_the_same_slot():
+    """On 2x2 matrices, e11 e11 = e11 = e12 e21: rows f(i) b_k for the right
+    symbols e11 and e21 both reach the (power, key) slot (0, e11), with
+    different coefficients, so one table keyed without the symbol would
+    credit each symbol's terms of g with the other's row."""
+    c = make_current(MatrixAlgebra(2))
+    e11, e12, e21 = (c.base.parse_key(n) for n in ("e11", "e12", "e21"))
+    a = CElement(c, {e11: Poly([2, 0, 1]), e12: Poly([-3, 1])})
+    b = CElement(c, {e11: Poly([1, 1]), e21: Poly([5, 0, -2])})
+    f, g = to_distribution(a, 0, 4), to_distribution(b, -4, 6)
+    every = one_pass(f, g, 4)
+    reached = False
+    for m in range(5):
+        expected = naive_dist_nprod(f, g, m)
+        assert agrees(every[m], expected)
+        reached = reached or any(not expected.value(n).is_zero() for n in range(-4, 7 - m))
+    assert reached
+    # row 0: (2 e11 - 3 e12) e11 = 2 e11 and (2 e11 - 3 e12) e21 = -3 e11
+    left = f.value(0).items[0]
+    assert left.mul(c.base.basis_element(e11)).items == {e11: 2}
+    assert left.mul(c.base.basis_element(e21)).items == {e11: -3}
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
-def test_a_slot_that_first_appears_at_a_later_row(name):
+def test_a_slot_that_first_appears_at_a_later_row(monkeypatch, name):
     """f(i) = u t^i + (1/2) i (i - 1) u t^(i-2), u the sum of the basis
-    symbols of degree <= 1: rows 0 and 1 hold slots at power 0 only, and
-    row 2 brings slots at power -2 and below, so the earlier differences
-    are zero-padded to them."""
+    symbols of degree <= 1: rows 0 and 1, powers lowered by i, hold slots
+    at powers 0 and -1 only, and row 2 brings slots at power -2 and below,
+    so the earlier differences are zero-padded to them."""
     c = STRUCTURES[name]()
     keys = c.base.basis_upto(1)
     terms = {(0, k, 0): 1 for k in keys}
     terms.update({(-2, k, 2): Fraction(1, 2) for k in keys})
     f = Distribution(c.base, c.der, 0, 5, terms)
     g = to_distribution(sample_celement(c, random.Random(3), 2, 2), -3, 9)
-    cache = {}
-    for m in [5, 0, 3, 1, 4, 2]:
-        assert agrees(dist_nprod(f, g, m, cache), naive_dist_nprod(f, g, m))
-    for index, lead, _ in cache["tables"].values():
-        first = {(p, kk) for p, kk, _ in lead[0]}
-        assert first and any(slot not in first for slot in index)
+    seen = traced_levels(monkeypatch)
+    every = one_pass(f, g, 5)
+    for m in range(6):
+        assert agrees(every[m], naive_dist_nprod(f, g, m))
+    [(symbols, lead)] = seen
+    for k in symbols:
+        first = {slot for slot, _ in lead[0] if slot[0] == k}
+        later = {slot for level in lead[2:] for slot, _ in level if slot[0] == k}
+        assert first and all(p == 0 for _, p, _ in first)
+        assert any(p <= -2 for _, p, _ in later)
 
 
 def test_dist_nprod_refuses_distributions_over_different_rings():
@@ -367,9 +418,7 @@ def test_oracle_route_shares_no_code_with_the_closed_form(monkeypatch):
         monkeypatch.setattr(ConformalAlgebra, attr, refuse)
     for a, b in samples:
         f, g = to_distribution(a, -4, 4), to_distribution(b, -4, 4)
-        cache = {}
-        for m in range(4):
-            dist_nprod(f, g, m, cache)
+        dist_nprod(f, g, 3)
 
 
 def test_oracle_agreement_on_the_stock_structures():
@@ -388,10 +437,12 @@ def test_oracle_agreement_on_the_stock_structures():
 @pytest.mark.parametrize("window", [1, 8])
 def test_oracle_check_reads_the_closed_form_once_per_sample(monkeypatch, window):
     """Every order a sample checks comes from one nprod_all pass over
-    [0, top], top = min(structural bound + 1, window): nprod is never
-    called, and the pass makes no order above top."""
+    [0, top], top = min(structural bound + 1, window), and from one
+    dist_nprod pass to the same top: nprod is never called, and the
+    closed-form pass makes no order above top."""
     honest_all, honest_products = ConformalAlgebra.nprod_all, ConformalAlgebra._products
-    passes, made = [], []
+    honest_residue = oracle_module.dist_nprod
+    passes, made, residues = [], [], []
 
     def counted_all(self, a, b, top=None):
         passes.append(top)
@@ -402,21 +453,29 @@ def test_oracle_check_reads_the_closed_form_once_per_sample(monkeypatch, window)
         made.append((lo, hi, sorted(accs)))
         return accs
 
+    def counted_residue(f, g, top):
+        out = honest_residue(f, g, top)
+        residues.append((top, len(out)))
+        return out
+
     def refuse(*args, **kwargs):
         raise AssertionError("oracle_check called nprod")
 
     monkeypatch.setattr(ConformalAlgebra, "nprod", refuse)
     monkeypatch.setattr(ConformalAlgebra, "nprod_all", counted_all)
     monkeypatch.setattr(ConformalAlgebra, "_products", counted_products)
+    monkeypatch.setattr(oracle_module, "dist_nprod", counted_residue)
     checked = 0
     for name in sorted(STRUCTURES):
         report = oracle_check(STRUCTURES[name](), samples=6, seed=2, window=window, degree=3)
         assert report["ok"], report["violation"]
         checked += report["orders_checked"]
-    assert len(passes) == len(made) == 6 * len(STRUCTURES)
+    assert len(passes) == len(made) == len(residues) == 6 * len(STRUCTURES)
     assert checked == sum(top + 1 for top in passes)
     assert [hi for _, hi, _ in made] == passes and max(passes) == window
     assert all(lo == 0 and all(n <= hi for n in orders) for lo, hi, orders in made)
+    # one residue pass per sample, to the same top, making every order
+    assert residues == [(top, top + 1) for top in passes]
 
 
 def test_oracle_catches_a_corrupted_structure_table():
@@ -482,12 +541,12 @@ def test_dist_nprod_work_counts(monkeypatch):
             filled.append((k1, p, k2))
         return fill(cls, base, der, k1, p, k2)
 
-    fetched = []
+    passes = []
     lead = oracle_module._leading_differences
 
-    def counted_lead(dist, k, m, lefts, tables):
-        fetched.append((m, k))
-        return lead(dist, k, m, lefts, tables)
+    def counted_lead(dist, symbols, top):
+        passes.append((sorted(symbols), top))
+        return lead(dist, symbols, top)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a row went through OreElement.mul")
@@ -496,12 +555,12 @@ def test_dist_nprod_work_counts(monkeypatch):
     monkeypatch.setattr(OreElement, "monomial_product", classmethod(counted_fill))
     monkeypatch.setattr(oracle_module, "_leading_differences", counted_lead)
     monkeypatch.setattr(OreElement, "mul", refuse)
-    cache = {}
-    for m in range(7):
-        dist_nprod(f, g, m, cache)
+    out = dist_nprod(f, g, 6)
     symbols = {k for _, k, _ in g.terms}
+    assert len(out) == 7
+    # one table for every symbol of g, though g has several terms per symbol
     assert len(g.terms) > len(symbols)
-    assert sorted(fetched) == sorted((m, k) for m in range(7) for k in symbols)
+    assert passes == [(sorted(symbols), 6)]
     assert sorted(evaluated) == list(range(7))
     assert filled and len(filled) == len(set(filled))
 

@@ -4,6 +4,7 @@ and listed in recorded_reports.CORRUPTED, and one that vanishes on the
 window. The honest reports are diffed in test_cli."""
 
 import json
+from itertools import zip_longest
 
 import pytest
 
@@ -47,23 +48,23 @@ def test_a_corrupted_order_is_reported_as_the_reference_route_sees_it(capsys, st
 
 @pytest.mark.parametrize("name", SPECS)
 def test_a_mismatch_that_vanishes_on_the_window_is_reported(capsys, monkeypatch, name):
-    """A D-multiple added at order 0 has the distribution -n b t^(n-1) + ...,
-    zero at n = 0, so the window 0 cannot see it: the maps differ, and the
-    violation's index is the first n past the window where the values do."""
-    honest, honest_all = ConformalAlgebra.nprod, ConformalAlgebra.nprod_all
+    """A D-multiple added at order 0 of the closed-form kernel's sums has
+    the distribution -n b t^(n-1) + ..., zero at n = 0, so the window 0
+    cannot see it: the maps differ, and the violation's index is the first
+    n past the window where the values do."""
+    honest = ConformalAlgebra._products
 
-    def shifted(self, a, b, n):
-        v = honest(self, a, b, n)
-        return v.add(b.dapply()) if n == 0 else v
+    def shifted(self, a, b, lo, hi):
+        accs = honest(self, a, b, lo, hi)
+        if lo == 0:
+            acc = accs.setdefault(0, {})
+            for k, p in b.dapply().items.items():
+                acc[k] = [x + y for x, y in zip_longest(acc.get(k, ()), p.coeffs, fillvalue=0)]
+        return accs
 
-    def shifted_all(self, a, b, top=None):
-        out = honest_all(self, a, b, top)
-        out[0] = out.get(0, self.zero()).add(b.dapply())
-        return out
-
-    monkeypatch.setattr(ConformalAlgebra, "nprod", shifted)
-    monkeypatch.setattr(ConformalAlgebra, "nprod_all", shifted_all)
+    monkeypatch.setattr(ConformalAlgebra, "_products", shifted)
     code, out = run(capsys, ["oracle-check", spec(name + ".json"), "--window", "0", "--samples", "5"])
+    monkeypatch.undo()
     report = json.loads(out)
     assert (code, report["ok"], report["orders_checked"]) == (1, False, 1)
     v = report["violation"]
@@ -73,9 +74,8 @@ def test_a_mismatch_that_vanishes_on_the_window_is_reported(capsys, monkeypatch,
     n = v["index"]
     f, g = to_distribution(a, 0, 0), to_distribution(b, 0, n)
     residue = naive_dist_nprod(f, g, 0)
-    closed = to_distribution(shifted(c, a, b, 0), 0, n)
+    closed = to_distribution(c.nprod(a, b, 0).add(b.dapply()), 0, n)
     assert v["residue"] == residue.value(n).to_map()
     assert v["closed_form"] == closed.value(n).to_map() != v["residue"]
     for k in range(n):
         assert closed.value(k) == residue.value(k)
-

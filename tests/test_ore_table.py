@@ -87,3 +87,31 @@ def test_table_entries_shift_with_the_right_power():
         assert x.mul(y) == naive_ore_mul(x, y)
     # every right power reused the single entry for (x^2, -1, x^3)
     assert list(der.ore_table) == [((2, 1, 1), -1, (3, 1, 1))]
+
+
+def test_each_expansion_of_t_power_times_a_symbol_is_made_once(monkeypatch):
+    """Every left key k1 of (b_k1 t^p) b_k2 reads the one expansion of
+    t^p b_k2 memoised on the derivation: commute_t runs once per (p, k2),
+    and each table entry still equals the naive product."""
+    base, der = FACTORIES["dif_matrix_poly2_ad_e12"]()
+    honest = OreElement.commute_t
+    expanded = []
+
+    def counted(self, p, b):
+        expanded.append((p, tuple(b.items)))
+        return honest(self, p, b)
+
+    monkeypatch.setattr(OreElement, "commute_t", counted)
+    keys = base.basis_upto(1)
+    cases = [(k1, p, k2) for k1 in keys for p in (-2, 1, 3) for k2 in keys[:3]]
+    got = {case: OreElement.monomial_product(base, der, *case) for case in cases}
+    assert len(expanded) == len(set(expanded)) == 3 * 3
+    assert sorted(der.ore_expansions) == sorted((p, k2) for p in (-2, 1, 3) for k2 in keys[:3])
+    monkeypatch.undo()
+    for k1, p, k2 in cases:
+        x = OreElement(base, der, {p: base.basis_element(k1)})
+        y = OreElement(base, der, {0: base.basis_element(k2)})
+        want = naive_ore_mul(x, y)
+        assert sorted(got[(k1, p, k2)]) == sorted(
+            (pw, k, c) for pw, el in want.items.items() for k, c in el.items.items()
+        )
