@@ -117,7 +117,7 @@ class ConformalAlgebra:
             raise ConformalError("product order must be >= 0")
         if a.conf != self or b.conf != self:
             raise ConformalError("arguments of a different conformal algebra")
-        return self._element(self._products(a, b, n, n)[n])
+        return self._element(self._products(a, b, jobs=((0, 0, n),))[0])
 
     def nprod_all(self, a, b, top=None):
         """All nonzero orders of a (n) b up to top (every order when top is
@@ -132,11 +132,13 @@ class ConformalAlgebra:
                 out[n] = v
         return out
 
-    def _products(self, a, b, lo, hi):
+    def _products(self, a, b, lo=0, hi=None, jobs=None):
         """a (n) b for every order n in [lo, hi] (no upper end when hi is
-        None), as a map n -> {key: D-coefficient list}. An order with no
-        term is left out, except a single order, which is always listed; a
-        listed order's sums can still cancel.
+        None), as a map n -> {key: D-coefficient list}; an order with no
+        term is left out. With jobs, a list of single-order jobs (i, j, n),
+        lo and hi are unused and the result is the list of the jobs' maps
+        of (D^i a) (n) (D^j b), in the jobs' order, each listed even with
+        no term. Any listed map's sums can still cancel.
 
         (D^i u) (n) (D^j v) = (-1)^i sum_s C(j,s) ff(n,i+s) D^(j-s) [u (n-i-s) v]
         with ff(n,k) = perm(n,k) the falling factorial. For symbols u, v
@@ -144,12 +146,90 @@ class ConformalAlgebra:
         ff(n,t) w_t [u (m) v] with t = n - m <= deg p + deg q, where
         w_t = sum_i (-1)^i p_i q^[t-i] and q^[s] = sum_j C(j,s) q_j D^(j-s)
         is the s-th divided derivative of q; divided[s] lists it. Only the
-        basis orders m below nilp(v) can be nonzero. w_t is made only at a
-        nonzero basis product. It does not depend on n, so over a range of
-        orders each pair makes it once per t and spreads it to every order
-        m + t. A single order meets each t once, so its loop keeps no w_t
-        and no per-order map (a step shared with the range loop costs
-        single-order nprod about 5%)."""
+        basis orders m below nilp(v) can be nonzero, and a basis product is
+        made once, into the pair's row of self._pairs, where every later
+        read finds it. Over a range of orders w_t does not depend on n, so
+        each pair makes it once per t and spreads it to every order m + t.
+
+        A job (i, j, n) is (D^i a) (n) (D^j b) on its own: p' = D^i p
+        signed as ps, the divided derivatives of q' = D^j q (up to the
+        highest n of the jobs), and at each basis order m the one t = n - m,
+        whose terms ff(n,t) (-1)^x p'_x q'^[t-x] [u (m) v] it adds as they
+        are made, keeping no w_t. The lists are built once per term for
+        each i and each j the jobs name and shared by the jobs that name
+        it; a job adds only into its own map, and no job's sums are read
+        off another's: a (n-1) b and (Da) (n) b are related by the shift
+        rule, which check_axioms tests. The jobs run one after another over
+        the pairs; walking the pairs once with the jobs inside measured
+        slower (per-pair job setup)."""
+        if jobs is not None:
+            orbits = self._orbits
+            pairs = self._pairs
+            top = 0
+            for _, _, n in jobs:
+                if n > top:
+                    top = n
+            lefts = {}
+            rights = {}
+            accs = []
+            for i, j, n in jobs:
+                left = lefts.get(i)
+                if left is None:
+                    # (-1)^x c_x for D^i p = sum_x c_x D^x, per left term
+                    left = lefts[i] = []
+                    for k1, p in a.items.items():
+                        ps = [-c if (x + i) % 2 else c for x, c in enumerate(p.coeffs)]
+                        if i:
+                            ps = [0] * i + ps
+                        left.append((k1, ps, len(ps)))
+                got = rights.get(j)
+                if got is None:
+                    right = []
+                    width = 0
+                    for k2, q in b.items.items():
+                        qs = (0,) * j + q.coeffs if j else q.coeffs
+                        lq = len(qs)
+                        divided = [qs]
+                        for s in range(1, lq if lq <= top else top + 1):
+                            divided.append([comb(x, s) * qs[x] for x in range(s, lq)])
+                        right.append((k2, divided, lq, len(orbits.get(k2) or self._orbit(k2))))
+                        if lq > width:
+                            width = lq
+                    rights[j] = right, width
+                else:
+                    right, width = got
+                acc = {}
+                for k1, ps, lp in left:
+                    for k2, divided, lq, nil in right:
+                        lo = n - lp - lq + 2
+                        if lo < 0:
+                            lo = 0
+                        hi = nil - 1 if nil <= n else n
+                        if lo > hi:
+                            continue
+                        row = pairs.get((k1, k2)) or pairs.setdefault((k1, k2), [None] * nil)
+                        for m in range(lo, hi + 1):
+                            entry = row[m]
+                            if entry is None:
+                                entry = row[m] = self.basis_nprod(k1, k2, m)
+                            if not entry:
+                                continue
+                            t = n - m
+                            i0 = t - lq + 1
+                            if i0 < 0:
+                                i0 = 0
+                            f = perm(n, t)
+                            for bk, bc in entry.items():
+                                c = f * bc
+                                slot = acc.get(bk) or acc.setdefault(bk, [0] * width)
+                                for x in range(i0, t + 1 if t < lp else lp):
+                                    px = ps[x]
+                                    if px:
+                                        px *= c
+                                        for d, h in enumerate(divided[t - x]):
+                                            slot[d] += px * h
+                accs.append(acc)
+            return accs
         orbits = self._orbits
         right = []
         width = 0
@@ -165,10 +245,7 @@ class ConformalAlgebra:
             if lq > width:
                 width = lq
         pairs = self._pairs
-        single = lo == hi
         accs = {}
-        if single:
-            acc = accs[lo] = {}
         for k1, p in a.items.items():
             pc = p.coeffs
             lp = len(pc)
@@ -181,34 +258,7 @@ class ConformalAlgebra:
                 if mlo > mhi:
                     continue
                 row = pairs.get((k1, k2)) or pairs.setdefault((k1, k2), [None] * nil)
-                if single:
-                    # one order: each basis order m meets the one t = lo - m
-                    for m in range(mlo, mhi + 1):
-                        entry = row[m]
-                        if entry is None:
-                            entry = row[m] = self.basis_nprod(k1, k2, m)
-                        if not entry:
-                            continue
-                        t = lo - m
-                        i0 = t - lq + 1
-                        if i0 < 0:
-                            i0 = 0
-                        w = [0] * lq
-                        for i in range(i0, t + 1 if t < lp else lp):
-                            pi = ps[i]
-                            if pi:
-                                for d, h in enumerate(divided[t - i]):
-                                    w[d] += pi * h
-                        ff = perm(lo, t)
-                        for bk, bc in entry.items():
-                            c = ff * bc
-                            slot = acc.get(bk) or acc.setdefault(bk, [0] * width)
-                            for d, v in enumerate(w):
-                                if v:
-                                    slot[d] += c * v
-                    continue
-                # several orders: the same steps, with w_t kept by t and
-                # spread to every order m + t in the range
+                # w_t kept by t and spread to every order m + t in the range
                 ws = [None] * (span + 1)
                 for m in range(mlo, mhi + 1):
                     entry = row[m]
@@ -343,12 +393,28 @@ def locality_degree(c, a, b):
     return max(c.nprod_all(a, b), default="none")
 
 
+def _randbelow(rng, width):
+    """A uniform int in [0, width), drawn as rng.randint(lo, lo + width - 1)
+    draws it, less lo: getrandbits(width.bit_length()) until below width,
+    the stream random.Random._randbelow_with_getrandbits reads, without
+    randint's and randrange's layers. An empty range is refused before any
+    draw, with ValueError as randint refuses it."""
+    if width <= 0:
+        raise ValueError("empty range for a draw below %d" % width)
+    k = width.bit_length()
+    u = rng.getrandbits(k)
+    while u >= width:
+        u = rng.getrandbits(k)
+    return u
+
+
 def sample_celement(c, rng, degree, pdeg=2, terms=3, coeff_bound=5):
     keys = c.base.basis_upto(degree)
-    picked = rng.sample(keys, min(rng.randint(1, terms), len(keys)))
+    picked = rng.sample(keys, min(1 + _randbelow(rng, terms), len(keys)))
+    width = 2 * coeff_bound + 1
     items = {}
     for k in picked:
-        coeffs = normal([rng.randint(-coeff_bound, coeff_bound) for _ in range(pdeg + 1)])
+        coeffs = normal([_randbelow(rng, width) - coeff_bound for _ in range(pdeg + 1)])
         if coeffs:
             items[k] = Poly._trusted(coeffs)
     return CElement._trusted(c, items)
@@ -357,35 +423,39 @@ def sample_celement(c, rng, degree, pdeg=2, terms=3, coeff_bound=5):
 def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
     """Randomized check of the two shift rules on sampled element pairs.
 
-    Each sample draws a, b and an order n, then makes three passes of the
-    closed-form kernel c._products, the one nprod and nprod_all read:
-    (a, b) over the orders [n-1, n] (order 0 alone at n = 0), giving
-    P1 = a (n) b and P4 = a (n-1) b; (Da, b) at n, giving P2; and (a, Db)
-    at n, giving P3. The rules are compared in place on the kernel's
-    key -> D-coefficient lists, padded with zeros, an order missing from a
-    pass read as zero, values compared exactly:
+    Each sample draws a, b and an order n, then makes one call of the
+    closed-form kernel c._products, the one nprod and nprod_all read, with
+    the single-order jobs (i, j, m) = (D^i a) (m) (D^j b): P1 = a (n) b,
+    P2 = (Da) (n) b, P3 = a (n) (Db) and, when n >= 1, P4 = a (n-1) b
+    (zero at n = 0). Each job's sums come from its own coefficients; no Da
+    or Db is built. The rules are compared in place on the kernel's
+    key -> D-coefficient lists, padded with zeros, values compared exactly:
       leibniz: D P1 - P2 - P3 = 0 at every key and D-power;
       shift:   P2 + n P4 = 0.
     No element is built for a product. Leibniz is checked before shift.
 
     product(x, y, m) may override the n-product under test; it must return
-    a CElement. It feeds the same loop: each pass calls it once per order,
-    so a sample makes 4 calls, or 3 at n = 0. Returns a report dict; ok is
-    False with the first failing sample when a violation is found. A check
-    of no samples, or of samples that are all zero (degree or pdeg below 0),
-    is refused, not reported ok."""
+    a CElement. It feeds the same loop: it is called once per job, on Da or
+    Db where the job shifts a factor, so a sample makes 4 calls, or 3 at
+    n = 0. Returns a report dict; ok is False with the first failing sample
+    when a violation is found. A check of no samples, or of samples that
+    are all zero (degree or pdeg below 0), is refused, not reported ok."""
     for name, value, least in (("samples", samples, 1), ("degree", degree, 0), ("pdeg", pdeg, 0)):
         if value < least:
             raise ConformalError("%s must be >= %d, got %d" % (name, least, value))
     if product is None:
-        passes = c._products
+
+        def products(x, y, jobs):
+            return c._products(x, y, jobs=jobs)
+
     else:
 
-        def passes(x, y, lo, hi):
-            return {
-                m: {k: p.coeffs for k, p in product(x, y, m).items.items()}
-                for m in range(lo, hi + 1)
-            }
+        def products(x, y, jobs):
+            out = []
+            for i, j, m in jobs:
+                v = product(x.dapply(i) if i else x, y.dapply(j) if j else y, m)
+                out.append({k: p.coeffs for k, p in v.items.items()})
+            return out
 
     rng = random.Random(seed)
     report = {
@@ -401,11 +471,12 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
         b = sample_celement(c, rng, degree, pdeg)
         bound = c.structural_bound(a, b)
         top = 1 if bound is None else bound + 1
-        n = rng.randint(0, max(top, 1))
-        ab = passes(a, b, max(n - 1, 0), n)
-        p1, p4 = ab.get(n, {}), ab.get(n - 1, {})
-        p2 = passes(a.dapply(), b, n, n).get(n, {})
-        p3 = passes(a, b.dapply(), n, n).get(n, {})
+        n = _randbelow(rng, max(top, 1) + 1)
+        jobs = [(0, 0, n), (1, 0, n), (0, 1, n)]
+        if n:
+            jobs.append((0, 0, n - 1))
+        p1, p2, p3, *rest = products(a, b, jobs)
+        p4 = rest[0] if rest else {}
         if not _leibniz_holds(p1, p2, p3):
             axiom = "leibniz"
         elif not _shift_holds(p2, p4, n):

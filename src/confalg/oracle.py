@@ -20,7 +20,7 @@ from math import comb, perm
 from operator import sub
 
 from .algebra import AlgebraError, Element, OreElement, normal_map
-from .conformal import sample_celement
+from .conformal import _randbelow, sample_celement
 from .rings import falling
 
 
@@ -264,11 +264,12 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
 
 def sample_ore(base, der, rng, degree=3, power=2, terms=2, coeff_bound=5):
     keys = base.basis_upto(degree)
+    width = 2 * coeff_bound + 1
     items = {}
-    for _ in range(rng.randint(1, terms)):
-        p = rng.randint(-power, power)
-        picked = rng.sample(keys, min(rng.randint(1, 2), len(keys)))
-        el = Element(base, {k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
+    for _ in range(1 + _randbelow(rng, terms)):
+        p = _randbelow(rng, 2 * power + 1) - power
+        picked = rng.sample(keys, min(1 + _randbelow(rng, 2), len(keys)))
+        el = Element(base, {k: _randbelow(rng, width) - coeff_bound for k in picked})
         items[p] = items[p].add(el) if p in items else el
     return OreElement(base, der, items)
 
@@ -276,9 +277,11 @@ def sample_ore(base, der, rng, degree=3, power=2, terms=2, coeff_bound=5):
 def coeff_assoc_check(base, der, samples=100, seed=0, degree=3, power=2, mul=None):
     """Randomized associativity check for the twisted Laurent ring, mixing
     positive and negative powers of t. mul may override the product. A
-    check of no samples is refused, not reported ok."""
-    if samples < 1:
-        raise OracleError("samples must be >= 1, got %d" % samples)
+    check of no samples, or of samples that are all zero (degree below 0),
+    is refused, not reported ok, and so is a power below 0."""
+    for name, value, least in (("samples", samples, 1), ("degree", degree, 0), ("power", power, 0)):
+        if value < least:
+            raise OracleError("%s must be >= %d, got %d" % (name, least, value))
     if mul is None:
         mul = OreElement.mul
     rng = random.Random(seed)

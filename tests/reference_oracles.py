@@ -2,6 +2,7 @@
 against. They are deliberately naive and share no code with the routines
 they check."""
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
@@ -50,6 +51,45 @@ def random_element(alg, rng, degree, terms=3, coeff_bound=5):
     keys = alg.basis_upto(degree)
     picked = rng.sample(keys, min(rng.randint(1, terms), len(keys)))
     return Element(alg, {k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
+
+
+class CappedRandom(random.Random):
+    """A seeded Random whose getrandbits fails after `cap` calls, so a draw
+    that would never end fails instead."""
+
+    def __init__(self, seed, cap):
+        super().__init__(seed)
+        self.left = cap
+
+    def getrandbits(self, k):
+        if self.left <= 0:
+            raise AssertionError("more than the allowed getrandbits calls")
+        self.left -= 1
+        return super().getrandbits(k)
+
+
+def randint_sample_celement(c, rng, degree, pdeg=2, terms=3, coeff_bound=5):
+    """sample_celement as first written, every integer drawn by rng.randint:
+    up to `terms` basis symbols of degree at most `degree`, each with a
+    D-polynomial of degree at most pdeg."""
+    keys = c.base.basis_upto(degree)
+    picked = rng.sample(keys, min(rng.randint(1, terms), len(keys)))
+    items = {}
+    for k in picked:
+        items[k] = Poly([rng.randint(-coeff_bound, coeff_bound) for _ in range(pdeg + 1)])
+    return CElement(c, items)
+
+
+def randint_sample_ore(base, der, rng, degree=3, power=2, terms=2, coeff_bound=5):
+    """sample_ore as first written, every integer drawn by rng.randint."""
+    keys = base.basis_upto(degree)
+    items = {}
+    for _ in range(rng.randint(1, terms)):
+        p = rng.randint(-power, power)
+        picked = rng.sample(keys, min(rng.randint(1, 2), len(keys)))
+        el = Element(base, {k: rng.randint(-coeff_bound, coeff_bound) for k in picked})
+        items[p] = items[p].add(el) if p in items else el
+    return OreElement(base, der, items)
 
 
 def cscale(a, c):

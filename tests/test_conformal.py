@@ -12,6 +12,7 @@ from confalg.conformal import (
     CElement,
     ConformalAlgebra,
     ConformalError,
+    _randbelow,
     check_axioms,
     locality_degree,
     sample_celement,
@@ -19,7 +20,12 @@ from confalg.conformal import (
 from confalg.constructions import make_cend, make_current, make_differential
 from confalg.specfile import load_spec
 from recorded_reports import SPECS, doubled, kernel_order_changed, spec
-from reference_oracles import cscale, table_ddx_plus_ad_e12
+from reference_oracles import (
+    CappedRandom,
+    cscale,
+    randint_sample_celement,
+    table_ddx_plus_ad_e12,
+)
 
 
 def cur_m2():
@@ -171,6 +177,45 @@ def test_sample_celement_deterministic():
     )
 
 
+# keyword arguments past c, rng: the defaults at two degrees, single-term
+# constants, and long, wide draws
+SAMPLER_ARGS = [
+    {"degree": 4},
+    {"degree": 2},
+    {"degree": 0, "pdeg": 0, "terms": 1, "coeff_bound": 0},
+    {"degree": 3, "pdeg": 1, "terms": 2, "coeff_bound": 1},
+    {"degree": 5, "pdeg": 6, "terms": 9, "coeff_bound": 10**12},
+]
+
+
+@pytest.mark.parametrize("name", SPECS)
+@pytest.mark.parametrize("kwargs", SAMPLER_ARGS)
+def test_sample_celement_draws_what_randint_draws(name, kwargs):
+    """The library's draws are randint's stream: the same elements, and the
+    rng left in the same state, over seeds 0-49."""
+    c = load_spec(spec(name + ".json")).conformal
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert sample_celement(c, rng, **kwargs) == randint_sample_celement(c, ref, **kwargs)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_an_empty_draw_is_refused_before_any_bits_are_read(width):
+    with pytest.raises(ValueError, match="empty range"):
+        _randbelow(CappedRandom(0, 0), width)
+
+
+@pytest.mark.parametrize("kwargs, cap", [({"terms": 0}, 0), ({"coeff_bound": -1}, 100)])
+def test_sample_celement_refuses_an_empty_range(kwargs, cap):
+    """terms 0 leaves no term count to draw, coeff_bound -1 no coefficient:
+    refused, where rejection sampling would draw forever. The capped rng
+    turns a draw that does not end into a failure."""
+    with pytest.raises(ValueError, match="empty range"):
+        sample_celement(make_cend(1), CappedRandom(0, cap), 2, **kwargs)
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_check_axioms_refuses_an_empty_sample(samples):
     def product(a, b, n):
@@ -193,17 +238,21 @@ def test_check_axioms_refuses_samples_that_are_all_zero(monkeypatch, arg):
         check_axioms(make_cend(1), samples=3, **{arg: -1})
 
 
-def drawn_orders(c, samples, seed):
-    """The orders check_axioms draws from its seed at the default degree and
-    pdeg, replayed."""
+def drawn_samples(c, samples, seed):
+    """The (a, b, n) check_axioms draws from its seed at the default degree
+    and pdeg, replayed with the randint-based reference sampler."""
     rng = random.Random(seed)
     drawn = []
     for _ in range(samples):
-        a = sample_celement(c, rng, 4, 2)
-        b = sample_celement(c, rng, 4, 2)
+        a = randint_sample_celement(c, rng, 4, 2)
+        b = randint_sample_celement(c, rng, 4, 2)
         bound = c.structural_bound(a, b)
-        drawn.append(rng.randint(0, 1 if bound is None else bound + 1))
+        drawn.append((a, b, rng.randint(0, 1 if bound is None else bound + 1)))
     return drawn
+
+
+def drawn_orders(c, samples, seed):
+    return [n for _, _, n in drawn_samples(c, samples, seed)]
 
 
 @pytest.mark.parametrize("make", STRUCTURES)
@@ -240,27 +289,51 @@ def test_check_axioms_default_route_reads_the_kernel(name):
 
 
 @pytest.mark.parametrize("name", SPECS)
-def test_check_axioms_makes_three_kernel_passes_per_sample(monkeypatch, name):
-    """Per sample: (a, b) over [n-1, n] (order 0 alone at n = 0), then
-    (Da, b) and (a, Db) at n; no product is built as an element."""
+def test_check_axioms_makes_one_kernel_call_per_sample(monkeypatch, name):
+    """Per sample: one _products call on the sampled (a, b) itself, with the
+    single-order jobs a (n) b, (Da) (n) b, a (n) (Db) and, unless n == 0,
+    a (n-1) b; no nprod call, no product element and no Da or Db."""
     c = load_spec(spec(name + ".json")).conformal
     honest = ConformalAlgebra._products
-    passes = []
+    calls = []
 
-    def counted(self, a, b, lo, hi):
-        passes.append((lo, hi))
-        return honest(self, a, b, lo, hi)
+    def counted(self, a, b, lo=0, hi=None, jobs=None):
+        calls.append((a, b, sorted(jobs)))
+        return honest(self, a, b, lo, hi, jobs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("check_axioms built a product element")
+        raise AssertionError("check_axioms built a product or a derivative element")
 
     monkeypatch.setattr(ConformalAlgebra, "_products", counted)
     monkeypatch.setattr(ConformalAlgebra, "nprod", refuse)
     monkeypatch.setattr(ConformalAlgebra, "_element", refuse)
+    monkeypatch.setattr(CElement, "dapply", refuse)
     assert check_axioms(c, samples=60, seed=3)["ok"]
-    drawn = drawn_orders(c, 60, 3)
-    assert 0 in drawn and max(drawn) > 0
-    assert passes == [p for n in drawn for p in [(max(n - 1, 0), n), (n, n), (n, n)]]
+    drawn = drawn_samples(c, 60, 3)
+    orders = [n for _, _, n in drawn]
+    assert 0 in orders and max(orders) > 0
+    assert calls == [
+        (a, b, sorted([(0, 0, n), (1, 0, n), (0, 1, n)] + ([(0, 0, n - 1)] if n else [])))
+        for a, b, n in drawn
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, order", [("cend1", 4), ("cur_matrix2", 4), ("dif_matrix2_ad_e12", 2)]
+)
+def test_check_axioms_sees_each_job_separately(monkeypatch, name, order):
+    """Leibniz holds whatever ff(n, k) is in the closed form, while the
+    shift rule is the recursion ff(n, k+1) = n ff(n-1, k), which n^k breaks
+    from k = 2: with perm replaced by n^k, a shift violation, here first at
+    the order given. A walk that read one job's sums off another's by that
+    rule would miss it: a (n-1) b read off (Da) (n) b passes every sample,
+    and (Da) (n) b read off a (n-1) b blames Leibniz."""
+    c = load_spec(spec(name + ".json")).conformal
+    assert check_axioms(c, samples=200, seed=0)["ok"]
+    monkeypatch.setattr(conformal_module, "perm", lambda n, k: n**k)
+    report = check_axioms(c, samples=200, seed=0)
+    assert not report["ok"]
+    assert (report["violation"]["axiom"], report["violation"]["order"]) == ("shift", order)
 
 
 SPEC_FILES = sorted(os.listdir(spec("")))

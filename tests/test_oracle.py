@@ -18,11 +18,15 @@ from confalg.oracle import (
     to_distribution,
 )
 from confalg.rings import Poly, falling
+from confalg.specfile import load_spec
+from recorded_reports import SPECS, spec
 from reference_oracles import (
+    CappedRandom,
     cscale,
     naive_dist_nprod,
     naive_value,
     ore_product,
+    randint_sample_ore,
     table_ddx_plus_ad_e12,
 )
 
@@ -595,6 +599,50 @@ def test_sample_ore_deterministic():
     assert sample_ore(base, der, random.Random(4)) == sample_ore(
         base, der, random.Random(4)
     )
+
+
+@pytest.mark.parametrize("name", SPECS)
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"degree": 0, "power": 0, "terms": 1, "coeff_bound": 0},
+        {"degree": 1, "power": 1, "terms": 3, "coeff_bound": 1},
+        {"degree": 4, "power": 7, "terms": 6, "coeff_bound": 10**12},
+    ],
+)
+def test_sample_ore_draws_what_randint_draws(name, kwargs):
+    """The library's draws are randint's stream: the same elements, and the
+    rng left in the same state, over seeds 0-49."""
+    c = load_spec(spec(name + ".json")).conformal
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got = sample_ore(c.base, c.der, rng, **kwargs)
+            assert got == randint_sample_ore(c.base, c.der, ref, **kwargs)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_sample_ore_refuses_an_empty_range():
+    """terms 0 leaves no term count to draw: refused before the first draw,
+    where rejection sampling would draw forever."""
+    base = MatrixPolyAlgebra(1)
+    with pytest.raises(ValueError, match="empty range"):
+        sample_ore(base, Derivation.ddx(base), CappedRandom(0, 0), terms=0)
+
+
+@pytest.mark.parametrize("arg", ["degree", "power"])
+def test_coeff_assoc_check_refuses_an_argument_below_zero(monkeypatch, arg):
+    """Below 0, degree makes every sampled element zero and power leaves no
+    power to draw: refused before any sample is drawn."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sample may be drawn")
+
+    c = make_cend(1)
+    monkeypatch.setattr(oracle_module, "sample_ore", refuse)
+    with pytest.raises(OracleError, match="%s must be >= 0, got -1" % arg):
+        coeff_assoc_check(c.base, c.der, samples=10, **{arg: -1})
 
 
 @pytest.mark.parametrize("samples", [0, -3])
