@@ -117,7 +117,7 @@ class ConformalAlgebra:
             raise ConformalError("product order must be >= 0")
         if a.conf != self or b.conf != self:
             raise ConformalError("arguments of a different conformal algebra")
-        return self._element(self._products(a, b, jobs=((0, 0, n),))[0])
+        return self._element(self._products(a, b, ((0, 0, n, n),))[0].get(n, {}))
 
     def nprod_all(self, a, b, top=None):
         """All nonzero orders of a (n) b up to top (every order when top is
@@ -126,169 +126,110 @@ class ConformalAlgebra:
         if a.conf != self or b.conf != self:
             raise ConformalError("arguments of a different conformal algebra")
         out = {}
-        for n, acc in sorted(self._products(a, b, 0, top).items()):
+        for n, acc in sorted(self._products(a, b, ((0, 0, 0, top),))[0].items()):
             v = self._element(acc)
             if v.items:
                 out[n] = v
         return out
 
-    def _products(self, a, b, lo=0, hi=None, jobs=None):
-        """a (n) b for every order n in [lo, hi] (no upper end when hi is
-        None), as a map n -> {key: D-coefficient list}; an order with no
-        term is left out. With jobs, a list of single-order jobs (i, j, n),
-        lo and hi are unused and the result is the list of the jobs' maps
-        of (D^i a) (n) (D^j b), in the jobs' order, each listed even with
-        no term. Any listed map's sums can still cancel.
+    def _products(self, a, b, jobs):
+        """The closed-form kernel. A job (i, j, lo, hi) asks for
+        (D^i a) (n) (D^j b) at every order n in [lo, hi] (no upper end when
+        hi is None); the result lists one map n -> {key: D-coefficient list}
+        per job, in the jobs' order, an order with no term left out. The
+        sums of a listed order can still cancel.
 
         (D^i u) (n) (D^j v) = (-1)^i sum_s C(j,s) ff(n,i+s) D^(j-s) [u (n-i-s) v]
         with ff(n,k) = perm(n,k) the falling factorial. For symbols u, v
-        with D-polynomials p, q, the terms at a basis order m add up to
-        ff(n,t) w_t [u (m) v] with t = n - m <= deg p + deg q, where
-        w_t = sum_i (-1)^i p_i q^[t-i] and q^[s] = sum_j C(j,s) q_j D^(j-s)
-        is the s-th divided derivative of q; divided[s] lists it. Only the
-        basis orders m below nilp(v) can be nonzero, and a basis product is
-        made once, into the pair's row of self._pairs, where every later
-        read finds it. Over a range of orders w_t does not depend on n, so
-        each pair makes it once per t and spreads it to every order m + t.
+        with D-polynomials p' = D^i p and q' = D^j q, the terms at a basis
+        order m are ff(n,t) (-1)^x p'_x q'^[t-x] [u (m) v] for t = n - m
+        <= deg p' + deg q' and x <= t, where q'^[s] = sum_y C(y,s) q'_y
+        D^(y-s) is the s-th divided derivative of q'. The walk goes over the
+        symbol pairs, the basis orders m below nilp(v) that reach the job's
+        range and each t that lands in it, and adds each term as it makes
+        it. A basis product is made once, into the pair's row of
+        self._pairs, where every later read finds it.
 
-        A job (i, j, n) is (D^i a) (n) (D^j b) on its own: p' = D^i p
-        signed as ps, the divided derivatives of q' = D^j q (up to the
-        highest n of the jobs), and at each basis order m the one t = n - m,
-        whose terms ff(n,t) (-1)^x p'_x q'^[t-x] [u (m) v] it adds as they
-        are made, keeping no w_t. The lists are built once per term for
-        each i and each j the jobs name and shared by the jobs that name
-        it; a job adds only into its own map, and no job's sums are read
-        off another's: a (n-1) b and (Da) (n) b are related by the shift
-        rule, which check_axioms tests. The jobs run one after another over
-        the pairs; walking the pairs once with the jobs inside measured
-        slower (per-pair job setup)."""
-        if jobs is not None:
-            orbits = self._orbits
-            pairs = self._pairs
-            top = 0
-            for _, _, n in jobs:
-                if n > top:
-                    top = n
-            lefts = {}
-            rights = {}
-            accs = []
-            for i, j, n in jobs:
-                left = lefts.get(i)
-                if left is None:
-                    # (-1)^x c_x for D^i p = sum_x c_x D^x, per left term
-                    left = lefts[i] = []
-                    for k1, p in a.items.items():
-                        ps = [-c if (x + i) % 2 else c for x, c in enumerate(p.coeffs)]
-                        if i:
-                            ps = [0] * i + ps
-                        left.append((k1, ps, len(ps)))
-                got = rights.get(j)
-                if got is None:
-                    right = []
-                    width = 0
-                    for k2, q in b.items.items():
-                        qs = (0,) * j + q.coeffs if j else q.coeffs
-                        lq = len(qs)
-                        divided = [qs]
-                        for s in range(1, lq if lq <= top else top + 1):
-                            divided.append([comb(x, s) * qs[x] for x in range(s, lq)])
-                        right.append((k2, divided, lq, len(orbits.get(k2) or self._orbit(k2))))
-                        if lq > width:
-                            width = lq
-                    rights[j] = right, width
-                else:
-                    right, width = got
-                acc = {}
-                for k1, ps, lp in left:
-                    for k2, divided, lq, nil in right:
-                        lo = n - lp - lq + 2
-                        if lo < 0:
-                            lo = 0
-                        hi = nil - 1 if nil <= n else n
-                        if lo > hi:
+        The signed p' of each left term and the divided derivatives of each
+        right term, up to the highest order asked, are built once for each
+        i and each j the jobs name and shared by the jobs that name it. A
+        job adds only into its own map, and no job's sums are read off
+        another's: a (n-1) b and (Da) (n) b are related by the shift rule,
+        which check_axioms tests. The sum over x is not kept per t and
+        spread to every order m + t of a range: on check_axioms' jobs, which
+        meet each t at one m, such a cache measured slower."""
+        orbits = self._orbits
+        pairs = self._pairs
+        # the highest order asked, None when a job has no upper end
+        top = 0
+        for job in jobs:
+            hi = job[3]
+            if hi is None:
+                top = None
+                break
+            if hi > top:
+                top = hi
+        lefts = {}
+        rights = {}
+        out = []
+        for i, j, lo, hi in jobs:
+            left = lefts.get(i)
+            if left is None:
+                # (-1)^x c_x for D^i p = sum_x c_x D^x, per left term
+                left = lefts[i] = []
+                for k1, p in a.items.items():
+                    ps = [-c if (x + i) % 2 else c for x, c in enumerate(p.coeffs)]
+                    if i:
+                        ps = [0] * i + ps
+                    left.append((k1, ps, len(ps)))
+            got = rights.get(j)
+            if got is None:
+                right = []
+                width = 0
+                for k2, q in b.items.items():
+                    qs = (0,) * j + q.coeffs if j else q.coeffs
+                    lq = len(qs)
+                    divided = [qs]
+                    for s in range(1, lq if top is None or lq <= top else top + 1):
+                        divided.append([comb(y, s) * qs[y] for y in range(s, lq)])
+                    right.append((k2, divided, lq, len(orbits.get(k2) or self._orbit(k2))))
+                    if lq > width:
+                        width = lq
+                rights[j] = right, width
+            else:
+                right, width = got
+            accs = {}
+            for k1, ps, lp in left:
+                for k2, divided, lq, nil in right:
+                    span = lp + lq - 2
+                    mlo = lo - span if lo > span else 0
+                    mhi = nil - 1 if hi is None or nil <= hi else hi
+                    if mlo > mhi:
+                        continue
+                    row = pairs.get((k1, k2)) or pairs.setdefault((k1, k2), [None] * nil)
+                    for m in range(mlo, mhi + 1):
+                        entry = row[m]
+                        if entry is None:
+                            entry = row[m] = self.basis_nprod(k1, k2, m)
+                        if not entry:
                             continue
-                        row = pairs.get((k1, k2)) or pairs.setdefault((k1, k2), [None] * nil)
-                        for m in range(lo, hi + 1):
-                            entry = row[m]
-                            if entry is None:
-                                entry = row[m] = self.basis_nprod(k1, k2, m)
-                            if not entry:
-                                continue
-                            t = n - m
-                            i0 = t - lq + 1
-                            if i0 < 0:
-                                i0 = 0
+                        thi = span if hi is None or hi - m >= span else hi - m
+                        for t in range(lo - m if lo > m else 0, thi + 1):
+                            n = m + t
+                            acc = accs.get(n) or accs.setdefault(n, {})
                             f = perm(n, t)
+                            xs = range(t - lq + 1 if t >= lq else 0, t + 1 if t < lp else lp)
                             for bk, bc in entry.items():
                                 c = f * bc
                                 slot = acc.get(bk) or acc.setdefault(bk, [0] * width)
-                                for x in range(i0, t + 1 if t < lp else lp):
+                                for x in xs:
                                     px = ps[x]
                                     if px:
                                         px *= c
                                         for d, h in enumerate(divided[t - x]):
                                             slot[d] += px * h
-                accs.append(acc)
-            return accs
-        orbits = self._orbits
-        right = []
-        width = 0
-        for k2, q in b.items.items():
-            qc = q.coeffs
-            lq = len(qc)
-            top = lq if hi is None or lq <= hi else hi + 1
-            divided = [qc]
-            for s in range(1, top):
-                divided.append([comb(j, s) * qc[j] for j in range(s, lq)])
-            nil = len(orbits.get(k2) or self._orbit(k2))
-            right.append((k2, divided, lq, nil))
-            if lq > width:
-                width = lq
-        pairs = self._pairs
-        accs = {}
-        for k1, p in a.items.items():
-            pc = p.coeffs
-            lp = len(pc)
-            # (-1)^i p_i, signed once per left term
-            ps = [-c if i % 2 else c for i, c in enumerate(pc)]
-            for k2, divided, lq, nil in right:
-                span = lp + lq - 2
-                mlo = lo - span if lo > span else 0
-                mhi = nil - 1 if hi is None or nil <= hi else hi
-                if mlo > mhi:
-                    continue
-                row = pairs.get((k1, k2)) or pairs.setdefault((k1, k2), [None] * nil)
-                # w_t kept by t and spread to every order m + t in the range
-                ws = [None] * (span + 1)
-                for m in range(mlo, mhi + 1):
-                    entry = row[m]
-                    if entry is None:
-                        entry = row[m] = self.basis_nprod(k1, k2, m)
-                    if not entry:
-                        continue
-                    thi = span if hi is None or hi - m >= span else hi - m
-                    for t in range(lo - m if lo > m else 0, thi + 1):
-                        w = ws[t]
-                        if w is None:
-                            i0 = t - lq + 1
-                            if i0 < 0:
-                                i0 = 0
-                            w = ws[t] = [0] * lq
-                            for i in range(i0, t + 1 if t < lp else lp):
-                                pi = ps[i]
-                                if pi:
-                                    for d, h in enumerate(divided[t - i]):
-                                        w[d] += pi * h
-                        n = m + t
-                        acc = accs.get(n) or accs.setdefault(n, {})
-                        ff = perm(n, t)
-                        for bk, bc in entry.items():
-                            c = ff * bc
-                            slot = acc.get(bk) or acc.setdefault(bk, [0] * width)
-                            for d, v in enumerate(w):
-                                if v:
-                                    slot[d] += c * v
-        return accs
+            out.append(accs)
+        return out
 
     def _element(self, acc):
         """The element of a _products accumulation: the sums can cancel,
@@ -408,8 +349,11 @@ def _randbelow(rng, width):
     return u
 
 
-def sample_celement(c, rng, degree, pdeg=2, terms=3, coeff_bound=5):
-    keys = c.base.basis_upto(degree)
+def sample_celement(c, rng, keys, pdeg=2, terms=3, coeff_bound=5):
+    """An element on up to terms of the basis keys, each with a random
+    D-polynomial of degree at most pdeg and coefficients in
+    [-coeff_bound, coeff_bound]; a check passes c.base.basis_upto(degree)
+    as keys, built once for all its draws."""
     picked = rng.sample(keys, min(1 + _randbelow(rng, terms), len(keys)))
     width = 2 * coeff_bound + 1
     items = {}
@@ -425,38 +369,42 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
 
     Each sample draws a, b and an order n, then makes one call of the
     closed-form kernel c._products, the one nprod and nprod_all read, with
-    the single-order jobs (i, j, m) = (D^i a) (m) (D^j b): P1 = a (n) b,
-    P2 = (Da) (n) b, P3 = a (n) (Db) and, when n >= 1, P4 = a (n-1) b
-    (zero at n = 0). Each job's sums come from its own coefficients; no Da
-    or Db is built. The rules are compared in place on the kernel's
-    key -> D-coefficient lists, padded with zeros, values compared exactly:
+    the jobs (i, j, lo, hi), each (D^i a) (m) (D^j b) for m in [lo, hi]:
+    (0, 0, max(n-1, 0), n) gives P1 = a (n) b and, when n >= 1,
+    P4 = a (n-1) b (zero at n = 0); (1, 0, n, n) gives P2 = (Da) (n) b and
+    (0, 1, n, n) gives P3 = a (n) (Db). Each job's sums come from its own
+    coefficients; no Da or Db is built. The rules are compared in place on
+    the kernel's key -> D-coefficient lists, padded with zeros, values
+    compared exactly:
       leibniz: D P1 - P2 - P3 = 0 at every key and D-power;
       shift:   P2 + n P4 = 0.
     No element is built for a product. Leibniz is checked before shift.
 
     product(x, y, m) may override the n-product under test; it must return
-    a CElement. It feeds the same loop: it is called once per job, on Da or
-    Db where the job shifts a factor, so a sample makes 4 calls, or 3 at
-    n = 0. Returns a report dict; ok is False with the first failing sample
-    when a violation is found. A check of no samples, or of samples that
-    are all zero (degree or pdeg below 0), is refused, not reported ok."""
+    a CElement. It feeds the same loop: it is called once per order of each
+    job, on Da or Db where the job shifts a factor, so a sample makes 4
+    calls, or 3 at n = 0. Returns a report dict; ok is False with the first
+    failing sample when a violation is found. A check of no samples, or of
+    samples that are all zero (degree or pdeg below 0), is refused, not
+    reported ok."""
     for name, value, least in (("samples", samples, 1), ("degree", degree, 0), ("pdeg", pdeg, 0)):
         if value < least:
             raise ConformalError("%s must be >= %d, got %d" % (name, least, value))
     if product is None:
-
-        def products(x, y, jobs):
-            return c._products(x, y, jobs=jobs)
-
+        products = c._products
     else:
 
         def products(x, y, jobs):
             out = []
-            for i, j, m in jobs:
-                v = product(x.dapply(i) if i else x, y.dapply(j) if j else y, m)
-                out.append({k: p.coeffs for k, p in v.items.items()})
+            for i, j, lo, hi in jobs:
+                xi, yj = x.dapply(i) if i else x, y.dapply(j) if j else y
+                acc = {}
+                for m in range(lo, hi + 1):
+                    acc[m] = {k: p.coeffs for k, p in product(xi, yj, m).items.items()}
+                out.append(acc)
             return out
 
+    keys = c.base.basis_upto(degree)
     rng = random.Random(seed)
     report = {
         "ok": True,
@@ -467,16 +415,15 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
         "violation": None,
     }
     for _ in range(samples):
-        a = sample_celement(c, rng, degree, pdeg)
-        b = sample_celement(c, rng, degree, pdeg)
+        a = sample_celement(c, rng, keys, pdeg)
+        b = sample_celement(c, rng, keys, pdeg)
         bound = c.structural_bound(a, b)
         top = 1 if bound is None else bound + 1
         n = _randbelow(rng, max(top, 1) + 1)
-        jobs = [(0, 0, n), (1, 0, n), (0, 1, n)]
-        if n:
-            jobs.append((0, 0, n - 1))
-        p1, p2, p3, *rest = products(a, b, jobs)
-        p4 = rest[0] if rest else {}
+        jobs = [(0, 0, max(n - 1, 0), n), (1, 0, n, n), (0, 1, n, n)]
+        both, shifted_a, shifted_b = products(a, b, jobs)
+        p1, p2, p3 = both.get(n, {}), shifted_a.get(n, {}), shifted_b.get(n, {})
+        p4 = both.get(n - 1, {}) if n else {}
         if not _leibniz_holds(p1, p2, p3):
             axiom = "leibniz"
         elif not _shift_holds(p2, p4, n):

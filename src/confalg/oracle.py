@@ -222,6 +222,7 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
     ):
         if value < least:
             raise OracleError("%s must be >= %d, got %d" % (name, least, value))
+    keys = c.base.basis_upto(degree)
     rng = random.Random(seed)
     report = {
         "ok": True,
@@ -233,8 +234,8 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
         "violation": None,
     }
     for _ in range(samples):
-        a = sample_celement(c, rng, degree, pdeg)
-        b = sample_celement(c, rng, degree, pdeg)
+        a = sample_celement(c, rng, keys, pdeg)
+        b = sample_celement(c, rng, keys, pdeg)
         bound = c.structural_bound(a, b)
         top = min((0 if bound is None else bound + 1), window)
         # the residue sum reads the left factor only on [0, top]

@@ -133,21 +133,16 @@ def recorded(name):
 @contextmanager
 def kernel_order_changed(order, change):
     """Inside the block, every algebra's closed-form kernel _products passes
-    each D-coefficient list of its given order through change, in a range
-    of orders and in each single-order job of that order, so every route
-    that reads the kernel (nprod, nprod_all and check_axioms's own) sees
-    it."""
+    each D-coefficient list of its given order through change, in every
+    job's map, so every route that reads the kernel (nprod, nprod_all and
+    check_axioms's own) sees it."""
     honest = ConformalAlgebra._products
 
-    def changed_map(acc):
-        return {k: change(cs) for k, cs in acc.items()}
-
-    def changed(self, a, b, lo=0, hi=None, jobs=None):
-        accs = honest(self, a, b, lo, hi, jobs)
-        if jobs is not None:
-            return [changed_map(acc) if n == order else acc for (_, _, n), acc in zip(jobs, accs)]
-        if order in accs:
-            accs[order] = changed_map(accs[order])
+    def changed(self, a, b, jobs):
+        accs = honest(self, a, b, jobs)
+        for acc in accs:
+            if order in acc:
+                acc[order] = {k: change(cs) for k, cs in acc[order].items()}
         return accs
 
     ConformalAlgebra._products = changed

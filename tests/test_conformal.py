@@ -76,10 +76,11 @@ def reference_nprod(c, a, b, n):
 @pytest.mark.parametrize("make", STRUCTURES)
 def test_closed_form_matches_recursive_reference(make):
     c = make()
+    keys = c.base.basis_upto(3)
     rng = random.Random(42)
     for _ in range(40):
-        a = sample_celement(c, rng, degree=3, pdeg=2)
-        b = sample_celement(c, rng, degree=3, pdeg=2)
+        a = sample_celement(c, rng, keys, pdeg=2)
+        b = sample_celement(c, rng, keys, pdeg=2)
         bound = c.structural_bound(a, b)
         if bound is None:
             continue
@@ -108,10 +109,11 @@ def test_axiom_check_catches_a_flipped_order():
 
 def test_products_vanish_above_the_structural_bound():
     c = dif_m2()
+    keys = c.base.basis_upto(3)
     rng = random.Random(9)
     for _ in range(20):
-        a = sample_celement(c, rng, degree=3, pdeg=2)
-        b = sample_celement(c, rng, degree=3, pdeg=2)
+        a = sample_celement(c, rng, keys, pdeg=2)
+        b = sample_celement(c, rng, keys, pdeg=2)
         bound = c.structural_bound(a, b)
         if bound is None:
             continue
@@ -172,13 +174,13 @@ def test_nprod_all_collects_exactly_the_nonzero_orders():
 
 def test_sample_celement_deterministic():
     c = dif_m2()
-    assert sample_celement(c, random.Random(1), 3) == sample_celement(
-        c, random.Random(1), 3
-    )
+    keys = c.base.basis_upto(3)
+    assert sample_celement(c, random.Random(1), keys) == sample_celement(c, random.Random(1), keys)
 
 
-# keyword arguments past c, rng: the defaults at two degrees, single-term
-# constants, and long, wide draws
+# keyword arguments of the randint reference past c, rng (the library takes
+# degree's key list): the defaults at two degrees, single-term constants,
+# and long, wide draws
 SAMPLER_ARGS = [
     {"degree": 4},
     {"degree": 2},
@@ -194,10 +196,12 @@ def test_sample_celement_draws_what_randint_draws(name, kwargs):
     """The library's draws are randint's stream: the same elements, and the
     rng left in the same state, over seeds 0-49."""
     c = load_spec(spec(name + ".json")).conformal
+    rest = dict(kwargs)
+    keys = c.base.basis_upto(rest.pop("degree"))
     for seed in range(50):
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(3):
-            assert sample_celement(c, rng, **kwargs) == randint_sample_celement(c, ref, **kwargs)
+            assert sample_celement(c, rng, keys, **rest) == randint_sample_celement(c, ref, **kwargs)
         assert rng.getstate() == ref.getstate()
 
 
@@ -212,8 +216,9 @@ def test_sample_celement_refuses_an_empty_range(kwargs, cap):
     """terms 0 leaves no term count to draw, coeff_bound -1 no coefficient:
     refused, where rejection sampling would draw forever. The capped rng
     turns a draw that does not end into a failure."""
+    c = make_cend(1)
     with pytest.raises(ValueError, match="empty range"):
-        sample_celement(make_cend(1), CappedRandom(0, cap), 2, **kwargs)
+        sample_celement(c, CappedRandom(0, cap), c.base.basis_upto(2), **kwargs)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -290,16 +295,16 @@ def test_check_axioms_default_route_reads_the_kernel(name):
 
 @pytest.mark.parametrize("name", SPECS)
 def test_check_axioms_makes_one_kernel_call_per_sample(monkeypatch, name):
-    """Per sample: one _products call on the sampled (a, b) itself, with the
-    single-order jobs a (n) b, (Da) (n) b, a (n) (Db) and, unless n == 0,
-    a (n-1) b; no nprod call, no product element and no Da or Db."""
+    """Per sample: one _products call on the sampled (a, b) itself, with
+    exactly the jobs a (n) b on [max(n-1, 0), n], (Da) (n) b and a (n) (Db);
+    no nprod call, no product element and no Da or Db."""
     c = load_spec(spec(name + ".json")).conformal
     honest = ConformalAlgebra._products
     calls = []
 
-    def counted(self, a, b, lo=0, hi=None, jobs=None):
-        calls.append((a, b, sorted(jobs)))
-        return honest(self, a, b, lo, hi, jobs)
+    def counted(self, a, b, jobs):
+        calls.append((a, b, list(jobs)))
+        return honest(self, a, b, jobs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("check_axioms built a product or a derivative element")
@@ -312,10 +317,7 @@ def test_check_axioms_makes_one_kernel_call_per_sample(monkeypatch, name):
     drawn = drawn_samples(c, 60, 3)
     orders = [n for _, _, n in drawn]
     assert 0 in orders and max(orders) > 0
-    assert calls == [
-        (a, b, sorted([(0, 0, n), (1, 0, n), (0, 1, n)] + ([(0, 0, n - 1)] if n else [])))
-        for a, b, n in drawn
-    ]
+    assert calls == [(a, b, [(0, 0, max(n - 1, 0), n), (1, 0, n, n), (0, 1, n, n)]) for a, b, n in drawn]
 
 
 @pytest.mark.parametrize(
@@ -410,6 +412,6 @@ def test_delta_is_applied_once_per_orbit_entry(make):
     # nprod on keys already seen applies delta no further
     rng = random.Random(2)
     for _ in range(10):
-        a, b = sample_celement(c, rng, 3, 2), sample_celement(c, rng, 3, 2)
+        a, b = sample_celement(c, rng, keys, 2), sample_celement(c, rng, keys, 2)
         c.nprod_all(a, b)
     assert len(steps) == sum(c.nilp_key(k) for k in keys)

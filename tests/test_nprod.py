@@ -1,13 +1,15 @@
 """ConformalAlgebra.nprod against the term-by-term closed form, on every
 order up to three past the structural bound, on cold and warm basis tables;
 the pair table fills only the orders the products reach. nprod_all against
-the per-order products it gathers in one pass."""
+the per-order products it gathers in one pass, and the kernel's windows on
+shifted factors against nprod. Both routes to the products are bilinear."""
 
 from hypothesis import given, settings, strategies as st
 
 from confalg.algebra import Derivation, MatrixAlgebra, MatrixPolyAlgebra
 from confalg.conformal import CElement, ConformalAlgebra
 from confalg.constructions import make_cend, make_current, make_differential
+from confalg.oracle import dist_nprod, to_distribution
 from confalg.rings import Poly
 from reference_oracles import naive_nprod
 
@@ -60,6 +62,11 @@ def draw_celement(data, c, degree):
 
 def rebase(x, c):
     return CElement(c, x.items)
+
+
+def elements(c, accs):
+    """The elements of a kernel job's map order -> D-coefficient lists."""
+    return {n: c._element(acc) for n, acc in accs.items()}
 
 
 def filled_entries(c):
@@ -123,10 +130,28 @@ def test_nprod_all_is_the_nonzero_per_order_map(name, data):
     # the kernel on an order window of its own
     lo = data.draw(st.integers(0, len(orders) - 1))
     hi = data.draw(st.integers(lo, len(orders) - 1))
-    window = {n: per._element(acc) for n, acc in per._products(pa, pb, lo, hi).items()}
-    assert {n: v for n, v in window.items() if v.items} == {
+    [window] = per._products(pa, pb, [(0, 0, lo, hi)])
+    assert {n: v for n, v in elements(per, window).items() if v.items} == {
         n: v for n, v in expected.items() if lo <= n <= hi
     }
+    # on windows of D^i a (n) D^j b, each order against nprod of the shifted
+    # factors; two jobs in one call, which share the lists of an i or a j,
+    # give what each gives alone
+    jobs = []
+    for _ in range(2):
+        i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        top = len(orders) + i + j
+        first = data.draw(st.integers(0, top))
+        jobs.append((i, j, first, data.draw(st.one_of(st.none(), st.integers(first, top)))))
+    alone = [per._products(pa, pb, [job])[0] for job in jobs]
+    assert per._products(pa, pb, jobs) == alone
+    for (i, j, first, last), accs in zip(jobs, alone):
+        da, db = pa.dapply(i), pb.dapply(j)
+        shifted = {n: per.nprod(da, db, n) for n in range(first, len(orders) + i + j)}
+        assert all(first <= n and (last is None or n <= last) for n in accs)
+        assert {n: v for n, v in elements(per, accs).items() if v.items} == {
+            n: v for n, v in shifted.items() if not v.is_zero() and (last is None or n <= last)
+        }
     # and up to a highest order
     assert c.nprod_all(a, b, hi) == {n: v for n, v in expected.items() if n <= hi}
     ref = FACTORIES[name]()
@@ -135,3 +160,52 @@ def test_nprod_all_is_the_nonzero_per_order_map(name, data):
     assert {n: v.to_map() for n, v in got.items()} == {
         n: v.to_map() for n, v in naive.items() if not v.is_zero()
     }
+
+
+def draw_sharing(data, c, degree):
+    """Two elements on the same two or three basis symbols, each with a
+    D-polynomial of degree <= 2 on every symbol: their sum adds on every
+    key, and may cancel there."""
+    keys = data.draw(st.lists(st.sampled_from(c.base.basis_upto(degree)), min_size=2, max_size=3, unique=True))
+    poly = st.lists(COEFFS, min_size=1, max_size=3).map(Poly)
+    return [CElement(c, {k: data.draw(poly) for k in keys}) for _ in range(2)]
+
+
+def added(x, y):
+    """Two order -> element maps added order by order, zero orders left out."""
+    out = dict(x)
+    for n, v in y.items():
+        out[n] = out[n].add(v) if n in out else v
+    return {n: v for n, v in out.items() if not v.is_zero()}
+
+
+def added_terms(x, y):
+    """Two lists of (d, key, s) -> coefficient maps added entry by entry,
+    zero coefficients left out."""
+    out = []
+    for u, v in zip(x, y):
+        s = dict(u)
+        for t, c in v.items():
+            s[t] = s.get(t, 0) + c
+        out.append({t: c for t, c in s.items() if c})
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(FACTORIES)), data=st.data())
+def test_both_routes_are_bilinear(name, data):
+    """nprod_all and the residue sum dist_nprod, each in a and in b, on
+    multi-term elements whose symbols coincide: a walk that set a sum's
+    slot in place of adding to it would break the identities."""
+    c = FACTORIES[name]()
+    degree = KEY_DEGREE.get(name, 2)
+    a, a2 = draw_sharing(data, c, degree)
+    b, b2 = draw_sharing(data, c, degree)
+    assert c.nprod_all(a.add(a2), b) == added(c.nprod_all(a, b), c.nprod_all(a2, b))
+    assert c.nprod_all(a, b.add(b2)) == added(c.nprod_all(a, b), c.nprod_all(a, b2))
+    top, w = 3, 4
+    f, f2 = to_distribution(a, 0, top), to_distribution(a2, 0, top)
+    g, g2 = to_distribution(b, -w, w), to_distribution(b2, -w, w)
+    fs, gs = to_distribution(a.add(a2), 0, top), to_distribution(b.add(b2), -w, w)
+    assert dist_nprod(fs, g, top) == added_terms(dist_nprod(f, g, top), dist_nprod(f2, g, top))
+    assert dist_nprod(f, gs, top) == added_terms(dist_nprod(f, g, top), dist_nprod(f, g2, top))

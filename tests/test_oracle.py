@@ -151,7 +151,7 @@ def draw_distribution(data, c, rng, lo, hi):
     family with any (d, key, s) terms, or zero everywhere."""
     kind = data.draw(st.sampled_from(["conformal", "family", "zero"]))
     if kind == "conformal":
-        a = sample_celement(c, rng, 3, 2)
+        a = sample_celement(c, rng, c.base.basis_upto(3), 2)
         return to_distribution(a, lo, hi)
     terms = draw_terms(data, c) if kind == "family" else {}
     return Distribution(c.base, c.der, lo, hi, terms)
@@ -258,7 +258,8 @@ def test_distributions_hold_at_every_n(name, data):
     the window it is read on."""
     c = STRUCTURES[name]()
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    a, b = sample_celement(c, rng, 3, 2), sample_celement(c, rng, 3, 2)
+    keys = c.base.basis_upto(3)
+    a, b = sample_celement(c, rng, keys, 2), sample_celement(c, rng, keys, 2)
     fa = to_distribution(a, -20, 20)
     for n in range(-20, 21):
         assert fa.value(n) == naive_value(a, n)
@@ -282,7 +283,7 @@ def test_a_left_factor_vanishing_on_its_first_indices(name, lower):
     a = c.tilde(c.base.basis_element(keys[-1])).dapply(3)
     if lower is not None:
         a = a.add(c.tilde(c.base.basis_element(keys[0])).dapply(lower))
-    b = sample_celement(c, random.Random(11), 2, 2)
+    b = sample_celement(c, random.Random(11), keys, 2)
     f, g = to_distribution(a, 0, 6), to_distribution(b, -4, 10)
     assert all(f.value(i).is_zero() for i in range(3)) == (lower is None)
     assert not f.value(3).is_zero()
@@ -388,7 +389,7 @@ def test_a_slot_that_first_appears_at_a_later_row(monkeypatch, name):
     terms = {(0, k, 0): 1 for k in keys}
     terms.update({(-2, k, 2): Fraction(1, 2) for k in keys})
     f = Distribution(c.base, c.der, 0, 5, terms)
-    g = to_distribution(sample_celement(c, random.Random(3), 2, 2), -3, 9)
+    g = to_distribution(sample_celement(c, random.Random(3), c.base.basis_upto(2), 2), -3, 9)
     seen = traced_levels(monkeypatch)
     every = one_pass(f, g, 5)
     for m in range(6):
@@ -417,7 +418,8 @@ def test_oracle_route_shares_no_code_with_the_closed_form(monkeypatch):
     for name in sorted(STRUCTURES):
         c = STRUCTURES[name]()
         rng = random.Random(5)
-        samples.append((sample_celement(c, rng, 3, 2), sample_celement(c, rng, 3, 2)))
+        keys = c.base.basis_upto(3)
+        samples.append((sample_celement(c, rng, keys, 2), sample_celement(c, rng, keys, 2)))
     for attr in ("nprod", "nprod_all", "_products", "basis_nprod", "_delta_pow"):
         monkeypatch.setattr(ConformalAlgebra, attr, refuse)
     for a, b in samples:
@@ -452,9 +454,9 @@ def test_oracle_check_reads_the_closed_form_once_per_sample(monkeypatch, window)
         passes.append(top)
         return honest_all(self, a, b, top)
 
-    def counted_products(self, a, b, lo, hi):
-        accs = honest_products(self, a, b, lo, hi)
-        made.append((lo, hi, sorted(accs)))
+    def counted_products(self, a, b, jobs):
+        accs = honest_products(self, a, b, jobs)
+        made.append((list(jobs), [sorted(acc) for acc in accs]))
         return accs
 
     def counted_residue(f, g, top):
@@ -476,8 +478,9 @@ def test_oracle_check_reads_the_closed_form_once_per_sample(monkeypatch, window)
         checked += report["orders_checked"]
     assert len(passes) == len(made) == len(residues) == 6 * len(STRUCTURES)
     assert checked == sum(top + 1 for top in passes)
-    assert [hi for _, hi, _ in made] == passes and max(passes) == window
-    assert all(lo == 0 and all(n <= hi for n in orders) for lo, hi, orders in made)
+    assert [jobs for jobs, _ in made] == [[(0, 0, 0, top)] for top in passes]
+    assert max(passes) == window
+    assert all(n <= top for top, (_, [orders]) in zip(passes, made) for n in orders)
     # one residue pass per sample, to the same top, making every order
     assert residues == [(top, top + 1) for top in passes]
 

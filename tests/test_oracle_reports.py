@@ -54,12 +54,13 @@ def test_a_mismatch_that_vanishes_on_the_window_is_reported(capsys, monkeypatch,
     n past the window where the values do."""
     honest = ConformalAlgebra._products
 
-    def shifted(self, a, b, lo, hi):
-        accs = honest(self, a, b, lo, hi)
-        if lo == 0:
-            acc = accs.setdefault(0, {})
-            for k, p in b.dapply().items.items():
-                acc[k] = [x + y for x, y in zip_longest(acc.get(k, ()), p.coeffs, fillvalue=0)]
+    def shifted(self, a, b, jobs):
+        accs = honest(self, a, b, jobs)
+        for (_, _, lo, _), acc in zip(jobs, accs):
+            if lo == 0:
+                at0 = acc.setdefault(0, {})
+                for k, p in b.dapply().items.items():
+                    at0[k] = [x + y for x, y in zip_longest(at0.get(k, ()), p.coeffs, fillvalue=0)]
         return accs
 
     monkeypatch.setattr(ConformalAlgebra, "_products", shifted)

@@ -65,7 +65,7 @@ def test_component_slices_roundtrip():
     c = make_cend(2)
     rng = random.Random(8)
     for _ in range(20):
-        a = sample_celement(c, rng, degree=3, pdeg=3)
+        a = sample_celement(c, rng, c.base.basis_upto(3), pdeg=3)
         comps = component_slices(a)
         assert slices_rebuild(c, comps) == a
 
@@ -74,7 +74,7 @@ def test_extraction_by_identity_products_matches_direct_slicing():
     for c in (twisted_m2(), make_cend(1)):
         rng = random.Random(2)
         for _ in range(15):
-            a = sample_celement(c, rng, degree=3, pdeg=3)
+            a = sample_celement(c, rng, c.base.basis_upto(3), pdeg=3)
             assert extract_current_components(c, a) == component_slices(a)
 
 

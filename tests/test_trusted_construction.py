@@ -150,7 +150,8 @@ def test_sampled_elements(name, seed):
         conf = STRUCTURES[name]()
         rng = random.Random(seed)
         # pdeg 0 and coefficient bound 1 draw zero polynomials often
-        return [sample_celement(conf, rng, 2, pdeg, coeff_bound=bound) for pdeg, bound in ((0, 1), (2, 5))]
+        keys = conf.base.basis_upto(2)
+        return [sample_celement(conf, rng, keys, pdeg, coeff_bound=bound) for pdeg, bound in ((0, 1), (2, 5))]
 
     agree(run)
 
