@@ -97,8 +97,8 @@ class BaseAlgebra:
         return hash(self.descriptor())
 
     def key_degree(self, key):
-        """The x-degree of a basis key. Every carrier is graded by it: each
-        key of mul_keys(k1, k2) has degree at least key_degree(k1) +
+        """The x-degree of a basis key. Every carrier is graded by it: a
+        product key key_product(k1, k2) has degree at least key_degree(k1) +
         key_degree(k2). This is exact on matrix_poly, every key of matrix
         has degree 0, and a direct sum inherits it from its summands. So a
         product's low_degree is at least the sum of its factors', and a
@@ -110,14 +110,14 @@ class BaseAlgebra:
         """Every basis key of key_degree at most degree, each once."""
         raise NotImplementedError
 
-    def mul_keys(self, k1, k2):
-        """The product of two basis keys as a key -> coefficient map. Every
-        carrier is monomial: the map is {} or holds one key with a nonzero
-        coefficient (matrix units multiply to a unit or 0, powers of x to a
-        power, and a direct sum's summands to 0 across). Together with
-        associativity, the grading (key_degree) and basis_upto holding
-        every key of its window, this lets ideal_lift prove a slice
-        two-sided without checking its products."""
+    def key_product(self, k1, k2):
+        """The product of two basis keys: one key, with coefficient 1, or
+        None for 0. Every carrier is monomial with unit coefficients: matrix
+        units multiply to a unit or 0, powers of x to a power, and a direct
+        sum's summands to 0 across. Together with associativity, the
+        grading (key_degree) and basis_upto holding every key of its window,
+        this lets ideal_lift prove a slice two-sided without checking its
+        products."""
         raise NotImplementedError
 
     def mul_items(self, left, right):
@@ -126,12 +126,13 @@ class BaseAlgebra:
         term is built (left's keys outer, right's inner). Every carrier
         product goes through it; a caller that reads a product only as a
         map calls it on Element.items and builds no Element."""
-        mul_keys = self.mul_keys
+        key_product = self.key_product
         out = {}
         for k1, c1 in left.items():
             for k2, c2 in right.items():
-                for k, c in mul_keys(k1, k2).items():
-                    out[k] = out.get(k, 0) + c1 * c2 * c
+                k = key_product(k1, k2)
+                if k is not None:
+                    out[k] = out.get(k, 0) + c1 * c2
         return normal_map(out) if out else out
 
     def commutator_items(self, left, right):
@@ -185,12 +186,12 @@ class MatrixAlgebra(BaseAlgebra):
         return 0
 
     def basis_upto(self, degree):
+        if degree < 0:
+            return []
         return [(i, j) for i in range(1, self.n + 1) for j in range(1, self.n + 1)]
 
-    def mul_keys(self, k1, k2):
-        if k1[1] != k2[0]:
-            return {}
-        return {(k1[0], k2[1]): 1}
+    def key_product(self, k1, k2):
+        return (k1[0], k2[1]) if k1[1] == k2[0] else None
 
     def key_name(self, key):
         return "1" if self.n == 1 else "e%d%d" % key
@@ -231,10 +232,8 @@ class MatrixPolyAlgebra(BaseAlgebra):
             for j in range(1, self.n + 1)
         ]
 
-    def mul_keys(self, k1, k2):
-        if k1[2] != k2[1]:
-            return {}
-        return {(k1[0] + k2[0], k1[1], k2[2]): 1}
+    def key_product(self, k1, k2):
+        return (k1[0] + k2[0], k1[1], k2[2]) if k1[2] == k2[1] else None
 
     def key_name(self, key):
         k, i, j = key
@@ -293,11 +292,11 @@ class DirectSum(BaseAlgebra):
             out.extend((s, k) for k in sub.basis_upto(degree))
         return out
 
-    def mul_keys(self, k1, k2):
+    def key_product(self, k1, k2):
         if k1[0] != k2[0]:
-            return {}
-        s = k1[0]
-        return {(s, k): c for k, c in self.summands[s].mul_keys(k1[1], k2[1]).items()}
+            return None
+        k = self.summands[k1[0]].key_product(k1[1], k2[1])
+        return None if k is None else (k1[0], k)
 
     def key_name(self, key):
         return "%d:%s" % (key[0], self.summands[key[0]].key_name(key[1]))
@@ -787,7 +786,7 @@ class OreElement:
     @classmethod
     def monomial_product(cls, base, der, k1, p, k2):
         """(b_k1 t^p) b_k2 in B[t, t^-1; der] as a list of (power, key,
-        coefficient), built from commute_t and mul_keys and memoised in
+        coefficient), built from commute_t and key_product and memoised in
         der.ore_table under (k1, p, k2); the expansion of t^p b_k2 is
         memoised in der.ore_expansions under (p, k2), once for every left
         key k1. A right factor t^q only shifts every power by q. Called on
@@ -796,7 +795,7 @@ class OreElement:
         key = (k1, p, k2)
         got = der.ore_table.get(key)
         if got is None:
-            mul_keys = base.mul_keys
+            key_product = base.key_product
             expansion = der.ore_expansions.get((p, k2))
             if expansion is None:
                 # commute_t reads only the derivation, so an empty element will do
@@ -806,8 +805,9 @@ class OreElement:
             for pw, coef in expansion.items():
                 acc = {}
                 for kk, cc in coef.items.items():
-                    for k, c in mul_keys(k1, kk).items():
-                        acc[k] = acc.get(k, 0) + cc * c
+                    k = key_product(k1, kk)
+                    if k is not None:
+                        acc[k] = acc.get(k, 0) + cc
                 got.extend((pw, k, c) for k, c in acc.items() if c)
             der.ore_table[key] = got
         return got

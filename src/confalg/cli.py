@@ -32,10 +32,10 @@ from .structure import (
 # check grows linearly with --samples. One oracle-check sample compares the
 # two routes once for every n, so its cost does not grow with --window, which
 # only caps the orders, min(window, structural bound + 1). At the largest
-# values, --window 64 --degree 64, one sample took at most 0.18 s over seeds
-# 0-9 on cend1.json, the slowest description measured, and 0.27 s over seeds
-# 0-39 (best of six runs per seed, Python 3.11, one core of a Xeon host): no
-# joint limit is needed.
+# values, --window 64 --degree 64, one sample took at most 0.094 s over seeds
+# 0-9 on cend1.json, the slowest description measured, and 0.197 s over seeds
+# 0-39 (best of three fresh processes per seed, Python 3.11.7, one core of a
+# shared 2-core host): no joint limit is needed.
 MAX_SAMPLES = 10000
 MAX_WINDOW = 64
 MAX_RMAX = 64

@@ -119,14 +119,13 @@ class ConformalAlgebra:
             raise ConformalError("arguments of a different conformal algebra")
         return self._element(self._products(a, b, ((0, 0, n, n),))[0].get(n, {}))
 
-    def nprod_all(self, a, b, top=None):
-        """All nonzero orders of a (n) b up to top (every order when top is
-        None), as a dict order -> element, from one pass over the basis
-        products. An order left out is zero."""
+    def nprod_all(self, a, b):
+        """All nonzero orders of a (n) b, as a dict order -> element, from
+        one pass over the basis products. An order left out is zero."""
         if a.conf != self or b.conf != self:
             raise ConformalError("arguments of a different conformal algebra")
         out = {}
-        for n, acc in sorted(self._products(a, b, ((0, 0, 0, top),))[0].items()):
+        for n, acc in sorted(self._products(a, b, ((0, 0, 0, None),))[0].items()):
             v = self._element(acc)
             if v.items:
                 out[n] = v
@@ -368,8 +367,9 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
     """Randomized check of the two shift rules on sampled element pairs.
 
     Each sample draws a, b and an order n, then makes one call of the
-    closed-form kernel c._products, the one nprod and nprod_all read, with
-    the jobs (i, j, lo, hi), each (D^i a) (m) (D^j b) for m in [lo, hi]:
+    closed-form kernel c._products, the one nprod, nprod_all and
+    oracle_check read, with the jobs (i, j, lo, hi), each
+    (D^i a) (m) (D^j b) for m in [lo, hi]:
     (0, 0, max(n-1, 0), n) gives P1 = a (n) b and, when n >= 1,
     P4 = a (n-1) b (zero at n = 0); (1, 0, n, n) gives P2 = (Da) (n) b and
     (0, 1, n, n) gives P3 = a (n) (Db). Each job's sums come from its own

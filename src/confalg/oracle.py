@@ -11,8 +11,9 @@ from the Ore monomial table of the derivation, and folded into one
 difference table for all basis symbols k of the right factor, kept as
 coefficient lists over the slots (k, power, key) its rows reach, from
 whose leading diagonal one pass builds every order. The check compares,
-order by order, that pass with one closed-form pass over the same orders,
-as coefficient maps; a Distribution is built only for a mismatch.
+order by order, that pass with the closed-form kernel's sums over the same
+orders, both read as coefficient maps on the family basis; a Distribution
+is built only for a mismatch.
 """
 
 import random
@@ -31,18 +32,13 @@ class OracleError(AlgebraError):
 class Distribution:
     """A family n -> f(n) = sum c ff(n,s) b_key t^(n+d) over all integers n,
     kept as the map terms: (d, key, s) -> c. Zero coefficients are not stored
-    and integral ones are ints, so equal families have equal maps. The window
-    [lo, hi] is where the family is read: value(n) and first_difference."""
+    and integral ones are ints, so equal families have equal maps."""
 
-    __slots__ = ("base", "der", "lo", "hi", "terms")
+    __slots__ = ("base", "der", "terms")
 
-    def __init__(self, base, der, lo, hi, terms):
-        if lo > hi:
-            raise OracleError("empty window")
+    def __init__(self, base, der, terms):
         self.base = base
         self.der = der
-        self.lo = lo
-        self.hi = hi
         self.terms = normal_map(terms)
 
     def _flat(self, n):
@@ -55,7 +51,8 @@ class Distribution:
                 out[slot] = out.get(slot, 0) + v
         return {slot: c for slot, c in out.items() if c}
 
-    def _at(self, n):
+    def value(self, n):
+        """f(n) as an element of the twisted Laurent ring, at any integer n."""
         by_power = {}
         for (p, k), c in self._flat(n).items():
             by_power.setdefault(p, {})[k] = c
@@ -63,59 +60,46 @@ class Distribution:
             self.base, self.der, {p: Element(self.base, s) for p, s in by_power.items()}
         )
 
-    def value(self, n):
-        """f(n) as an element of the twisted Laurent ring."""
-        if not self.lo <= n <= self.hi:
-            raise OracleError("index %d outside window [%d, %d]" % (n, self.lo, self.hi))
-        return self._at(n)
-
     def __eq__(self, other):
         if not isinstance(other, Distribution):
             return NotImplemented
-        return (
-            self.base == other.base
-            and self.der == other.der
-            and self.lo == other.lo
-            and self.hi == other.hi
-            and self.terms == other.terms
-        )
+        return self.base == other.base and self.der == other.der and self.terms == other.terms
 
-    def first_difference(self, other):
-        """None when the families agree at every n, else the first n from the
-        larger lo on where they differ, possibly past hi: at most that lo + S,
-        S the largest s, as a nonzero polynomial of degree <= S has <= S roots."""
+    def first_difference(self, other, start):
+        """None when the families agree at every n, else the first n >= start
+        where they differ: at most start + S, S the largest s, as a nonzero
+        polynomial of degree <= S has <= S roots."""
         if self.terms == other.terms:
             return None
-        n = max(self.lo, other.lo)
+        n = start
         while self._flat(n) == other._flat(n):
             n += 1
         return n
 
 
-def _family_terms(a):
-    """The (d, key, s) -> coefficient map of a conformal element's
-    distribution, in normal form: c_i (D^i b)~ goes to
+def _family_terms(items):
+    """The (d, key, s) -> coefficient map, in normal form, of the
+    distribution of sum_k p_k(D) b_k~, given as (key, D-coefficients of p_k)
+    pairs over distinct keys: c_i (D^i b)~ goes to
     n -> (-1)^i c_i ff(n,i) b t^(n-i), the term (-i, b, i)."""
-    return {
-        (-i, k, i): -ci if i % 2 else ci
-        for k, p in a.items.items()
-        for i, ci in enumerate(p.coeffs)
-        if ci
-    }
+    return normal_map(
+        {(-i, k, i): -ci if i % 2 else ci for k, cs in items for i, ci in enumerate(cs)}
+    )
 
 
-def to_distribution(a, lo, hi):
-    """Distribution of a conformal element, read on the window [lo, hi]."""
-    return Distribution(a.conf.base, a.conf.der, lo, hi, _family_terms(a))
+def to_distribution(a):
+    """Distribution of a conformal element."""
+    return Distribution(
+        a.conf.base, a.conf.der, _family_terms((k, p.coeffs) for k, p in a.items.items())
+    )
 
 
 def dist_nprod(f, g, top):
     """Every order m <= top of the product of distributions by the
     ring-side residue sum (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j),
-    for every n at once, from one pass; needs f on [0, top]. Returns the
-    list whose entry m is the (d, key, s) -> coefficient map of f m g in
-    normal form (no zero, integral values as ints), the family read on the
-    window [g.lo, g.hi - m].
+    for every n at once, from one pass; it reads f at 0, ..., top. Returns
+    the list whose entry m is the (d, key, s) -> coefficient map of f m g in
+    normal form (no zero, integral values as ints).
 
     Each left value f(i) goes into rows R(i, k) = f(i) b_k, one per basis
     symbol k of g, read from the Ore monomial table: (b_key t^p) b_k for
@@ -132,8 +116,6 @@ def dist_nprod(f, g, top):
     g and each u <= s. Nothing outlives the call."""
     if top < 0:
         raise OracleError("product order must be >= 0")
-    if f.lo > 0 or f.hi < top:
-        raise OracleError("left window [%d, %d] does not cover [0, %d]" % (f.lo, f.hi, top))
     if f.base != g.base or f.der != g.der:
         raise AlgebraError("Ore elements over different rings")
     # g's terms by symbol, each as (d, s, [c C(s,u) (-1)^u for u <= s])
@@ -160,23 +142,27 @@ def _leading_differences(f, symbols, top):
     """[(Delta^q R^)(0) for q <= top], each a list of (slot, coefficient)
     with the zeros dropped, where the row R^(i) holds f(i) b_k with every
     power lowered by i, for every k in symbols, on the slots
-    (k, power, key). A row is one walk over the flat left value
-    f._flat(i), evaluated once: an entry c at (p, key) adds c x at
-    (k, pw - i, kk) for each symbol k and each (pw, kk, x) of
-    (b_key t^p) b_k in the derivation's Ore monomial table, a miss filled
-    by OreElement.monomial_product. Slots are indexed in the order the
-    rows reach them, so a row or difference is one coefficient list,
-    zero-padded when a later row brings a new slot. last holds the last
-    diagonal [(Delta^q R^)(i - q)], i the last row; row i + 1 then costs
-    i + 1 list subtractions for all symbols at once. Every level is
-    returned, zero or not: a left factor may vanish on its first indices
-    only."""
+    (k, power, key). A row is one walk over the terms (d, key, s) of f,
+    each worth c ff(i,s) = c perm(i,s) at (i + d, key) for i >= 0: a term
+    of value v adds v x at (k, pw - i, kk) for each symbol k and each
+    (pw, kk, x) of (b_key t^(i+d)) b_k in the derivation's Ore monomial
+    table, a miss filled by OreElement.monomial_product. Slots are indexed
+    in the order the rows reach them, so a row or difference is one
+    coefficient list, zero-padded when a later row brings a new slot. last
+    holds the last diagonal [(Delta^q R^)(i - q)], i the last row; row
+    i + 1 then costs i + 1 list subtractions for all symbols at once. Every
+    level is returned, zero or not: a left factor may vanish on its first
+    indices only."""
     base, der = f.base, f.der
     ore = der.ore_table
     index, slots, last, lead = {}, [], [], []
     for i in range(top + 1):
         diff = [0] * len(slots)
-        for (p, key), c in f._flat(i).items():
+        for (d, key, s), c in f.terms.items():
+            if s > i:
+                continue
+            v = c * perm(i, s)
+            p = i + d
             for k in symbols:
                 terms = ore.get((key, p, k))
                 if terms is None:
@@ -188,7 +174,7 @@ def _leading_differences(f, symbols, top):
                         at = index[slot] = len(slots)
                         slots.append(slot)
                         diff.append(0)
-                    diff[at] += c * x
+                    diff[at] += v * x
         width = len(diff)
         for q in range(i):
             prev, last[q] = last[q], diff
@@ -205,15 +191,13 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
     order m up to top = min(structural bound + 1, window), the distribution
     of the closed-form product must match the ring-side residue product as a
     family of n. Each sample makes one pass per route over [0, top]: one
-    nprod_all pass, each order's element read as family terms, and one
-    dist_nprod pass. The two are compared order by order as coefficient
-    maps in normal form, equal exactly when the families agree at every n.
-    On a mismatch both become Distributions on the window
-    [-window, window - m], and the violation's index is the first n of it
-    where the values differ or, when every value on the window agrees, the
-    first such n past the window. A check of no samples, of samples that
-    are all zero (degree or pdeg below 0) or on no window is refused, not
-    reported ok."""
+    call of the closed-form kernel c._products, each order's sums read as
+    family terms, and one dist_nprod pass. The two are compared order by
+    order as coefficient maps in normal form, equal exactly when the
+    families agree at every n. On a mismatch both become Distributions, and
+    the violation's index is the first n >= -window where the values
+    differ. A check of no samples, of samples that are all zero (degree or
+    pdeg below 0) or on no window is refused, not reported ok."""
     for name, value, least in (
         ("samples", samples, 1),
         ("window", window, 0),
@@ -238,26 +222,22 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
         b = sample_celement(c, rng, keys, pdeg)
         bound = c.structural_bound(a, b)
         top = min((0 if bound is None else bound + 1), window)
-        # the residue sum reads the left factor only on [0, top]
-        f = to_distribution(a, 0, top)
-        g = to_distribution(b, -window, window)
-        closed = c.nprod_all(a, b, top)
-        zero = c.zero()
-        for m, rhs in enumerate(dist_nprod(f, g, top)):
-            lhs = _family_terms(closed.get(m, zero))
+        closed = c._products(a, b, ((0, 0, 0, top),))[0]
+        for m, rhs in enumerate(dist_nprod(to_distribution(a), to_distribution(b), top)):
+            lhs = _family_terms(closed.get(m, {}).items())
             report["orders_checked"] += 1
             if lhs != rhs:
-                lhs = Distribution(c.base, c.der, g.lo, g.hi - m, lhs)
-                rhs = Distribution(c.base, c.der, g.lo, g.hi - m, rhs)
-                n = lhs.first_difference(rhs)
+                lhs = Distribution(c.base, c.der, lhs)
+                rhs = Distribution(c.base, c.der, rhs)
+                n = lhs.first_difference(rhs, -window)
                 report["ok"] = False
                 report["violation"] = {
                     "order": m,
                     "index": n,
                     "a": a.to_map(),
                     "b": b.to_map(),
-                    "closed_form": lhs._at(n).to_map(),
-                    "residue": rhs._at(n).to_map(),
+                    "closed_form": lhs.value(n).to_map(),
+                    "residue": rhs.value(n).to_map(),
                 }
                 return report
     return report

@@ -189,9 +189,9 @@ def _build_derivation(node, alg, path, ctx):
             degree = node.get("degree")
             if not _is_int(degree):
                 ctx.fail("table derivation needs a degree", path=path + ".degree", token="degree")
-            if degree > MAX_DEGREE:
+            if not 0 <= degree <= MAX_DEGREE:
                 ctx.fail(
-                    "table derivation degree must be at most %d" % MAX_DEGREE,
+                    "table derivation degree must be nonnegative and at most %d" % MAX_DEGREE,
                     path=path + ".degree",
                     token="degree",
                 )

@@ -306,17 +306,17 @@ def ideal_lift(c, gens, degree=4, within=None):
     product the lift made straddles the window, with keys both inside and
     past it; then, and inside a view, whose spanning elements need not be
     keys, the check makes its products. The proof rests on the carrier
-    contract (BaseAlgebra.mul_keys): a product of two keys is 0 or a
-    nonzero multiple of one key, the product is associative, a product's
-    keys have degree at least the sum of its factors', and basis_upto(d)
-    holds every key of degree <= d. Every candidate c is g, b1 g, g b1 or
-    b1 g b2 for basis keys b1, b2. For a basis key b, regrouping b c and c
-    b gives one of these forms again: b g, g b and b1 g b as they stand,
-    and b (b1 g) = (b b1) g, b (b1 g b2) = (b b1) g b2, b (g b1) = (b g)
-    b1, g b1 b = g (b1 b) and b1 g b2 b = b1 g (b2 b), where b b1 and b2 b
-    are 0 or a multiple of one key b'. So b c and c b are 0, a scalar times
-    a product the lift made, or wholly past the window: the lift skips only
-    products whose factors leave no room in it, and b' is a basis key
+    contract (BaseAlgebra.key_product): a product of two keys is 0 or one
+    key, the product is associative, a product's key has degree at least
+    the sum of its factors', and basis_upto(d) holds every key of degree
+    <= d. Every candidate c is g, b1 g, g b1 or b1 g b2 for basis keys b1,
+    b2. For a basis key b, regrouping b c and c b gives one of these forms
+    again: b g, g b and b1 g b as they stand, and b (b1 g) = (b b1) g,
+    b (b1 g b2) = (b b1) g b2, b (g b1) = (b g) b1, g b1 b = g (b1 b) and
+    b1 g b2 b = b1 g (b2 b), where b b1 and b2 b are 0 or one key b'. So
+    b c and c b are 0, a product the lift made, or wholly past the window:
+    the lift skips only products whose factors leave no room in it, and
+    b' is a basis key
     unless its degree is past it. Each product the lift made is 0, a
     candidate or a repeat of one (so in the span), wholly past the window,
     or straddling. If none straddled, then for a span element u = sum

@@ -253,7 +253,7 @@ def extract_current_components(c, a):
 def naive_ore_mul(x, y):
     """Product in B[t, t^-1; d] term by term, with nothing memoised: every
     t^p b is expanded by commute_t and every pair of basis keys goes through
-    mul_keys."""
+    key_product."""
     out = {}
     for p, a in x.items.items():
         for q, b in y.items.items():
@@ -261,8 +261,9 @@ def naive_ore_mul(x, y):
                 slot = out.setdefault(pw + q, {})
                 for k1, c1 in a.items.items():
                     for k2, c2 in coef.items.items():
-                        for k, c in x.base.mul_keys(k1, k2).items():
-                            slot[k] = slot.get(k, 0) + c1 * c2 * c
+                        k = x.base.key_product(k1, k2)
+                        if k is not None:
+                            slot[k] = slot.get(k, 0) + c1 * c2
     return OreElement(x.base, x.der, {p: Element(x.base, s) for p, s in out.items()})
 
 
@@ -290,15 +291,13 @@ class WindowValues:
         )
 
 
-def naive_dist_nprod(f, g, m, cache=None):
+def naive_dist_nprod(f, g, m, lo, hi, cache=None):
     """Order-m product of distributions by the residue sum
     (f m g)(n) = sum_j C(m,j) (-1)^j f(m-j) g(n+j), evaluated at each n of
-    the window [g.lo, g.hi - m] with one Ore product per pair f(i) g(J),
-    memoised in cache under (i, J)."""
+    [lo, hi] with one Ore product per pair f(i) g(J), memoised in cache
+    under (i, J)."""
     if m < 0:
         raise OracleError("product order must be >= 0")
-    if f.lo > 0 or f.hi < m:
-        raise OracleError("left window [%d, %d] does not cover [0, %d]" % (f.lo, f.hi, m))
     if cache is None:
         cache = {}
 
@@ -310,7 +309,7 @@ def naive_dist_nprod(f, g, m, cache=None):
         return got
 
     vals = {}
-    for n in range(g.lo, g.hi - m + 1):
+    for n in range(lo, hi + 1):
         acc = {}
         for j in range(m + 1):
             term = pr(m - j, n + j)
@@ -320,7 +319,7 @@ def naive_dist_nprod(f, g, m, cache=None):
             for slot, v in flatten(term).items():
                 acc[slot] = acc.get(slot, 0) + c * v
         vals[n] = acc
-    return WindowValues(f.base, f.der, g.lo, g.hi - m, vals)
+    return WindowValues(f.base, f.der, lo, hi, vals)
 
 
 def naive_value(a, n):
@@ -394,8 +393,9 @@ def naive_mul_items(alg, left, right):
     sums = {}
     for k1, c1 in left.items():
         for k2, c2 in right.items():
-            for k, c in alg.mul_keys(k1, k2).items():
-                sums[k] = sums.get(k, Fraction(0)) + Fraction(c1) * Fraction(c2) * Fraction(c)
+            k = alg.key_product(k1, k2)
+            if k is not None:
+                sums[k] = sums.get(k, Fraction(0)) + Fraction(c1) * Fraction(c2)
     return {k: v.numerator if v.denominator == 1 else v for k, v in sums.items() if v}
 
 

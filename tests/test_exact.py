@@ -30,11 +30,9 @@ def flat_normal(v):
     return all(normal(c) for c in v.values())
 
 
-def values_normal(d):
-    """Every value of a distribution on its window."""
-    return all(
-        flat_normal(el.items) for n in range(d.lo, d.hi + 1) for el in d.value(n).items.values()
-    )
+def values_normal(d, lo, hi):
+    """Every value of a distribution at the indices lo to hi."""
+    return all(flat_normal(el.items) for n in range(lo, hi + 1) for el in d.value(n).items.values())
 
 
 def test_div_is_exact():
@@ -87,15 +85,15 @@ def test_integer_inputs_give_exact_results():
     b = c.named_element("L0").add(c.named_element("L1").dapply(2))
     for n in range(4):
         assert all(poly_normal(p) for p in c.nprod(a, b, n).items.values())
-    f, g = to_distribution(a, -4, 4), to_distribution(b, -4, 4)
-    assert all(flat_normal(d.terms) and values_normal(d) for d in (f, g))
+    f, g = to_distribution(a), to_distribution(b)
+    assert all(flat_normal(d.terms) and values_normal(d, -4, 4) for d in (f, g))
     terms = dist_nprod(f, g, 2)[2]
     assert terms and flat_normal(terms)
-    assert values_normal(Distribution(f.base, f.der, g.lo, g.hi - 2, terms))
+    assert values_normal(Distribution(f.base, f.der, terms), -4, 2)
     # halves meeting doubles: every coefficient is integral, so every one is
     # an int, on both sides of the residue sum
-    f2 = to_distribution(cscale(a, F(1, 2)), -4, 4)
-    g2 = to_distribution(cscale(b, 2), -4, 4)
+    f2 = to_distribution(cscale(a, F(1, 2)))
+    g2 = to_distribution(cscale(b, 2))
     assert any(type(c) is F for c in f2.terms.values())
     terms2 = dist_nprod(f2, g2, 2)[2]
     assert terms2 == terms and all(type(c) is int for c in terms2.values())

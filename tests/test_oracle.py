@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,79 +32,73 @@ from reference_oracles import (
 )
 
 
-def test_distribution_window_and_sparsity():
+def test_distribution_values_at_any_index():
     c = make_current(MatrixAlgebra(2))
     e12 = c.tilde(c.base.parse_element({"e12": "1"}))
-    f = to_distribution(e12, -3, 3)
-    assert (f.lo, f.hi) == (-3, 3)
+    f = to_distribution(e12)
     # a plain tilde element is b t^n at every n
-    v = f.value(2)
-    assert v.to_map() == {"2": {"e12": "1"}}
-    with pytest.raises(OracleError):
-        f.value(4)
+    assert f.value(2).to_map() == {"2": {"e12": "1"}}
+    assert f.value(40).to_map() == {"40": {"e12": "1"}}
+    assert f.value(-7).to_map() == {"-7": {"e12": "1"}}
 
 
 def test_distribution_of_a_d_power_uses_falling_factorials():
     c = make_cend(1)
     l0 = c.named_element("L0")
-    f = to_distribution(l0.dapply(2), -4, 4)
+    f = to_distribution(l0.dapply(2))
     # (D^2 b)~ at n is n(n-1) b t^(n-2)
     assert f.value(3).to_map() == {"1": {"1": "6"}}
     assert f.value(1).is_zero()
     assert f.value(-1).to_map() == {"-3": {"1": "2"}}
 
 
-def test_window_and_first_difference():
+def test_first_difference_from_a_start():
     c = make_current(MatrixAlgebra(2))
     one = c.tilde(c.base.one())
-    f = to_distribution(one, -4, 4)
-    g = to_distribution(one, -2, 3)
-    assert (g.lo, g.hi) == (-2, 3)
-    # one map for every n: the window only says where the family is read
+    f, g = to_distribution(one), to_distribution(one)
+    # one map for every n
     assert g.terms == f.terms == {(0, k, 0): 1 for k in c.base.one().items}
-    assert f.first_difference(g) is None
-    h = to_distribution(cscale(one, Fraction(2)), -4, 4)
-    assert f.first_difference(h) == -4
-    with pytest.raises(OracleError, match="empty window"):
-        to_distribution(one, 1, 0)
-    # (D 1)~ is -n t^(n-1): zero at n = 0, so on the window [0, 0] the two
-    # families agree, and the first difference lies past it
-    f0 = to_distribution(one, 0, 0)
-    h0 = to_distribution(one.add(one.dapply()), 0, 0)
-    assert f0.value(0) == h0.value(0)
-    assert f0.first_difference(h0) == 1
+    assert f.first_difference(g, -4) is None
+    h = to_distribution(cscale(one, Fraction(2)))
+    assert f.first_difference(h, -4) == -4
+    assert f.first_difference(h, 5) == 5
+    # (D 1)~ is -n t^(n-1): zero at n = 0, so from 0 the first difference is
+    # at 1, and from any other start it is the start
+    h0 = to_distribution(one.add(one.dapply()))
+    assert f.value(0) == h0.value(0)
+    assert f.first_difference(h0, 0) == 1
+    assert f.first_difference(h0, -3) == -3
+    assert f.first_difference(h0, 1) == 1
 
 
 def test_zero_distributions_over_different_rings_differ():
     c, d = make_cend(1), make_current(MatrixAlgebra(2))
-    f = Distribution(c.base, c.der, -2, 2, {})
-    g = Distribution(d.base, d.der, -2, 2, {})
+    f = Distribution(c.base, c.der, {})
+    g = Distribution(d.base, d.der, {})
     assert f != g
-    assert f == to_distribution(c.zero(), -2, 2)
+    assert f == to_distribution(c.zero())
 
 
-def test_dist_nprod_window_requirements():
+def test_dist_nprod_order_requirements():
     c = make_current(MatrixAlgebra(2))
     one = c.tilde(c.base.one())
-    f = to_distribution(one, -2, 2)
-    with pytest.raises(OracleError):
-        dist_nprod(f, f, 3)
+    f = to_distribution(one)
     with pytest.raises(OracleError):
         dist_nprod(f, f, -1)
     # every order from 0 to top, one map each
-    assert dist_nprod(f, f, 1) == [{(0, k, 0): 1 for k in c.base.one().items}, {}]
+    unit = {(0, k, 0): 1 for k in c.base.one().items}
+    assert dist_nprod(f, f, 1) == [unit, {}]
+    assert dist_nprod(f, f, 3) == [unit, {}, {}, {}]
 
 
 def test_current_distributions_collapse_above_order_zero():
     c = make_current(MatrixAlgebra(2))
     a = c.tilde(c.base.parse_element({"e11": "1", "e12": "2"}))
     b = c.tilde(c.base.parse_element({"e21": "-1"}))
-    f = to_distribution(a, -5, 5)
-    g = to_distribution(b, -5, 5)
     # order zero carries the base product, higher orders vanish identically
     base_prod = c.tilde(c.base.parse_element({"e11": "-2"}))
-    got = dist_nprod(f, g, 3)
-    assert got[0] == to_distribution(base_prod, -5, 5).terms
+    got = dist_nprod(to_distribution(a), to_distribution(b), 3)
+    assert got[0] == to_distribution(base_prod).terms
     assert got[1:] == [{}, {}, {}]
 
 
@@ -146,15 +141,14 @@ def draw_terms(data, c):
     return terms
 
 
-def draw_distribution(data, c, rng, lo, hi):
-    """A distribution read on [lo, hi]: a sampled conformal element's, a
-    family with any (d, key, s) terms, or zero everywhere."""
+def draw_distribution(data, c, rng):
+    """A distribution: a sampled conformal element's, a family with any
+    (d, key, s) terms, or zero everywhere."""
     kind = data.draw(st.sampled_from(["conformal", "family", "zero"]))
     if kind == "conformal":
-        a = sample_celement(c, rng, c.base.basis_upto(3), 2)
-        return to_distribution(a, lo, hi)
+        return to_distribution(sample_celement(c, rng, c.base.basis_upto(3), 2))
     terms = draw_terms(data, c) if kind == "family" else {}
-    return Distribution(c.base, c.der, lo, hi, terms)
+    return Distribution(c.base, c.der, terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,39 +156,45 @@ def draw_distribution(data, c, rng, lo, hi):
 def test_distribution_values_have_one_canonical_form(name, data):
     """Stored zero coefficients and integral Fractions do not change a
     distribution, each value is the family's formula at n, and two families
-    agree at every n exactly when their maps are equal; a difference shows
-    within S + 1 indices of lo, S the largest s."""
+    agree at every n exactly when their maps are equal; from any start, a
+    difference shows within S + 1 indices, S the largest s."""
     c = STRUCTURES[name]()
     keys = c.base.basis_upto(2)
     lo = data.draw(st.integers(-3, 1))
     hi = lo + data.draw(st.integers(0, 4))
-    start = draw_terms(data, c)
-    clean = {t: x.numerator if x.denominator == 1 else x for t, x in start.items()}
-    noisy = {t: x if data.draw(st.booleans()) else clean[t] for t, x in start.items()}
+    drawn = draw_terms(data, c)
+    clean = {t: x.numerator if x.denominator == 1 else x for t, x in drawn.items()}
+    noisy = {t: x if data.draw(st.booleans()) else clean[t] for t, x in drawn.items()}
     for _ in range(data.draw(st.integers(0, 2))):
         t = (data.draw(st.integers(-3, 3)), data.draw(st.sampled_from(keys)), 0)
         noisy.setdefault(t, data.draw(st.sampled_from([0, Fraction(0)])))
-    d = Distribution(c.base, c.der, lo, hi, noisy)
-    assert d == Distribution(c.base, c.der, lo, hi, clean)
+    d = Distribution(c.base, c.der, noisy)
+    assert d == Distribution(c.base, c.der, clean)
     assert d.terms == clean
     assert all(type(x) is int or x.denominator != 1 for x in d.terms.values())
     for n in range(lo, hi + 1):
-        assert d.value(n) == family_value(c, start, n)
+        assert d.value(n) == family_value(c, drawn, n)
 
     # a second family: the same map, or one coefficient changed or dropped
     other = dict(clean)
     if other and data.draw(st.booleans()):
         t = data.draw(st.sampled_from(sorted(other, key=repr)))
         other[t] = data.draw(st.sampled_from([0, other[t] + 1]))
-    e = Distribution(c.base, c.der, lo, hi, other)
-    n = d.first_difference(e)
-    assert (n is None) == (d.terms == e.terms) == (d == e)
-    if n is not None:
-        top = max(s for _, _, s in set(d.terms) | set(e.terms))
-        assert lo <= n <= lo + top
+    e = Distribution(c.base, c.der, other)
+    first = d.first_difference(e, lo)
+    assert (first is None) == (d.terms == e.terms) == (d == e)
+    if first is None:
+        return
+    top = max(s for _, _, s in set(d.terms) | set(e.terms))
+    # from a start below or past the first difference from lo
+    start = data.draw(st.integers(first - 4, first + 4))
+    for begin, n in ((lo, first), (start, d.first_difference(e, start))):
+        assert begin <= n <= begin + top
         assert family_value(c, d.terms, n) != family_value(c, e.terms, n)
-        for k in range(lo, n):
+        for k in range(begin, n):
             assert family_value(c, d.terms, k) == family_value(c, e.terms, k)
+    if lo <= start <= first:
+        assert d.first_difference(e, start) == first
 
 
 @settings(max_examples=80, deadline=None)
@@ -203,35 +203,28 @@ def test_dist_nprod_matches_the_pairwise_residue_sum(name, data):
     c = STRUCTURES[name]()
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     top = data.draw(st.integers(0, 5))
-    f = draw_distribution(
-        data, c, rng, data.draw(st.integers(-2, 0)), top + data.draw(st.integers(0, 2))
-    )
-    glo = data.draw(st.integers(-4, 2))
-    g = draw_distribution(data, c, rng, glo, glo + top + data.draw(st.integers(0, 4)))
+    f, g = draw_distribution(data, c, rng), draw_distribution(data, c, rng)
+    lo = data.draw(st.integers(-4, 2))
+    hi = lo + data.draw(st.integers(0, 4))
     # one pass for every order up to top, as oracle_check makes it
     every = one_pass(f, g, top)
     assert sorted(every) == list(range(top + 1))
     for m in range(top + 1):
-        assert agrees(every[m], naive_dist_nprod(f, g, m))
+        assert agrees(every[m], naive_dist_nprod(f, g, m, lo, hi))
     # a pass up to a lower order: the same maps, whatever the pass's top
     low = data.draw(st.integers(0, top))
     assert dist_nprod(f, g, low) == [every[m].terms for m in range(low + 1)]
 
 
 def agrees(d, ref):
-    """Same window, and the same value at every index of it."""
-    return (d.lo, d.hi) == (ref.lo, ref.hi) and all(
-        d.value(n) == ref.value(n) for n in range(ref.lo, ref.hi + 1)
-    )
+    """The same value at every index the reference was evaluated on."""
+    return all(d.value(n) == ref.value(n) for n in range(ref.lo, ref.hi + 1))
 
 
 def one_pass(f, g, top):
     """Every order m of one dist_nprod pass up to top, each as a
-    Distribution on its window [g.lo, g.hi - m]."""
-    return {
-        m: Distribution(f.base, f.der, g.lo, g.hi - m, terms)
-        for m, terms in enumerate(dist_nprod(f, g, top))
-    }
+    Distribution."""
+    return {m: Distribution(f.base, f.der, terms) for m, terms in enumerate(dist_nprod(f, g, top))}
 
 
 def traced_levels(monkeypatch):
@@ -254,21 +247,17 @@ def traced_levels(monkeypatch):
 def test_distributions_hold_at_every_n(name, data):
     """On [-20, 20], wider than oracle_check's default window 8, a conformal
     element's distribution is its formula, and the order-m product of two is
-    the residue sum evaluated at each n; the product's map does not depend on
-    the window it is read on."""
+    the residue sum evaluated at each n."""
     c = STRUCTURES[name]()
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     keys = c.base.basis_upto(3)
     a, b = sample_celement(c, rng, keys, 2), sample_celement(c, rng, keys, 2)
-    fa = to_distribution(a, -20, 20)
+    f, g = to_distribution(a), to_distribution(b)
     for n in range(-20, 21):
-        assert fa.value(n) == naive_value(a, n)
+        assert f.value(n) == naive_value(a, n)
     bound = c.structural_bound(a, b)
     m = data.draw(st.integers(0, min(0 if bound is None else bound + 1, 8)))
-    f = to_distribution(a, 0, m)
-    wide = one_pass(f, to_distribution(b, -20, 20 + m), m)[m]
-    assert dist_nprod(f, to_distribution(b, 0, m), m)[m] == wide.terms
-    assert agrees(wide, naive_dist_nprod(f, to_distribution(b, -20, 20 + m), m))
+    assert agrees(one_pass(f, g, m)[m], naive_dist_nprod(f, g, m, -20, 20))
 
 
 @pytest.mark.parametrize("lower", [None, 0, 1])
@@ -284,10 +273,10 @@ def test_a_left_factor_vanishing_on_its_first_indices(name, lower):
     if lower is not None:
         a = a.add(c.tilde(c.base.basis_element(keys[0])).dapply(lower))
     b = sample_celement(c, random.Random(11), keys, 2)
-    f, g = to_distribution(a, 0, 6), to_distribution(b, -4, 10)
+    f, g = to_distribution(a), to_distribution(b)
     assert all(f.value(i).is_zero() for i in range(3)) == (lower is None)
     assert not f.value(3).is_zero()
-    expected = {m: naive_dist_nprod(f, g, m) for m in range(7)}
+    expected = {m: naive_dist_nprod(f, g, m, -4, 10 - m) for m in range(7)}
     assert any(not expected[m].value(n).is_zero() for m in range(4, 7) for n in range(-4, 4))
     every = one_pass(f, g, 6)
     for m in range(7):
@@ -308,11 +297,11 @@ def test_dist_nprod_on_a_deep_difference_table(monkeypatch):
         return CElement(c, {k: Poly([rng.choice(coeffs) for _ in range(3)]) for k in picked})
 
     a, b = element(keys[:2]), element(keys[-2:])
-    f, g = to_distribution(a, 0, 8), to_distribution(b, -3, 11)
+    f, g = to_distribution(a), to_distribution(b)
     seen = traced_levels(monkeypatch)
     every = one_pass(f, g, 8)
     for m in range(9):
-        assert agrees(every[m], naive_dist_nprod(f, g, m))
+        assert agrees(every[m], naive_dist_nprod(f, g, m, -3, 11 - m))
     # the one pass's table: every level, down to the eighth, is nonzero on
     # the slots of each symbol of g
     [(symbols, lead)] = seen
@@ -347,12 +336,13 @@ def test_one_dist_nprod_pass_matches_the_reference(name, data):
         return out
 
     top = data.draw(st.integers(0, 6))
-    f = Distribution(c.base, c.der, 0, top, terms())
-    glo = data.draw(st.integers(-4, 1))
-    g = Distribution(c.base, c.der, glo, glo + top + data.draw(st.integers(0, 3)), terms())
+    f = Distribution(c.base, c.der, terms())
+    lo = data.draw(st.integers(-4, 1))
+    g = Distribution(c.base, c.der, terms())
+    hi = lo + data.draw(st.integers(0, 3))
     every = one_pass(f, g, top)
     for m in range(top + 1):
-        assert agrees(every[m], naive_dist_nprod(f, g, m))
+        assert agrees(every[m], naive_dist_nprod(f, g, m, lo, hi))
 
 
 def test_two_right_symbols_reaching_the_same_slot():
@@ -364,11 +354,11 @@ def test_two_right_symbols_reaching_the_same_slot():
     e11, e12, e21 = (c.base.parse_key(n) for n in ("e11", "e12", "e21"))
     a = CElement(c, {e11: Poly([2, 0, 1]), e12: Poly([-3, 1])})
     b = CElement(c, {e11: Poly([1, 1]), e21: Poly([5, 0, -2])})
-    f, g = to_distribution(a, 0, 4), to_distribution(b, -4, 6)
+    f, g = to_distribution(a), to_distribution(b)
     every = one_pass(f, g, 4)
     reached = False
     for m in range(5):
-        expected = naive_dist_nprod(f, g, m)
+        expected = naive_dist_nprod(f, g, m, -4, 6 - m)
         assert agrees(every[m], expected)
         reached = reached or any(not expected.value(n).is_zero() for n in range(-4, 7 - m))
     assert reached
@@ -388,12 +378,12 @@ def test_a_slot_that_first_appears_at_a_later_row(monkeypatch, name):
     keys = c.base.basis_upto(1)
     terms = {(0, k, 0): 1 for k in keys}
     terms.update({(-2, k, 2): Fraction(1, 2) for k in keys})
-    f = Distribution(c.base, c.der, 0, 5, terms)
-    g = to_distribution(sample_celement(c, random.Random(3), c.base.basis_upto(2), 2), -3, 9)
+    f = Distribution(c.base, c.der, terms)
+    g = to_distribution(sample_celement(c, random.Random(3), c.base.basis_upto(2), 2))
     seen = traced_levels(monkeypatch)
     every = one_pass(f, g, 5)
     for m in range(6):
-        assert agrees(every[m], naive_dist_nprod(f, g, m))
+        assert agrees(every[m], naive_dist_nprod(f, g, m, -3, 9 - m))
     [(symbols, lead)] = seen
     for k in symbols:
         first = {slot for slot, _ in lead[0] if slot[0] == k}
@@ -404,8 +394,8 @@ def test_a_slot_that_first_appears_at_a_later_row(monkeypatch, name):
 
 def test_dist_nprod_refuses_distributions_over_different_rings():
     c, d = make_cend(1), _dif_matrix_poly2_ad_e12()
-    f = to_distribution(c.tilde(c.base.one()), -2, 2)
-    g = to_distribution(d.tilde(d.base.one()), -2, 2)
+    f = to_distribution(c.tilde(c.base.one()))
+    g = to_distribution(d.tilde(d.base.one()))
     with pytest.raises(AlgebraError, match="different rings"):
         dist_nprod(f, g, 1)
 
@@ -423,8 +413,7 @@ def test_oracle_route_shares_no_code_with_the_closed_form(monkeypatch):
     for attr in ("nprod", "nprod_all", "_products", "basis_nprod", "_delta_pow"):
         monkeypatch.setattr(ConformalAlgebra, attr, refuse)
     for a, b in samples:
-        f, g = to_distribution(a, -4, 4), to_distribution(b, -4, 4)
-        dist_nprod(f, g, 3)
+        dist_nprod(to_distribution(a), to_distribution(b), 3)
 
 
 def test_oracle_agreement_on_the_stock_structures():
@@ -442,17 +431,14 @@ def test_oracle_agreement_on_the_stock_structures():
 
 @pytest.mark.parametrize("window", [1, 8])
 def test_oracle_check_reads_the_closed_form_once_per_sample(monkeypatch, window):
-    """Every order a sample checks comes from one nprod_all pass over
-    [0, top], top = min(structural bound + 1, window), and from one
-    dist_nprod pass to the same top: nprod is never called, and the
-    closed-form pass makes no order above top."""
-    honest_all, honest_products = ConformalAlgebra.nprod_all, ConformalAlgebra._products
+    """Every order a sample checks comes from one call of the closed-form
+    kernel with the one job (0, 0, 0, top), top = min(structural bound + 1,
+    window), read as its sums, and from one dist_nprod pass to the same
+    top: no element is built for a product, nprod and nprod_all are never
+    called, and the kernel makes no order above top."""
+    honest_products = ConformalAlgebra._products
     honest_residue = oracle_module.dist_nprod
-    passes, made, residues = [], [], []
-
-    def counted_all(self, a, b, top=None):
-        passes.append(top)
-        return honest_all(self, a, b, top)
+    made, residues = [], []
 
     def counted_products(self, a, b, jobs):
         accs = honest_products(self, a, b, jobs)
@@ -465,10 +451,10 @@ def test_oracle_check_reads_the_closed_form_once_per_sample(monkeypatch, window)
         return out
 
     def refuse(*args, **kwargs):
-        raise AssertionError("oracle_check called nprod")
+        raise AssertionError("oracle_check went through a product element")
 
-    monkeypatch.setattr(ConformalAlgebra, "nprod", refuse)
-    monkeypatch.setattr(ConformalAlgebra, "nprod_all", counted_all)
+    for attr in ("nprod", "nprod_all", "_element"):
+        monkeypatch.setattr(ConformalAlgebra, attr, refuse)
     monkeypatch.setattr(ConformalAlgebra, "_products", counted_products)
     monkeypatch.setattr(oracle_module, "dist_nprod", counted_residue)
     checked = 0
@@ -476,13 +462,68 @@ def test_oracle_check_reads_the_closed_form_once_per_sample(monkeypatch, window)
         report = oracle_check(STRUCTURES[name](), samples=6, seed=2, window=window, degree=3)
         assert report["ok"], report["violation"]
         checked += report["orders_checked"]
-    assert len(passes) == len(made) == len(residues) == 6 * len(STRUCTURES)
-    assert checked == sum(top + 1 for top in passes)
-    assert [jobs for jobs, _ in made] == [[(0, 0, 0, top)] for top in passes]
-    assert max(passes) == window
-    assert all(n <= top for top, (_, [orders]) in zip(passes, made) for n in orders)
+    assert len(made) == len(residues) == 6 * len(STRUCTURES)
+    tops = [jobs[0][3] for jobs, _ in made]
+    assert [jobs for jobs, _ in made] == [[(0, 0, 0, top)] for top in tops]
+    assert checked == sum(top + 1 for top in tops)
+    assert max(tops) == window
+    assert all(n <= top for top, (_, [orders]) in zip(tops, made) for n in orders)
     # one residue pass per sample, to the same top, making every order
-    assert residues == [(top, top + 1) for top in passes]
+    assert residues == [(top, top + 1) for top in tops]
+
+
+def cancelling_pair(data, c):
+    """a = P k1~ + Q k3~ and b = R k2~ + S k4~ with k1 k2 = k3 k4 = w, where
+    neither k1 k4 nor k3 k2 is w, and P(0) = Q(0) = 1, so the kernel's
+    order-0 sums at w are R + S: drawn to vanish wholly or only in their
+    top coefficient. Returns (a, b, w)."""
+    keys = c.base.basis_upto(1)
+    prod = c.base.key_product
+    quads = [
+        (k1, k2, k3, k4)
+        for k1, k2, k3, k4 in itertools.product(keys, repeat=4)
+        if k1 != k3
+        and k2 != k4
+        and prod(k1, k2) is not None
+        and prod(k1, k2) == prod(k3, k4) not in (prod(k1, k4), prod(k3, k2))
+    ]
+    k1, k2, k3, k4 = data.draw(st.sampled_from(quads))
+    coeff = st.integers(-3, 3)
+    p, q = ([1] + data.draw(st.lists(coeff, max_size=2)) for _ in range(2))
+    r = data.draw(st.lists(coeff, min_size=1, max_size=2)) + [data.draw(coeff.filter(bool))]
+    s = [-x for x in r]
+    if data.draw(st.booleans()):
+        s[0] += data.draw(st.sampled_from([-1, 1]))
+    a = CElement(c, {k1: Poly(p), k3: Poly(q)})
+    b = CElement(c, {k2: Poly(r), k4: Poly(s)})
+    return a, b, prod(k1, k2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(STRUCTURES)), data=st.data())
+def test_family_terms_of_the_kernel_sums_are_the_product_distribution(name, data):
+    """oracle_check reads each order of the closed form as _family_terms of
+    the kernel's sums, which can cancel wholly or in their top
+    coefficients: that must be the distribution of nprod_all's element at
+    the order, an absent order read as {}. Half the pairs are drawn so that
+    their order-0 sums cancel at one key."""
+    c = STRUCTURES[name]()
+    if data.draw(st.booleans()):
+        a, b, w = cancelling_pair(data, c)
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        keys = c.base.basis_upto(3)
+        a, b, w = sample_celement(c, rng, keys, 2), sample_celement(c, rng, keys, 2), None
+    bound = c.structural_bound(a, b)
+    top = (0 if bound is None else bound + 1) + data.draw(st.integers(0, 2))
+    [sums] = c._products(a, b, ((0, 0, 0, top),))
+    if w is not None:
+        assert sums[0][w][-1] == 0
+    products = c.nprod_all(a, b)
+    assert all(m <= top for m in products)
+    for m in range(top + 1):
+        got = oracle_module._family_terms(sums.get(m, {}).items())
+        assert got == to_distribution(products.get(m, c.zero())).terms
 
 
 def test_oracle_catches_a_corrupted_structure_table():
@@ -533,14 +574,12 @@ def test_dist_nprod_work_counts(monkeypatch):
             },
         )
 
-    f = to_distribution(element(), 0, 6)
-    g = to_distribution(element(), -6, 6)
+    f, g = to_distribution(element()), to_distribution(element())
     evaluated, filled = [], []
     flat, fill = Distribution._flat, OreElement.monomial_product.__func__
 
     def counted_flat(self, n):
-        if self is f:
-            evaluated.append(n)
+        evaluated.append(n)
         return flat(self, n)
 
     def counted_fill(cls, base, der, k1, p, k2):
@@ -568,7 +607,8 @@ def test_dist_nprod_work_counts(monkeypatch):
     # one table for every symbol of g, though g has several terms per symbol
     assert len(g.terms) > len(symbols)
     assert passes == [(sorted(symbols), 6)]
-    assert sorted(evaluated) == list(range(7))
+    # the rows read f's terms with perm(i, s); no value of f or g is built
+    assert evaluated == []
     assert filled and len(filled) == len(set(filled))
 
 

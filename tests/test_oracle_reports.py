@@ -36,14 +36,13 @@ def test_a_corrupted_order_is_reported_as_the_reference_route_sees_it(capsys, st
     assert v["order"] == order
     c = load_spec(argv[1]).conformal
     a, b = c.from_map(v["a"]), c.from_map(v["b"])
-    m, n, w = v["order"], v["index"], report["window"]
-    f, g = to_distribution(a, 0, m), to_distribution(b, -w, w)
-    residue = naive_dist_nprod(f, g, m).value(n).to_map()
+    m, n = v["order"], v["index"]
+    residue = naive_dist_nprod(to_distribution(a), to_distribution(b), m, n, n).value(n).to_map()
     assert v["residue"] == residue
     honest = c.nprod(a, b, m)
-    assert v["closed_form"] == to_distribution(cscale(honest, 2), -w, w - m).value(n).to_map()
+    assert v["closed_form"] == to_distribution(cscale(honest, 2)).value(n).to_map()
     # the honest closed form agrees with the reference route at that index
-    assert to_distribution(honest, -w, w - m).value(n).to_map() == residue
+    assert to_distribution(honest).value(n).to_map() == residue
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -73,9 +72,8 @@ def test_a_mismatch_that_vanishes_on_the_window_is_reported(capsys, monkeypatch,
     c = load_spec(spec(name + ".json")).conformal
     a, b = c.from_map(v["a"]), c.from_map(v["b"])
     n = v["index"]
-    f, g = to_distribution(a, 0, 0), to_distribution(b, 0, n)
-    residue = naive_dist_nprod(f, g, 0)
-    closed = to_distribution(c.nprod(a, b, 0).add(b.dapply()), 0, n)
+    residue = naive_dist_nprod(to_distribution(a), to_distribution(b), 0, 0, n)
+    closed = to_distribution(c.nprod(a, b, 0).add(b.dapply()))
     assert v["residue"] == residue.value(n).to_map()
     assert v["closed_form"] == closed.value(n).to_map() != v["residue"]
     for k in range(n):

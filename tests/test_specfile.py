@@ -223,6 +223,31 @@ def test_a_negative_d_power_is_refused(powers):
 
 
 @pytest.mark.parametrize(
+    "base,images",
+    [
+        ({"kind": "matrix", "n": 2}, {"e11": {}, "e12": {}, "e21": {}, "e22": {}}),
+        ({"kind": "poly"}, {}),
+    ],
+    ids=["matrix", "poly"],
+)
+def test_a_table_derivation_degree_below_zero_is_refused(base, images, tmp_path, capsys):
+    """A degree below 0 covers no basis symbol: on matrix the table of four
+    zero images loaded as the zero derivation, and on Q[x] an empty table
+    loaded and every product failed. Refused as the subalgebra degree is,
+    and basis_upto reads no key below degree 0."""
+    doc = {"name": "t", "base": base, "derivation": {"kind": "table", "degree": -3, "images": images}}
+    text = json.dumps(doc)
+    with pytest.raises(SpecError, match="nonnegative") as exc:
+        load_spec_text(text)
+    assert exc.value.path == "$.derivation.degree"
+    spec = tmp_path / "negative.json"
+    spec.write_text(text)
+    assert main(["check-axioms", str(spec)]) == 2
+    assert "$.derivation.degree" in capsys.readouterr().err
+    assert MatrixAlgebra(2).basis_upto(-3) == MatrixPolyAlgebra(1).basis_upto(-3) == []
+
+
+@pytest.mark.parametrize(
     "extra,path",
     [
         (
