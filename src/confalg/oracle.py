@@ -78,13 +78,12 @@ class Distribution:
 
 
 def _family_terms(items):
-    """The (d, key, s) -> coefficient map, in normal form, of the
-    distribution of sum_k p_k(D) b_k~, given as (key, D-coefficients of p_k)
-    pairs over distinct keys: c_i (D^i b)~ goes to
-    n -> (-1)^i c_i ff(n,i) b t^(n-i), the term (-i, b, i)."""
-    return normal_map(
-        {(-i, k, i): -ci if i % 2 else ci for k, cs in items for i, ci in enumerate(cs)}
-    )
+    """The (d, key, s) -> coefficient map of the distribution of
+    sum_k p_k(D) b_k~, given as (key, D-coefficients of p_k) pairs over
+    distinct keys: c_i (D^i b)~ goes to n -> (-1)^i c_i ff(n,i) b t^(n-i),
+    the term (-i, b, i). The map may hold zeros and integral Fractions: each
+    caller puts it in normal form once, as Distribution does."""
+    return {(-i, k, i): -ci if i % 2 else ci for k, cs in items for i, ci in enumerate(cs)}
 
 
 def to_distribution(a):
@@ -224,7 +223,7 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
         top = min((0 if bound is None else bound + 1), window)
         closed = c._products(a, b, ((0, 0, 0, top),))[0]
         for m, rhs in enumerate(dist_nprod(to_distribution(a), to_distribution(b), top)):
-            lhs = _family_terms(closed.get(m, {}).items())
+            lhs = normal_map(_family_terms(closed.get(m, {}).items()))
             report["orders_checked"] += 1
             if lhs != rhs:
                 lhs = Distribution(c.base, c.der, lhs)
