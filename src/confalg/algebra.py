@@ -556,7 +556,7 @@ class Derivation:
     nilpotency index, d-power and Ore expansion is read from it. ore_table
     memoises the monomial products of the twisted Laurent ring over this
     derivation, and ore_expansions the expansions of t^p b_key they are
-    read from; OreElement fills both."""
+    read from; ore_monomial, the ring's one commutation rule, fills both."""
 
     def __init__(self, alg, kind, r=None, images=None):
         self.alg = alg
@@ -661,6 +661,41 @@ class Derivation:
                 "derivation is not locally nilpotent: %r survives %d steps" % (x, bound)
             )
 
+    def ore_monomial(self, k1, p, k2):
+        """(b_k1 t^p) b_k2 in B[t, t^-1; d] as a list of (power, key,
+        coefficient) in normal form, memoised in ore_table under
+        (k1, p, k2). t^p b is read from the orbit of b = b_k2, by
+        t b = b t - d(b): its first p + 1 iterates for p >= 0,
+        t^p b = sum_k (-1)^k C(p, k) d^k(b) t^(p-k), and the whole orbit for
+        p < 0, t^p b = sum_k C(-p-1+k, k) d^k(b) t^(p-k), finite by local
+        nilpotency. That expansion is memoised in ore_expansions under
+        (p, k2), once for every left key k1. A right factor t^q only shifts
+        every power by q."""
+        got = self.ore_table.get((k1, p, k2))
+        if got is None:
+            expansion = self.ore_expansions.get((p, k2))
+            if expansion is None:
+                # (power, coefficient, iterate) triples
+                b = self.alg.basis_element(k2)
+                if p >= 0:
+                    orbit = enumerate(islice(self.orbit(b), p + 1))
+                    expansion = [(p - k, -comb(p, k) if k % 2 else comb(p, k), v) for k, v in orbit]
+                else:
+                    orbit = enumerate(self.orbit(b))
+                    expansion = [(p - k, comb(k - p - 1, k), v) for k, v in orbit]
+                self.ore_expansions[(p, k2)] = expansion
+            key_product = self.alg.key_product
+            got = []
+            for pw, coef, v in expansion:
+                acc = {}
+                for kk, cc in v.items.items():
+                    k = key_product(k1, kk)
+                    if k is not None:
+                        acc[k] = acc.get(k, 0) + coef * cc
+                got.extend((pw, k, c) for k, c in normal_map(acc).items())
+            self.ore_table[(k1, p, k2)] = got
+        return got
+
     def validate(self):
         """Check what the kind does not guarantee: Leibniz for a table, on
         covered pairs whose product stays covered, and local nilpotency for
@@ -730,9 +765,9 @@ def kernel_reconstruct(alg, comps):
 
 class OreElement:
     """Element of B[t, t^-1; d]: finite sum a_p t^p with coefficients on the
-    left. Multiplication uses t b = b t - d(b) and, for negative powers,
-    t^-m b = sum_k C(m-1+k, k) d^k(b) t^-m-k, finite by local nilpotency.
-    Items keep the order they were built in; to_map and repr sort them."""
+    left. Multiplication reads every monomial product (b_k1 t^p) b_k2 from
+    the derivation's ore_monomial. Items keep the order they were built in;
+    to_map and repr sort them."""
 
     __slots__ = ("base", "der", "items")
 
@@ -766,52 +801,6 @@ class OreElement:
     def __hash__(self):
         return hash((self.base.descriptor(), frozenset(self.items.items())))
 
-    def commute_t(self, p, b):
-        """Expand t^p b as a map power -> coefficient element, read from the
-        orbit of b: its first p + 1 iterates for p > 0, the whole orbit for
-        p < 0."""
-        if p == 0 or b.is_zero():
-            return {p: b}
-        out = {}
-        if p > 0:
-            for k, v in enumerate(islice(self.der.orbit(b), p + 1)):
-                coef = -comb(p, k) if k % 2 else comb(p, k)
-                out[p - k] = v if coef == 1 else v.scale(coef)
-        else:
-            for k, v in enumerate(self.der.orbit(b)):
-                coef = comb(-p - 1 + k, k)
-                out[p - k] = v if coef == 1 else v.scale(coef)
-        return out
-
-    @classmethod
-    def monomial_product(cls, base, der, k1, p, k2):
-        """(b_k1 t^p) b_k2 in B[t, t^-1; der] as a list of (power, key,
-        coefficient), built from commute_t and key_product and memoised in
-        der.ore_table under (k1, p, k2); the expansion of t^p b_k2 is
-        memoised in der.ore_expansions under (p, k2), once for every left
-        key k1. A right factor t^q only shifts every power by q. Called on
-        the class, so that a caller holding no Ore element reads the same
-        tables and the same commutation rule."""
-        key = (k1, p, k2)
-        got = der.ore_table.get(key)
-        if got is None:
-            key_product = base.key_product
-            expansion = der.ore_expansions.get((p, k2))
-            if expansion is None:
-                # commute_t reads only the derivation, so an empty element will do
-                expansion = cls._trusted(base, der, {}).commute_t(p, base.basis_element(k2))
-                der.ore_expansions[(p, k2)] = expansion
-            got = []
-            for pw, coef in expansion.items():
-                acc = {}
-                for kk, cc in coef.items.items():
-                    k = key_product(k1, kk)
-                    if k is not None:
-                        acc[k] = acc.get(k, 0) + cc
-                got.extend((pw, k, c) for k, c in acc.items() if c)
-            der.ore_table[key] = got
-        return got
-
     def mul(self, other):
         if self.base != other.base or self.der != other.der:
             raise AlgebraError("Ore elements over different rings")
@@ -825,7 +814,7 @@ class OreElement:
                     for k2, c2 in b.items.items():
                         terms = table.get((k1, p, k2))
                         if terms is None:
-                            terms = self.monomial_product(self.base, self.der, k1, p, k2)
+                            terms = self.der.ore_monomial(k1, p, k2)
                         c12 = c1 * c2
                         for pw, k, c in terms:
                             slot = out.setdefault(pw + q, {})

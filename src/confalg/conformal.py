@@ -348,16 +348,15 @@ def _randbelow(rng, width):
     return u
 
 
-def sample_celement(c, rng, keys, pdeg=2, terms=3, coeff_bound=5):
-    """An element on up to terms of the basis keys, each with a random
-    D-polynomial of degree at most pdeg and coefficients in
-    [-coeff_bound, coeff_bound]; a check passes c.base.basis_upto(degree)
-    as keys, built once for all its draws."""
-    picked = rng.sample(keys, min(1 + _randbelow(rng, terms), len(keys)))
-    width = 2 * coeff_bound + 1
+def sample_celement(c, rng, keys, pdeg=2):
+    """An element on up to 3 of the basis keys, each with a random
+    D-polynomial of degree at most pdeg and coefficients in [-5, 5]; a
+    check passes c.base.basis_upto(degree) as keys, built once for all its
+    draws."""
+    picked = rng.sample(keys, min(1 + _randbelow(rng, 3), len(keys)))
     items = {}
     for k in picked:
-        coeffs = normal([_randbelow(rng, width) - coeff_bound for _ in range(pdeg + 1)])
+        coeffs = normal([_randbelow(rng, 11) - 5 for _ in range(pdeg + 1)])
         if coeffs:
             items[k] = Poly._trusted(coeffs)
     return CElement._trusted(c, items)

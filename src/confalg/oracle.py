@@ -145,14 +145,14 @@ def _leading_differences(f, symbols, top):
     each worth c ff(i,s) = c perm(i,s) at (i + d, key) for i >= 0: a term
     of value v adds v x at (k, pw - i, kk) for each symbol k and each
     (pw, kk, x) of (b_key t^(i+d)) b_k in the derivation's Ore monomial
-    table, a miss filled by OreElement.monomial_product. Slots are indexed
+    table, a miss filled by the derivation's ore_monomial. Slots are indexed
     in the order the rows reach them, so a row or difference is one
     coefficient list, zero-padded when a later row brings a new slot. last
     holds the last diagonal [(Delta^q R^)(i - q)], i the last row; row
     i + 1 then costs i + 1 list subtractions for all symbols at once. Every
     level is returned, zero or not: a left factor may vanish on its first
     indices only."""
-    base, der = f.base, f.der
+    der = f.der
     ore = der.ore_table
     index, slots, last, lead = {}, [], [], []
     for i in range(top + 1):
@@ -165,7 +165,7 @@ def _leading_differences(f, symbols, top):
             for k in symbols:
                 terms = ore.get((key, p, k))
                 if terms is None:
-                    terms = OreElement.monomial_product(base, der, key, p, k)
+                    terms = der.ore_monomial(key, p, k)
                 for pw, kk, x in terms:
                     slot = (k, pw - i, kk)
                     at = index.get(slot)
@@ -242,14 +242,15 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
     return report
 
 
-def sample_ore(base, der, rng, degree=3, power=2, terms=2, coeff_bound=5):
+def sample_ore(base, der, rng, degree=3, power=2):
+    """A sum of one or two terms e t^p, p in [-power, power], each e on one
+    or two basis keys of degree at most degree with coefficients in [-5, 5]."""
     keys = base.basis_upto(degree)
-    width = 2 * coeff_bound + 1
     items = {}
-    for _ in range(1 + _randbelow(rng, terms)):
+    for _ in range(1 + _randbelow(rng, 2)):
         p = _randbelow(rng, 2 * power + 1) - power
         picked = rng.sample(keys, min(1 + _randbelow(rng, 2), len(keys)))
-        el = Element(base, {k: _randbelow(rng, width) - coeff_bound for k in picked})
+        el = Element(base, {k: _randbelow(rng, 11) - 5 for k in picked})
         items[p] = items[p].add(el) if p in items else el
     return OreElement(base, der, items)
 

@@ -436,14 +436,14 @@ def test_negative_power_expansion_stops_at_the_iteration_bound():
 
     d.apply = counted
     with pytest.raises(AlgebraError, match="not locally nilpotent"):
-        OreElement(a, d, {}).commute_t(-1, xk(a, 1))
+        d.ore_monomial((0, 1, 1), -1, (1, 1, 1))
     assert len(steps) <= len(images) + 1
     # a nilpotent table still expands fully: d(x^2) = x, d(x) = 1, d(1) = 0
     ddx_table = Derivation.table(
         a, {(0, 1, 1): a.zero(), (1, 1, 1): a.one(), (2, 1, 1): xk(a, 1).scale(2)}
     )
-    got = OreElement(a, ddx_table, {}).commute_t(-1, xk(a, 2))
-    assert got == {-1: xk(a, 2), -2: xk(a, 1).scale(2), -3: a.one().scale(2)}
+    got = ddx_table.ore_monomial((0, 1, 1), -1, (2, 1, 1))
+    assert got == [(-1, (2, 1, 1), 1), (-2, (1, 1, 1), 2), (-3, (0, 1, 1), 2)]
 
 
 def test_positive_power_expansion_applies_only_the_steps_it_keeps():
@@ -459,8 +459,8 @@ def test_positive_power_expansion_applies_only_the_steps_it_keeps():
 
     d.apply = counted
     x10 = xk(a, 10)
-    got = OreElement(a, d, {}).commute_t(1, x10)
-    assert got == {1: x10, 0: xk(a, 9).scale(-10)}
+    got = d.ore_monomial((0, 1, 1), 1, (10, 1, 1))
+    assert got == [(1, (10, 1, 1), 1), (0, (9, 1, 1), -10)]
     assert steps == [x10]
 
 

@@ -179,14 +179,14 @@ def test_sample_celement_deterministic():
 
 
 # keyword arguments of the randint reference past c, rng (the library takes
-# degree's key list): the defaults at two degrees, single-term constants,
-# and long, wide draws
+# degree's key list): the default pdeg at two degrees, constants, and long
+# draws
 SAMPLER_ARGS = [
     {"degree": 4},
     {"degree": 2},
-    {"degree": 0, "pdeg": 0, "terms": 1, "coeff_bound": 0},
-    {"degree": 3, "pdeg": 1, "terms": 2, "coeff_bound": 1},
-    {"degree": 5, "pdeg": 6, "terms": 9, "coeff_bound": 10**12},
+    {"degree": 0, "pdeg": 0},
+    {"degree": 3, "pdeg": 1},
+    {"degree": 5, "pdeg": 6},
 ]
 
 
@@ -205,20 +205,22 @@ def test_sample_celement_draws_what_randint_draws(name, kwargs):
         assert rng.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("width", [1, 2, 11, 2 * 10**12 + 1])
+def test_randbelow_draws_what_randint_draws(width):
+    """A draw below width is randint's over [0, width - 1], also on a range
+    wider than the samplers use: the same ints, and the rng left in the same
+    state, over seeds 0-49."""
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert _randbelow(rng, width) == ref.randint(0, width - 1)
+        assert rng.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize("width", [0, -1])
 def test_an_empty_draw_is_refused_before_any_bits_are_read(width):
     with pytest.raises(ValueError, match="empty range"):
         _randbelow(CappedRandom(0, 0), width)
-
-
-@pytest.mark.parametrize("kwargs, cap", [({"terms": 0}, 0), ({"coeff_bound": -1}, 100)])
-def test_sample_celement_refuses_an_empty_range(kwargs, cap):
-    """terms 0 leaves no term count to draw, coeff_bound -1 no coefficient:
-    refused, where rejection sampling would draw forever. The capped rng
-    turns a draw that does not end into a failure."""
-    c = make_cend(1)
-    with pytest.raises(ValueError, match="empty range"):
-        sample_celement(c, CappedRandom(0, cap), c.base.basis_upto(2), **kwargs)
 
 
 @pytest.mark.parametrize("samples", [0, -3])

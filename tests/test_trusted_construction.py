@@ -149,9 +149,9 @@ def test_sampled_elements(name, seed):
     def run():
         conf = STRUCTURES[name]()
         rng = random.Random(seed)
-        # pdeg 0 and coefficient bound 1 draw zero polynomials often
+        # pdeg 0 draws a zero polynomial one time in eleven
         keys = conf.base.basis_upto(2)
-        return [sample_celement(conf, rng, keys, pdeg, coeff_bound=bound) for pdeg, bound in ((0, 1), (2, 5))]
+        return [sample_celement(conf, rng, keys, pdeg) for pdeg in (0, 2)]
 
     agree(run)
 
