@@ -25,8 +25,9 @@ MAX_DEGREE = 64
 # work grows with the square of this count, and faster still with the
 # nilpotency index of the twist. At 36 symbols the slowest untwist measured,
 # 6x6 matrices twisted by the sum of all e_ij with i < j at degree 0, takes
-# about 2 s as a CLI run (2.0-2.2 s over five fresh processes, Python 3.11.7,
-# one core of a Xeon host); a larger window is refused before any product.
+# about 0.8 s as a CLI run (0.77-0.84 s over five fresh processes, Python
+# 3.11.7, one core of a Xeon host); a larger window is refused before any
+# product.
 MAX_UNTWIST_KEYS = 36
 
 

@@ -20,14 +20,15 @@ class ConformalError(AlgebraError):
 
 
 class ConformalAlgebra:
-    """Carrier for the n-products; owns the basis table and its caches."""
+    """Carrier for the n-products; owns the basis table and its caches. A
+    structure is its carrier and its derivation: two with equal ones are
+    equal, whichever constructor built them."""
 
-    def __init__(self, base, derivation, tag):
+    def __init__(self, base, derivation):
         if derivation.alg != base:
             raise AlgebraError("derivation is not over the carrier algebra")
         self.base = base
         self.der = derivation
-        self.tag = tag
         # key -> the orbit of the basis symbol under delta, as a list
         self._orbits = {}
         # (k1, k2) -> a list of length nilp_key(k2) whose entry m is
@@ -36,7 +37,7 @@ class ConformalAlgebra:
         self._pairs = {}
 
     def descriptor(self):
-        return ("conformal", self.tag, self.base.descriptor(), self.der.descriptor())
+        return ("conformal", self.base.descriptor(), self.der.descriptor())
 
     def __eq__(self, other):
         if self is other:

@@ -12,21 +12,19 @@ from .linalg import Echelon
 
 def make_current(base):
     """Pure current structure: b1~ (0) b2~ = (b1 b2)~, higher orders zero."""
-    return ConformalAlgebra(base, Derivation.zero(base), "current")
+    return ConformalAlgebra(base, Derivation.zero(base))
 
 
 def make_differential(base, der):
     """Structure with basis table b1~ (m) b2~ = (-1)^m (b1 delta^m(b2))~."""
-    if der.alg != base:
-        raise AlgebraError("derivation is not over the given algebra")
-    return ConformalAlgebra(base, der, "differential")
+    return ConformalAlgebra(base, der)
 
 
 def make_cend(n):
     """Conformal endomorphism structure of rank n over Q[x]: the carrier is
     n x n matrices over Q[x] with delta = d/dx."""
     base = MatrixPolyAlgebra(n)
-    return ConformalAlgebra(base, Derivation.ddx(base), "cend")
+    return ConformalAlgebra(base, Derivation.ddx(base))
 
 
 def product_table(c, named_gens):

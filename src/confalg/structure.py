@@ -128,21 +128,29 @@ def untwist(c, degree=2):
     e_prime = series(1)
     e_int = series(-1)
 
-    def image(b):
-        return c.nprod(c.tilde(b), e_int, 0)
+    # key -> (image of the key's symbol, its map), made once per key
+    made = {}
 
-    names = [c.base.key_name(k) for k in keys]
-    images = {}
-    for key, name in zip(keys, names):
-        images[name] = image(c.base.basis_element(key))
+    def image(key):
+        got = made.get(key)
+        if got is None:
+            v = c.nprod(c.tilde(c.base.basis_element(key)), e_int, 0)
+            got = made[key] = (v, v.to_map())
+        return got
 
-    # each image pair is multiplied once, for the table; purity reads it
-    table = product_table(c, [(n, images[n]) for n in names])
+    images = {c.base.key_name(key): image(key)[0] for key in keys}
+
+    # each image pair is multiplied once, for the table; purity reads it.
+    # A key product is one key or 0 (BaseAlgebra.key_product), so the
+    # expected order-0 entry is an image already made, or one made once
+    # for a product key past the window.
+    table = product_table(c, list(images.items()))
     pure = True
     for entry, (key1, key2) in zip(table, itertools.product(keys, keys)):
-        expected = image(c.base.basis_element(key1).mul(c.base.basis_element(key2)))
+        key = c.base.key_product(key1, key2)
+        expected = {} if key is None else image(key)[1]
         orders = entry["orders"]
-        if set(orders) - {"0"} or orders.get("0", {}) != expected.to_map():
+        if set(orders) - {"0"} or orders.get("0", {}) != expected:
             pure = False
 
     certified = is_conformal_identity(c, e_prime, degree)["ok"]
@@ -429,36 +437,40 @@ def ideal_restrict(c, celems):
 def nilpotency_check(c, gens, degree=4, within=None):
     """Nilpotency index of the ideal slice on both sides of the transfer.
     Carrier side: S_{k+1} = S_k S_1. Module side: T_{k+1} spanned by the
-    left-normed products of T_k spanning elements with T_1 at every nonzero
-    order. The two indices must agree for the lift to be faithful.
+    left-normed products of T_k spanning elements with T_1 at every order.
+    The two indices must agree for the lift to be faithful.
 
-    Both sequences read X_{k+1} = X_k V for a fixed span V: S_1, or on the
-    module side the delta^m images of S_1, since products of tildes are
-    tildes. Right multiplication by V is Q(x)-linear, so the spans
+    Both sides run one loop (_level_index) on item maps of the carrier,
+    X_{k+1} = X_k V for a fixed spanning set V: S_1 on the carrier side,
+    and on the module side every nonzero delta^m image of an S_1 element.
+    That loop is the module side itself: T_1 is the tilde of S_1, and
+    products of tildes are tildes, u~ (n) v~ = (-1)^n (u delta^n v)~, so
+    T_k is the tilde of X_k. The levels hold constant vectors only, whose
+    rank over Q(D) is their rank over Q, so no conformal product is taken.
+    Right multiplication by V is Q(x)-linear, so the spans
     Z_k = X_k + X_{k+1} + ... shrink, stay put once two agree, and live in
     a space of dimension N = rank_0. A sequence that vanishes at all
-    vanishes by k = N + 1; one that does not is refused. A carrier slice
-    with a spanning element that is not nilpotent is refused before any
-    level: u^k lies in S_k, so no S_k is 0. A carrier level equal to the
-    one before it is refused at once: the sequence is constant and nonzero
-    from there on. So is a module level that spans the space of the one
-    before it: the next level spans the same as it does. A zero slice is
-    refused before any level: it has no index to compare, and S_1 = 0
-    would read as index 1. The slice is lifted as ideal_lift lifts it,
-    without the two-sided check, whose verdict the report does not read."""
+    vanishes by k = N + 1; one that does not is refused. A level equal to
+    the one before it is refused at once: the sequence is constant and
+    nonzero from there on. A carrier slice with a spanning element that is
+    not nilpotent is refused before any level: u^k lies in S_k, so no S_k
+    is 0. A zero slice is refused before any level: it has no index to
+    compare, and S_1 = 0 would read as index 1. The slice is lifted as
+    ideal_lift lifts it, without the two-sided check, whose verdict the
+    report does not read."""
     return _nilpotency_report(c, _lift(c, gens, degree, within)[0])
 
 
 def _nilpotency_report(c, pair):
     """nilpotency_check's report for an ideal slice already lifted, so a
-    caller that needs the pair too lifts it once."""
+    caller that needs the pair too lifts it once. Both indices are read off
+    pair.base_span; pair.conf_span, its tilde, is not read."""
     if not pair.base_span:
         raise StructureError(
             "ideal slice of degree %d is 0: there is no level to take an index of" % pair.degree
         )
     last = rank_0(c.base) + 1
-    s1 = pair.base_span
-    for u in s1:
+    for u in pair.base_span:
         try:
             element_nilpotency_index(u)
         except AlgebraError:
@@ -466,45 +478,11 @@ def _nilpotency_report(c, pair):
                 "carrier ideal slice is not nilpotent: its spanning element %r is not"
                 " nilpotent" % (u,)
             ) from None
-
-    # the carrier levels as the item maps of their echelon rows
-    mul = c.base.mul_items
-    s1 = [u.items for u in s1]
-    base_index = None
-    level = s1
-    for k in range(2, last + 1):
-        nxt = [row for _, row in Echelon(mul(u, v) for u in level for v in s1).basis()]
-        if not nxt:
-            base_index = k
-            break
-        if nxt == level:
-            break
-        level = nxt
-    if base_index is None:
-        raise StructureError("carrier ideal slice is not nilpotent: S_%d is not 0" % k)
-
-    t1 = pair.conf_span
-    conf_index = None
-    level = t1
-    for k in range(2, last + 1):
-        nxt = []
-        reducer = SpanReducer()
-        for u in level:
-            for v in t1:
-                for n, w in sorted(c.nprod_all(u, v).items()):
-                    if reducer.add(w):
-                        nxt.append(w)
-        if not nxt:
-            conf_index = k
-            break
-        # every level is Q(D)-independent (T_1 is the tilde of an echelon
-        # basis), so equal lengths and T_(k-1) inside span T_k mean one span
-        if len(nxt) == len(level) and not any(reducer.add(u) for u in level):
-            break
-        level = nxt
-    if conf_index is None:
-        raise StructureError("module ideal slice is not nilpotent: T_%d is not 0" % k)
-
+    s1 = [u.items for u in pair.base_span]
+    base_index = _level_index(c, s1, s1, last, "carrier", "S")
+    # where delta kills S_1, V is S_1 and the module levels are the carrier's
+    orbits = [w.items for u in pair.base_span for w in c.der.orbit(u)]
+    conf_index = base_index if orbits == s1 else _level_index(c, s1, orbits, last, "module", "T")
     return {
         "degree": pair.degree,
         "delta_stable": pair.delta_stable,
@@ -512,6 +490,23 @@ def _nilpotency_report(c, pair):
         "conformal_index": conf_index,
         "agree": base_index == conf_index,
     }
+
+
+def _level_index(c, first, step, last, side, name):
+    """The least k <= last with X_k = 0, where X_1 = first and X_{k+1} is
+    the reduced echelon basis of the products u v, u in X_k and v in step,
+    all item maps. A level equal to the one before it, or a nonzero X_last,
+    is refused."""
+    mul = c.base.mul_items
+    level = first
+    for k in range(2, last + 1):
+        nxt = [row for _, row in Echelon(mul(u, v) for u in level for v in step).basis()]
+        if not nxt:
+            return k
+        if nxt == level:
+            break
+        level = nxt
+    raise StructureError("%s ideal slice is not nilpotent: %s_%d is not 0" % (side, name, k))
 
 
 def unital_split(c, e, degree=4):

@@ -61,6 +61,10 @@ REPORTS = {
     # a graded carrier, where ideal_lift skips products past the window
     "ideal_check_ideal_triangular_x_J_degree1": ["ideal-check", "ideal_triangular_x.json", "J", "--degree", "1"],
     "ideal_check_ideal_triangular_x_J_degree3": ["ideal-check", "ideal_triangular_x.json", "J", "--degree", "3"],
+    # under d/dx: J is stable and K is not, and on both the module levels
+    # take products with the delta-orbit of S_1, which holds more than S_1
+    "ideal_check_ideal_triangular3_ddx_J_degree3": ["ideal-check", "ideal_triangular3_ddx.json", "J", "--degree", "3"],
+    "ideal_check_ideal_triangular3_ddx_K_degree3": ["ideal-check", "ideal_triangular3_ddx.json", "K", "--degree", "3"],
     "unital_split_cend1_one_degree4": ["unital-split", "cend1.json", "one", "--degree", "4"],
     "unital_split_cend1_one_degree9": ["unital-split", "cend1.json", "one", "--degree", "9"],
     "gk_cend1_rmax12": ["gk", "cend1.json", "--rmax", "12"],

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
-from confalg.algebra import AlgebraError, Derivation, Element, MatrixPolyAlgebra, OreElement
+from confalg.algebra import AlgebraError, Element, OreElement
 from confalg.conformal import CElement
 from confalg.linalg import Echelon, solve_right
 from confalg.oracle import OracleError
@@ -359,19 +359,6 @@ def naive_value(a, n):
             slot[k] = slot.get(k, 0) + c * (-1) ** i * falling(n, i)
     base = a.conf.base
     return OreElement(base, a.conf.der, {q: Element(base, s) for q, s in out.items()})
-
-
-def table_ddx_plus_ad_e12():
-    """d/dx + ad(e12) on 2x2 matrices over Q[x], written out as a basis table
-    up to degree 3; its images have several terms, so a table entry can
-    hold several keys at one power. Returns (base, derivation)."""
-    base = MatrixPolyAlgebra(2)
-    ddx, ad = Derivation.ddx(base), Derivation.ad(base.parse_element({"e12": "1"}))
-    images = {}
-    for k in base.basis_upto(3):
-        b = base.basis_element(k)
-        images[k] = ddx.apply(b).add(ad.apply(b))
-    return base, Derivation.table(base, images)
 
 
 def naive_nprod(c, a, b, n):

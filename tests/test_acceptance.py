@@ -28,6 +28,7 @@ from confalg.structure import (
     untwist,
 )
 from reference_oracles import cscale, random_element
+from stock_structures import conformal
 
 
 def _done(n, t0, budget, detail):
@@ -74,15 +75,7 @@ def test_criterion_02_current_product_law():
 
 
 def _oracle_structures():
-    base = MatrixPolyAlgebra(2)
-    return [
-        ("cend1", make_cend(1)),
-        ("cur_matrix2", make_current(MatrixAlgebra(2))),
-        (
-            "dif_matrix_poly2_ad_e12",
-            make_differential(base, Derivation.ad(base.parse_element({"e12": "1"}))),
-        ),
-    ]
+    return [(name, conformal(name)) for name in ["cend1", "cur_matrix2", "dif_matrix_poly2_ad_e12"]]
 
 
 def test_criterion_03_two_route_oracle_agreement():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confalg import conformal as conformal_module
-from confalg.algebra import Derivation, MatrixAlgebra, MatrixPolyAlgebra
 from confalg.conformal import (
     CElement,
     ConformalAlgebra,
@@ -17,27 +16,26 @@ from confalg.conformal import (
     locality_degree,
     sample_celement,
 )
-from confalg.constructions import make_cend, make_current, make_differential
+from confalg.constructions import make_cend
 from confalg.specfile import load_spec
 from recorded_reports import SPECS, doubled, kernel_order_changed, spec
 from reference_oracles import (
     CappedRandom,
     cscale,
     randint_sample_celement,
-    table_ddx_plus_ad_e12,
 )
+from stock_structures import conformal
 
 
 def cur_m2():
-    return make_current(MatrixAlgebra(2))
+    return conformal("cur_matrix2")
 
 
 def dif_m2():
-    base = MatrixPolyAlgebra(2)
-    return make_differential(base, Derivation.ddx(base))
+    return conformal("cend2")
 
 
-STRUCTURES = [cur_m2, dif_m2, lambda: make_cend(1)]
+STRUCTURES = [cur_m2, dif_m2, lambda: conformal("cend1")]
 
 
 def _ref_term(c, k1, i, k2, j, n):
@@ -381,12 +379,11 @@ def test_check_axioms_routes_agree(filename, seed, samples, sabotage):
 
 
 def dif_m2_ad_e12():
-    base = MatrixPolyAlgebra(2)
-    return make_differential(base, Derivation.ad(base.parse_element({"e12": "1"})))
+    return conformal("dif_matrix_poly2_ad_e12")
 
 
 @pytest.mark.parametrize(
-    "make", STRUCTURES + [dif_m2_ad_e12, lambda: make_differential(*table_ddx_plus_ad_e12())]
+    "make", STRUCTURES + [dif_m2_ad_e12, lambda: conformal("table_ddx_plus_ad_e12")]
 )
 def test_delta_is_applied_once_per_orbit_entry(make):
     c = make()

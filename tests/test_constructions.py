@@ -29,8 +29,19 @@ def test_current_products_concentrate_at_order_zero():
 
 def test_differential_construction_checks_the_carrier():
     p = MatrixPolyAlgebra(2)
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError, match="derivation is not over the carrier algebra"):
         make_differential(MatrixAlgebra(2), Derivation.ddx(p))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_structure_is_its_carrier_and_derivation(n):
+    # no constructor leaves a mark: equal carriers and derivations give
+    # equal structures, with equal hashes
+    mp, m = MatrixPolyAlgebra(n), MatrixAlgebra(n)
+    assert make_cend(n) == make_differential(mp, Derivation.ddx(mp))
+    assert make_current(m) == make_differential(m, Derivation.zero(m))
+    assert hash(make_cend(n)) == hash(make_differential(mp, Derivation.ddx(mp)))
+    assert make_cend(n) != make_current(mp)
 
 
 def test_differential_order_one_sees_the_derivation():

@@ -4,40 +4,21 @@ the pair table fills only the orders the products reach. nprod_all against
 the per-order products it gathers in one pass, and the kernel's windows on
 shifted factors against nprod. Both routes to the products are bilinear."""
 
+from functools import partial
+
 from hypothesis import given, settings, strategies as st
 
-from confalg.algebra import Derivation, MatrixAlgebra, MatrixPolyAlgebra
-from confalg.conformal import CElement, ConformalAlgebra
-from confalg.constructions import make_cend, make_current, make_differential
+from confalg.conformal import CElement
 from confalg.oracle import dist_nprod, to_distribution
 from confalg.rings import Poly
 from reference_oracles import naive_nprod
-
-
-def _dif_matrix_poly2_ad_e12():
-    base = MatrixPolyAlgebra(2)
-    return make_differential(base, Derivation.ad(base.parse_element({"e12": "1"})))
-
-
-def _table_ddx_plus_ad_e12():
-    # d/dx + ad(e12) on 2x2 matrices over Q[x] as a basis table up to
-    # degree 3: basis products of several terms at one order
-    base = MatrixPolyAlgebra(2)
-    ddx, ad = Derivation.ddx(base), Derivation.ad(base.parse_element({"e12": "1"}))
-    images = {}
-    for k in base.basis_upto(3):
-        b = base.basis_element(k)
-        images[k] = ddx.apply(b).add(ad.apply(b))
-    return ConformalAlgebra(base, Derivation.table(base, images), "table")
+from stock_structures import conformal
 
 
 # each call builds a fresh structure whose basis table is empty
 FACTORIES = {
-    "cend1": lambda: make_cend(1),
-    "cend2": lambda: make_cend(2),
-    "cur_matrix2": lambda: make_current(MatrixAlgebra(2)),
-    "dif_matrix_poly2_ad_e12": _dif_matrix_poly2_ad_e12,
-    "table_ddx_plus_ad_e12": _table_ddx_plus_ad_e12,
+    name: partial(conformal, name)
+    for name in ["cend1", "cend2", "cur_matrix2", "dif_matrix_poly2_ad_e12", "table_ddx_plus_ad_e12"]
 }
 
 # one structure per name kept across examples, so its table is warm

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from confalg.algebra import (
     normal_map,
 )
 from confalg.conformal import CElement, ConformalAlgebra, sample_celement
-from confalg.constructions import make_cend, make_current, make_differential
+from confalg.constructions import make_cend, make_current
 from confalg.oracle import (
     Distribution,
     OracleError,
@@ -34,8 +35,8 @@ from reference_oracles import (
     naive_value,
     ore_product,
     randint_sample_ore,
-    table_ddx_plus_ad_e12,
 )
+from stock_structures import conformal
 
 
 def test_distribution_values_at_any_index():
@@ -108,17 +109,10 @@ def test_current_distributions_collapse_above_order_zero():
     assert got[1:] == [{}, {}, {}]
 
 
-def _dif_matrix_poly2_ad_e12():
-    base = MatrixPolyAlgebra(2)
-    return make_differential(base, Derivation.ad(base.parse_element({"e12": "1"})))
-
-
 # criterion 3's three structures, plus a table derivation
 STRUCTURES = {
-    "cend1": lambda: make_cend(1),
-    "cur_matrix2": lambda: make_current(MatrixAlgebra(2)),
-    "dif_matrix_poly2_ad_e12": _dif_matrix_poly2_ad_e12,
-    "table_ddx_plus_ad_e12": lambda: make_differential(*table_ddx_plus_ad_e12()),
+    name: partial(conformal, name)
+    for name in ["cend1", "cur_matrix2", "dif_matrix_poly2_ad_e12", "table_ddx_plus_ad_e12"]
 }
 
 
@@ -400,7 +394,7 @@ def test_a_slot_that_first_appears_at_a_later_row(monkeypatch, name):
 
 
 def test_dist_nprod_refuses_distributions_over_different_rings():
-    c, d = make_cend(1), _dif_matrix_poly2_ad_e12()
+    c, d = make_cend(1), conformal("dif_matrix_poly2_ad_e12")
     f = to_distribution(c.tilde(c.base.one()))
     g = to_distribution(d.tilde(d.base.one()))
     with pytest.raises(AlgebraError, match="different rings"):
@@ -425,13 +419,8 @@ def test_oracle_route_shares_no_code_with_the_closed_form(monkeypatch):
 
 
 def test_oracle_agreement_on_the_stock_structures():
-    base = MatrixPolyAlgebra(2)
-    structures = [
-        make_current(MatrixAlgebra(2)),
-        make_differential(base, Derivation.ad(base.parse_element({"e12": "1"}))),
-        make_cend(1),
-    ]
-    for c in structures:
+    for name in ["cur_matrix2", "dif_matrix_poly2_ad_e12", "cend1"]:
+        c = conformal(name)
         report = oracle_check(c, samples=15, seed=3, window=6, degree=3)
         assert report["ok"], report["violation"]
         assert report["orders_checked"] > 0
@@ -543,7 +532,7 @@ def test_oracle_catches_a_corrupted_structure_table():
             return tab
 
     base = MatrixPolyAlgebra(1)
-    bad = FlippedC(base, Derivation.ddx(base), "cend")
+    bad = FlippedC(base, Derivation.ddx(base))
     report = oracle_check(bad, samples=50, seed=0, window=6, degree=3)
     assert not report["ok"]
     assert report["violation"]["order"] == 1

@@ -12,37 +12,20 @@ from confalg.algebra import (
     AlgebraError,
     Derivation,
     Element,
-    MatrixAlgebra,
     MatrixPolyAlgebra,
     OreElement,
 )
 from confalg.conformal import check_axioms, sample_celement
-from confalg.constructions import make_cend, make_current, make_differential
-from reference_oracles import naive_expansion, naive_ore_mul, table_ddx_plus_ad_e12
-
-
-def _cend1():
-    c = make_cend(1)
-    return c.base, c.der
-
-
-def _cur_matrix2():
-    c = make_current(MatrixAlgebra(2))
-    return c.base, c.der
-
-
-def _dif_matrix_poly2_ad_e12():
-    base = MatrixPolyAlgebra(2)
-    return base, Derivation.ad(base.parse_element({"e12": "1"}))
+from confalg.constructions import make_differential
+from reference_oracles import naive_expansion, naive_ore_mul
+from stock_structures import STOCK
 
 
 # criterion 3's three structures, plus a table derivation; each call builds
 # a fresh derivation whose table is empty
 FACTORIES = {
-    "cend1": _cend1,
-    "cur_matrix2": _cur_matrix2,
-    "dif_matrix_poly2_ad_e12": _dif_matrix_poly2_ad_e12,
-    "table_ddx_plus_ad_e12": table_ddx_plus_ad_e12,
+    name: STOCK[name]
+    for name in ["cend1", "cur_matrix2", "dif_matrix_poly2_ad_e12", "table_ddx_plus_ad_e12"]
 }
 
 # one derivation per structure kept across examples, so its table is warm
@@ -86,7 +69,7 @@ def test_table_product_matches_the_naive_product(name, data):
 
 
 def test_table_entries_shift_with_the_right_power():
-    base, der = _cend1()
+    base, der = FACTORIES["cend1"]()
     x = OreElement(base, der, {-1: base.parse_element({"x^2": "1"})})
     for q in range(-2, 3):
         y = OreElement(base, der, {q: base.parse_element({"x^3": "2"})})

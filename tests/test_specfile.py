@@ -4,9 +4,9 @@ import os
 
 import pytest
 
-from confalg.algebra import MatrixAlgebra, MatrixPolyAlgebra
+from confalg.algebra import Derivation, MatrixAlgebra, MatrixPolyAlgebra
 from confalg.cli import main
-from confalg.constructions import make_cend
+from confalg.constructions import make_cend, make_current, make_differential
 from confalg.specfile import MAX_DEGREE, MAX_TABLE_KEYS, SpecError, load_spec, load_spec_text
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -29,7 +29,8 @@ def test_shipped_descriptions_load(path):
 
 def test_rank_one_endomorphism_description_contents():
     data = load_spec(os.path.join(SPEC_DIR, "cend1.json"))
-    assert data.conformal.tag == "cend"
+    assert data.conformal == make_cend(1)
+    assert data.conformal.der.kind == "ddx"
     assert [name for name, _ in data.generators] == ["L0", "L1"]
     assert "one" in data.elements
 
@@ -134,7 +135,8 @@ def test_cend_requires_a_matrix_poly_carrier():
 
 def test_construction_is_inferred_from_the_derivation():
     current = load_spec_text(json.dumps({"name": "c", "base": {"kind": "matrix", "n": 2}}))
-    assert current.conformal.tag == "current"
+    assert current.conformal == make_current(MatrixAlgebra(2))
+    assert current.conformal.der.kind == "zero"
     differential = load_spec_text(
         json.dumps(
             {
@@ -144,7 +146,11 @@ def test_construction_is_inferred_from_the_derivation():
             }
         )
     )
-    assert differential.conformal.tag == "differential"
+    m2 = MatrixAlgebra(2)
+    assert differential.conformal == make_differential(
+        m2, Derivation.ad(m2.parse_element({"e12": "1"}))
+    )
+    assert differential.conformal.der.kind == "ad"
 
 
 def test_generators_prefer_declared_elements_over_builtin_names():

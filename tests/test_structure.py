@@ -27,6 +27,7 @@ from confalg.constructions import (
     make_differential,
 )
 from confalg.rings import Poly, frac
+from confalg.specfile import load_spec
 from confalg.structure import (
     StructureError,
     component_slices,
@@ -54,11 +55,12 @@ from reference_oracles import (
     naive_unital_split,
     slices_rebuild,
 )
+from recorded_reports import spec
+from stock_structures import conformal
 
 
 def twisted_m2():
-    base = MatrixAlgebra(2)
-    return make_differential(base, Derivation.ad(base.parse_element({"e12": "1"})))
+    return conformal("dif_matrix2_ad_e12")
 
 
 def test_component_slices_roundtrip():
@@ -127,6 +129,23 @@ def test_untwist_flags_image_products_that_are_not_current(monkeypatch, corrupt)
     res = untwist(twisted_m2(), degree=0)
     assert not res.pure
     assert len(res.table) == 16
+
+
+@pytest.mark.parametrize(
+    "name, degree", [("dif_matrix2_ad_e12", 2), ("dif_matrix_poly2_ad_e12", 1)]
+)
+def test_untwist_makes_each_image_once(monkeypatch, name, degree):
+    # one order-0 product per window key for its image, and one per product
+    # key past the window (x e_ij x e_jk on matrix_poly), none per basis
+    # pair; the identity certificate makes one per window key and the
+    # double action two
+    c = conformal(name)
+    keys = c.base.basis_upto(degree)
+    past = {c.base.key_product(k1, k2) for k1 in keys for k2 in keys} - set(keys) - {None}
+    nprods = counted(monkeypatch, ConformalAlgebra, "nprod")
+    res = untwist(c, degree=degree)
+    assert res.pure
+    assert len(nprods) == len(keys) + len(past) + len(keys) + 2
 
 
 def test_untwist_index_three_twist_reports_inexact_roundtrip():
@@ -359,18 +378,53 @@ def test_a_degree_below_zero_is_refused_before_any_product(monkeypatch, entry):
     assert products == [] and nprods == []
 
 
-def test_nilpotency_check_refuses_a_repeated_module_level_at_once():
-    # the Borel ideal of e19 in M_9 under ad of the lower Jordan block: the
-    # carrier side is nilpotent, the module side repeats its level from T_2
-    # to T_3, long before the rank bound N_0 + 1 = 82
+def borel(m, n):
+    """The upper triangular n x n matrices of the carrier m at degree 0."""
+    upper = [m.basis_element((i, j)) for i in range(1, n + 1) for j in range(i, n + 1)]
+    return Subalgebra(m, upper, unital=True, degree=0)
+
+
+def jordan_twisted_borel():
+    """The Borel ideal of e19 in M_9 under ad of the lower Jordan block, as
+    (structure, generators, view)."""
     n = 9
     m = MatrixAlgebra(n)
-    upper = [m.basis_element((i, j)) for i in range(1, n + 1) for j in range(i, n + 1)]
-    borel = Subalgebra(m, upper, unital=True, degree=0)
     jordan = m.parse_element({"e%d%d" % (i + 1, i): "1" for i in range(1, n)})
     c = make_differential(m, Derivation.ad(jordan))
+    return c, [m.parse_element({"e19": "1"})], borel(m, n)
+
+
+def test_nilpotency_check_refuses_a_repeated_module_level_at_once():
+    # the carrier side is nilpotent, the module side repeats its level from
+    # T_2 to T_3, long before the rank bound N_0 + 1 = 82
+    c, gens, view = jordan_twisted_borel()
     with pytest.raises(StructureError, match="module ideal slice is not nilpotent: T_3 is not 0"):
-        nilpotency_check(c, [m.parse_element({"e19": "1"})], degree=0, within=borel)
+        nilpotency_check(c, gens, degree=0, within=view)
+
+
+def test_nilpotency_check_takes_no_conformal_product(monkeypatch):
+    # both sides run on carrier products: under ad(e12) on the upper
+    # triangular 3 x 3 view, delta(e23) = e13; under d/dx, delta(x e23) = e23
+    # leaves the slice of K. Each module step holds delta-images past S_1.
+    m3 = MatrixAlgebra(3)
+    twisted = make_differential(m3, Derivation.ad(m3.parse_element({"e12": "1"})))
+    ddx = load_spec(spec("ideal_triangular3_ddx.json"))
+    jordan = jordan_twisted_borel()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nilpotency_check took a conformal product or a Q(D)-rank")
+
+    monkeypatch.setattr(ConformalAlgebra, "_products", refuse)
+    monkeypatch.setattr(SpanReducer, "add", refuse)
+    report = nilpotency_check(twisted, [m3.parse_element({"e23": "1"})], 0, within=borel(m3, 3))
+    assert (report["base_index"], report["conformal_index"]) == (2, 2)
+    for name in ["J", "K"]:
+        report = nilpotency_check(ddx.conformal, ddx.ideals[name], 3, within=ddx.sub)
+        assert (report["base_index"], report["conformal_index"]) == (3, 3)
+        assert report["delta_stable"] == (name == "J")
+    c, gens, view = jordan
+    with pytest.raises(StructureError, match="module ideal slice is not nilpotent: T_3 is not 0"):
+        nilpotency_check(c, gens, degree=0, within=view)
 
 
 def test_nilpotency_check_refuses_a_generator_that_is_not_nilpotent_before_any_level(
@@ -554,9 +608,9 @@ def test_element_nilpotency_index_agrees_with_plain_iteration(data):
 @given(data=st.data())
 def test_nilpotency_check_agrees_with_plain_iteration(data):
     # ideal slices in the carrier or in its upper triangular part, under no
-    # twist or ad of a strictly upper or strictly lower element: the lower
-    # twist carries module products out of the triangular part, so the two
-    # sides can disagree
+    # twist, ad of a strictly upper or strictly lower element, or d/dx where
+    # the carrier has it: the lower twist carries module products out of
+    # the triangular part, so the two sides can disagree
     alg = CARRIERS[data.draw(st.sampled_from(sorted(CARRIERS)))]()
     degree = data.draw(st.integers(0, 1))
     within = None
@@ -565,9 +619,12 @@ def test_nilpotency_check_agrees_with_plain_iteration(data):
         shapes = ALL_SHAPES - {"lower"}
         keys = [k for k in alg.basis_upto(degree) if _shape(alg, k) in shapes]
         within = Subalgebra(alg, [alg.basis_element(k) for k in keys], degree=degree)
-    twist = data.draw(st.sampled_from(["none", "upper", "lower"]))
+    twists = ["none", "upper", "lower"] + (["ddx"] if alg.supports_ddx() else [])
+    twist = data.draw(st.sampled_from(twists))
     if twist == "none":
         c = make_current(alg)
+    elif twist == "ddx":
+        c = make_differential(alg, Derivation.ddx(alg))
     else:
         r = data.draw(carrier_elements(alg, {twist}, 1))
         c = make_differential(alg, Derivation.ad(r))

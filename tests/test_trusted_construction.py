@@ -12,6 +12,7 @@ import os
 import random
 import types
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from confalg.algebra import (
 )
 from confalg.cli import main
 from confalg.conformal import CElement, sample_celement
-from confalg.constructions import make_cend, make_current, make_differential
+from confalg.constructions import make_current, make_differential
 from confalg.rings import Poly
 from confalg.structure import untwist
 from reference_oracles import (
@@ -36,8 +37,8 @@ from reference_oracles import (
     checked_constructors,
     cscale,
     csub,
-    table_ddx_plus_ad_e12,
 )
+from stock_structures import STOCK, conformal
 import recorded_reports
 
 HERE = os.path.dirname(__file__)
@@ -105,16 +106,9 @@ def test_element_operations(name, x, y, c):
     agree(run)
 
 
-def twisted():
-    base = MatrixPolyAlgebra(2)
-    return make_differential(base, Derivation.ad(base.parse_element({"e12": "1"})))
-
-
 STRUCTURES = {
-    "cend1": lambda: make_cend(1),
-    "cur_m2": lambda: make_current(MatrixAlgebra(2)),
-    "dif_m2x_ad_e12": twisted,
-    "table": lambda: make_differential(*table_ddx_plus_ad_e12()),
+    name: partial(conformal, name)
+    for name in ["cend1", "cur_matrix2", "dif_matrix_poly2_ad_e12", "table_ddx_plus_ad_e12"]
 }
 
 
@@ -162,20 +156,13 @@ def ore(base, der, data):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    kind=st.sampled_from(["ddx", "ad_e12", "table"]),
+    name=st.sampled_from(["cend2", "dif_matrix_poly2_ad_e12", "table_ddx_plus_ad_e12"]),
     x=st.lists(st.tuples(st.integers(-2, 2), terms(3)), max_size=3),
     y=st.lists(st.tuples(st.integers(-2, 2), terms(3)), max_size=3),
 )
-def test_ore_products(kind, x, y):
+def test_ore_products(name, x, y):
     def run():
-        if kind == "table":
-            base, der = table_ddx_plus_ad_e12()
-        else:
-            base = MatrixPolyAlgebra(2)
-            if kind == "ddx":
-                der = Derivation.ddx(base)
-            else:
-                der = Derivation.ad(base.parse_element({"e12": "1"}))
+        base, der = STOCK[name]()
         a, b = ore(base, der, x), ore(base, der, y)
         return [a.mul(b), b.mul(a)]
 
