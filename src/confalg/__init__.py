@@ -13,7 +13,6 @@ from .algebra import (
     element_nilpotency_index,
     kernel_decompose,
     kernel_reconstruct,
-    nilpotency_index,
 )
 from .conformal import (
     CElement,

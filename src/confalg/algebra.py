@@ -6,7 +6,6 @@ sort deterministically. Subalgebras are views on a parent: their elements
 are parent elements and membership is a linear solve.
 """
 
-from itertools import islice
 from math import comb
 
 from .linalg import Echelon
@@ -553,19 +552,21 @@ class Element:
 class Derivation:
     """A derivation descriptor: zero, ddx, ad(r), or an explicit basis table.
 
-    orbit(x) yields the nonzero iterates x, d(x), d^2(x), ...; every
-    nilpotency index, d-power and Ore expansion is read from it. ore_table
-    memoises the monomial products of the twisted Laurent ring over this
-    derivation, and ore_expansions the expansions of t^p b_key they are
-    read from; ore_monomial, the ring's one commutation rule, fills both."""
+    orbit(x) yields the nonzero iterates x, d(x), d^2(x), ... The derivation
+    owns two tables. key_orbits memoises the orbit of each basis symbol as
+    item maps (key_orbit), and every reader of d on a basis symbol reads it:
+    the closed form's basis products, the Ore commutation rule and the
+    loader's nilpotency check. ore_table memoises the monomial products of
+    the twisted Laurent ring over this derivation; ore_monomial, the ring's
+    one commutation rule, fills it."""
 
     def __init__(self, alg, kind, r=None, images=None):
         self.alg = alg
         self.kind = kind
         self.r = r
         self.images = images
+        self.key_orbits = {}
         self.ore_table = {}
-        self.ore_expansions = {}
 
     @classmethod
     def zero(cls, alg):
@@ -662,45 +663,48 @@ class Derivation:
                 "derivation is not locally nilpotent: %r survives %d steps" % (x, bound)
             )
 
+    def key_orbit(self, key):
+        """The orbit of b_key as a list of item maps, memoised in key_orbits:
+        entry m is d^m(b_key), and the length is the nilpotency index of d
+        on b_key. It is walked by orbit, once, and refused as orbit refuses
+        it. Readers share the maps and must not change them."""
+        got = self.key_orbits.get(key)
+        if got is None:
+            got = self.key_orbits[key] = [v.items for v in self.orbit(self.alg.basis_element(key))]
+        return got
+
     def ore_monomial(self, k1, p, k2):
         """(b_k1 t^p) b_k2 in B[t, t^-1; d] as a list of (power, key,
         coefficient) in normal form, memoised in ore_table under
-        (k1, p, k2). t^p b is read from the orbit of b = b_k2, by
-        t b = b t - d(b): its first p + 1 iterates for p >= 0,
+        (k1, p, k2). t^p b is read from the orbit of b = b_k2 (key_orbit),
+        by t b = b t - d(b): its first p + 1 iterates for p >= 0,
         t^p b = sum_k (-1)^k C(p, k) d^k(b) t^(p-k), and the whole orbit for
         p < 0, t^p b = sum_k C(-p-1+k, k) d^k(b) t^(p-k), finite by local
-        nilpotency. That expansion is memoised in ore_expansions under
-        (p, k2), once for every left key k1. A right factor t^q only shifts
-        every power by q."""
+        nilpotency. A right factor t^q only shifts every power by q."""
         got = self.ore_table.get((k1, p, k2))
         if got is None:
-            expansion = self.ore_expansions.get((p, k2))
-            if expansion is None:
-                # (power, coefficient, iterate) triples
-                b = self.alg.basis_element(k2)
-                if p >= 0:
-                    orbit = enumerate(islice(self.orbit(b), p + 1))
-                    expansion = [(p - k, -comb(p, k) if k % 2 else comb(p, k), v) for k, v in orbit]
-                else:
-                    orbit = enumerate(self.orbit(b))
-                    expansion = [(p - k, comb(k - p - 1, k), v) for k, v in orbit]
-                self.ore_expansions[(p, k2)] = expansion
+            orbit = self.key_orbit(k2)
             key_product = self.alg.key_product
             got = []
-            for pw, coef, v in expansion:
+            for k, v in enumerate(orbit[: p + 1] if p >= 0 else orbit):
+                if p >= 0:
+                    coef = -comb(p, k) if k % 2 else comb(p, k)
+                else:
+                    coef = comb(k - p - 1, k)
                 acc = {}
-                for kk, cc in v.items.items():
-                    k = key_product(k1, kk)
-                    if k is not None:
-                        acc[k] = acc.get(k, 0) + coef * cc
-                got.extend((pw, k, c) for k, c in normal_map(acc).items())
+                for kk, cc in v.items():
+                    kp = key_product(k1, kk)
+                    if kp is not None:
+                        acc[kp] = acc.get(kp, 0) + coef * cc
+                got.extend((p - k, kp, c) for kp, c in normal_map(acc).items())
             self.ore_table[(k1, p, k2)] = got
         return got
 
     def validate(self):
         """Check what the kind does not guarantee: Leibniz for a table, on
         covered pairs whose product stays covered, and local nilpotency for
-        ad(r) on its degree-0 keys and for a table on its covered keys.
+        ad(r) on its degree-0 keys and for a table on its covered keys,
+        whose orbits it leaves in key_orbits for the products that follow.
         Raises AlgebraError naming the failed invariant and a witness."""
         if self.kind not in ("ad", "table"):
             return
@@ -718,13 +722,7 @@ class Derivation:
                         % (self.alg.key_name(k1), self.alg.key_name(k2))
                     )
         for k in keys:
-            nilpotency_index(self, self.alg.basis_element(k))
-
-
-def nilpotency_index(d, x):
-    """Least m >= 1 with d^m(x) = 0: the length of the orbit of x, or 1 for
-    x = 0. A derivation that is not locally nilpotent on x is refused."""
-    return max(sum(1 for _ in d.orbit(x)), 1)
+            self.key_orbit(k)
 
 
 def element_nilpotency_index(a):
@@ -859,7 +857,6 @@ __all__ = [
     "Derivation",
     "OreElement",
     "rank_0",
-    "nilpotency_index",
     "element_nilpotency_index",
     "kernel_decompose",
     "kernel_reconstruct",

@@ -20,17 +20,16 @@ class ConformalError(AlgebraError):
 
 
 class ConformalAlgebra:
-    """Carrier for the n-products; owns the basis table and its caches. A
-    structure is its carrier and its derivation: two with equal ones are
-    equal, whichever constructor built them."""
+    """Carrier for the n-products; owns the basis table. A structure is its
+    carrier and its derivation: two with equal ones are equal, whichever
+    constructor built them. delta^m of a basis symbol is read from the
+    derivation's orbit table (Derivation.key_orbit)."""
 
     def __init__(self, base, derivation):
         if derivation.alg != base:
             raise AlgebraError("derivation is not over the carrier algebra")
         self.base = base
         self.der = derivation
-        # key -> the orbit of the basis symbol under delta, as a list
-        self._orbits = {}
         # (k1, k2) -> a list of length nilp_key(k2) whose entry m is
         # basis_nprod(k1, k2, m), or None until a product's order window
         # reaches m
@@ -82,26 +81,20 @@ class ConformalAlgebra:
             raise ConformalError("unknown generator name %r" % name)
         return self.tilde(self.base.basis_element(self.base.parse_key(name)))
 
-    def _orbit(self, key):
-        got = self._orbits.get(key)
-        if got is None:
-            got = self._orbits[key] = list(self.der.orbit(self.base.basis_element(key)))
-        return got
-
-    def _delta_pow(self, key, m):
-        orbit = self._orbit(key)
-        return orbit[m] if m < len(orbit) else self.base.zero()
-
     def basis_nprod(self, k1, k2, m):
-        """Order-m product of two basis symbols, as a key -> coefficient map.
-        Computed afresh on each call; nprod keeps each result in the pair's
-        row of self._pairs."""
-        prod = self.base.basis_element(k1).mul(self._delta_pow(k2, m))
-        return {k: -c for k, c in prod.items.items()} if m % 2 else prod.items
+        """Order-m product of two basis symbols, as a key -> coefficient map:
+        (-1)^m b_k1 delta^m(b_k2), zero past the orbit of b_k2. Computed
+        afresh on each call; nprod keeps each result in the pair's row of
+        self._pairs."""
+        orbit = self.der.key_orbit(k2)
+        if m >= len(orbit):
+            return {}
+        prod = self.base.mul_items({k1: 1}, orbit[m])
+        return {k: -c for k, c in prod.items()} if m % 2 else prod
 
     def nilp_key(self, key):
         """Nilpotency index of delta on a basis symbol: its orbit's length."""
-        return len(self._orbit(key))
+        return len(self.der.key_orbit(key))
 
     def structural_bound(self, a, b):
         """Order above which a (n) b vanishes identically, or None when an
@@ -158,7 +151,7 @@ class ConformalAlgebra:
         which check_axioms tests. The sum over x is not kept per t and
         spread to every order m + t of a range: on check_axioms' jobs, which
         meet each t at one m, such a cache measured slower."""
-        orbits = self._orbits
+        orbits = self.der.key_orbits
         pairs = self._pairs
         # the highest order asked, None when a job has no upper end
         top = 0
@@ -192,7 +185,7 @@ class ConformalAlgebra:
                     divided = [qs]
                     for s in range(1, lq if top is None or lq <= top else top + 1):
                         divided.append([comb(y, s) * qs[y] for y in range(s, lq)])
-                    right.append((k2, divided, lq, len(orbits.get(k2) or self._orbit(k2))))
+                    right.append((k2, divided, lq, len(orbits.get(k2) or self.der.key_orbit(k2))))
                     if lq > width:
                         width = lq
                 rights[j] = right, width

@@ -274,7 +274,8 @@ def is_current(sub, a, degree):
 
 
 class IdealPair:
-    """A base-ideal degree slice together with its conformal counterpart."""
+    """A base-ideal degree slice together with its conformal counterpart,
+    conf_span, which ideal_lift fills and nilpotency_check leaves None."""
 
     __slots__ = ("base_span", "conf_span", "degree", "delta_stable", "two_sided")
 
@@ -333,14 +334,15 @@ def ideal_lift(c, gens, degree=4, within=None):
     then those terms cancel, so b u is in the span. The same holds for u b,
     so the slice is two-sided and no product is made."""
     pair, two_sided = _lift(c, gens, degree, within)
+    pair.conf_span = [c.tilde(u) for u in pair.base_span]
     pair.two_sided = two_sided()
     return pair
 
 
 def _lift(c, gens, degree, within):
     """The lift of ideal_lift, which nilpotency_check shares: the IdealPair
-    with two_sided left None, and ideal_lift's two-sided check, which makes
-    its products only when called."""
+    with conf_span and two_sided left None, and ideal_lift's two-sided
+    check, which makes its products only when called."""
     _check_degree(degree)
     base = c.base
     for g in gens:
@@ -424,8 +426,7 @@ def _lift(c, gens, degree, within):
         return True
 
     delta_stable = all(not ech.reduce(c.der.apply(u).items) for u in span)
-    conf_span = [c.tilde(u) for u in span]
-    return IdealPair(span, conf_span, degree, delta_stable, None), two_sided
+    return IdealPair(span, None, degree, delta_stable, None), two_sided
 
 
 def ideal_restrict(c, celems):
@@ -442,7 +443,8 @@ def nilpotency_check(c, gens, degree=4, within=None):
 
     Both sides run one loop (_level_index) on item maps of the carrier,
     X_{k+1} = X_k V for a fixed spanning set V: S_1 on the carrier side,
-    and on the module side every nonzero delta^m image of an S_1 element.
+    and on the module side a basis of the nonzero delta^m images of the
+    S_1 elements.
     That loop is the module side itself: T_1 is the tilde of S_1, and
     products of tildes are tildes, u~ (n) v~ = (-1)^n (u delta^n v)~, so
     T_k is the tilde of X_k. The levels hold constant vectors only, whose
@@ -480,8 +482,11 @@ def _nilpotency_report(c, pair):
             ) from None
     s1 = [u.items for u in pair.base_span]
     base_index = _level_index(c, s1, s1, last, "carrier", "S")
-    # where delta kills S_1, V is S_1 and the module levels are the carrier's
-    orbits = [w.items for u in pair.base_span for w in c.der.orbit(u)]
+    # V is the reduced basis of the delta-orbits of S_1, which overlap. S_1
+    # is a reduced basis too, so where it is delta-stable (delta kills it,
+    # say) V is S_1, and the module levels are the carrier's
+    images = Echelon(w.items for u in pair.base_span for w in c.der.orbit(u))
+    orbits = [row for _, row in images.basis()]
     conf_index = base_index if orbits == s1 else _level_index(c, s1, orbits, last, "module", "T")
     return {
         "degree": pair.degree,

@@ -95,7 +95,19 @@ REPORTS = {
     "gk_cend2_ddeg1_rmax5": ["gk", "cend2_ddeg1.json", "--rmax", "5"],
     # the largest solve_right over the full slice
     "is_current_noncur_a_degree6": ["is-current", "noncur.json", "a", "--degree", "6"],
+    # a table derivation, at degrees whose products stay inside its coverage
+    "table_table_ddx_plus_ad_e12": ["table", "table_ddx_plus_ad_e12.json"],
+    "check_axioms_table_ddx_plus_ad_e12_degree3_samples50": [
+        "check-axioms", "table_ddx_plus_ad_e12.json", "--degree", "3", "--samples", "50"
+    ],
+    "assoc_check_table_ddx_plus_ad_e12_degree1": ["assoc-check", "table_ddx_plus_ad_e12.json", "--degree", "1"],
 }
+REPORTS.update(
+    ("oracle_check_table_ddx_plus_ad_e12_degree3_samples10_seed%d" % seed, [
+        "oracle-check", "table_ddx_plus_ad_e12.json", "--degree", "3", "--samples", "10", "--seed", str(seed)
+    ])
+    for seed in SEEDS
+)
 # oracle-check at the default window and at the small windows 1 and 2, where
 # a check on the window and one for every n could part
 REPORTS.update(

@@ -1,4 +1,6 @@
+import copy
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,14 +19,19 @@ from confalg.algebra import (
     element_nilpotency_index,
     kernel_decompose,
     kernel_reconstruct,
-    nilpotency_index,
 )
+from confalg.conformal import check_axioms, sample_celement
+from confalg.constructions import make_differential
+from confalg.oracle import coeff_assoc_check, dist_nprod, sample_ore, to_distribution
+from confalg.specfile import load_spec
+from recorded_reports import spec
 from reference_oracles import (
     leibniz_violation,
     nilpotent_by_iteration,
     orbit_by_iteration,
     random_element,
 )
+from stock_structures import STOCK, conformal
 
 F = Fraction
 
@@ -214,7 +221,7 @@ def test_ddx_derivation_on_polynomials():
         v = d.apply(v)
     assert v == a.parse_element({"1": "6"})
     assert d.apply(v).is_zero()
-    assert nilpotency_index(d, x3) == 4
+    assert len(d.key_orbit((3, 1, 1))) == 4
 
 
 def test_ad_derivation_and_its_nilpotency():
@@ -222,7 +229,7 @@ def test_ad_derivation_and_its_nilpotency():
     d = Derivation.ad(m.basis_element((1, 2)))
     e21 = m.basis_element((2, 1))
     assert d.apply(e21) == m.parse_element({"e11": "1", "e22": "-1"})
-    assert nilpotency_index(d, e21) == 3
+    assert len(d.key_orbit((2, 1))) == 3
     d.validate()
 
 
@@ -359,11 +366,8 @@ def test_orbit_agrees_with_plain_iteration(case):
     if expected is None:
         with pytest.raises(AlgebraError, match="not locally nilpotent"):
             list(d.orbit(x))
-        with pytest.raises(AlgebraError, match="not locally nilpotent"):
-            nilpotency_index(d, x)
     else:
         assert list(d.orbit(x)) == expected
-        assert nilpotency_index(d, x) == max(len(expected), 1)
 
 
 def test_element_nilpotency_index():
@@ -446,8 +450,10 @@ def test_negative_power_expansion_stops_at_the_iteration_bound():
     assert got == [(-1, (2, 1, 1), 1), (-2, (1, 1, 1), 2), (-3, (0, 1, 1), 2)]
 
 
-def test_positive_power_expansion_applies_only_the_steps_it_keeps():
-    # t x^10 = x^10 t - 10 x^9 needs one derivative, not the next one too
+def test_each_symbol_orbit_is_walked_once_for_every_power_and_left_key():
+    """t x^10 = x^10 t - 10 x^9 reads a prefix of the orbit of x^10, which
+    the derivation walks once, whole, into key_orbits: every later power
+    and left key reads that orbit and applies d no further."""
     a = MatrixPolyAlgebra(1)
     d = Derivation.ddx(a)
     steps = []
@@ -458,10 +464,87 @@ def test_positive_power_expansion_applies_only_the_steps_it_keeps():
         return apply(x)
 
     d.apply = counted
-    x10 = xk(a, 10)
     got = d.ore_monomial((0, 1, 1), 1, (10, 1, 1))
     assert got == [(1, (10, 1, 1), 1), (0, (9, 1, 1), -10)]
-    assert steps == [x10]
+    # x^10, 10 x^9, ..., 10!: eleven iterates, each applied once
+    assert steps == [Element(a, v) for v in d.key_orbit((10, 1, 1))]
+    assert len(steps) == 11
+    for k1 in range(3):
+        for p in (-2, 0, 1, 3):
+            d.ore_monomial((k1, 1, 1), p, (10, 1, 1))
+    assert len(steps) == 11
+    assert list(d.key_orbits) == [(10, 1, 1)]
+
+
+@pytest.mark.parametrize("name", sorted(STOCK))
+def test_every_reader_leaves_the_orbit_table_as_it_was_filled(monkeypatch, name):
+    """The closed form (nprod_all, check_axioms), the residue route
+    (dist_nprod) and OreElement.mul all read the derivation's orbit table.
+    Afterwards every entry equals the copy taken when it was filled, so no
+    reader changed the maps it shares, and equals plain iteration of d from
+    b_key."""
+    base, der = STOCK[name]()
+    filled = {}
+    honest = Derivation.key_orbit
+
+    def recorded(self, key):
+        fresh = self is der and key not in self.key_orbits
+        got = honest(self, key)
+        if fresh:
+            filled[key] = copy.deepcopy(got)
+        return got
+
+    monkeypatch.setattr(Derivation, "key_orbit", recorded)
+    c = make_differential(base, der)
+    rng = random.Random(3)
+    # degree 3 keeps every right factor inside the table derivation's coverage
+    keys = base.basis_upto(3)
+    for _ in range(5):
+        a, b = sample_celement(c, rng, keys, 2), sample_celement(c, rng, keys, 2)
+        c.nprod_all(a, b)
+        dist_nprod(to_distribution(a), to_distribution(b), 3)
+        sample_ore(base, der, rng).mul(sample_ore(base, der, rng))
+    assert check_axioms(c, samples=20, seed=1, degree=3)["ok"]
+    assert filled and der.key_orbits.keys() == filled.keys()
+    for key, orbit in der.key_orbits.items():
+        assert orbit == filled[key]
+        assert orbit == [v.items for v in orbit_by_iteration(der, base.basis_element(key), 64)]
+
+
+@pytest.mark.parametrize("name", ["cend1", "dif_matrix2_ad_e12"])
+def test_a_loaded_description_walks_each_symbol_once(monkeypatch, name):
+    """Loading, then coeff_assoc_check and check_axioms, walk the orbit of
+    each basis symbol at most once: the loader's nilpotency check, the Ore
+    rule and the closed form share the derivation's orbit table."""
+    walks = Counter()
+    honest = Derivation.orbit
+
+    def counted(self, x):
+        if len(x.items) == 1 and next(iter(x.items.values())) == 1:
+            walks[next(iter(x.items))] += 1
+        return honest(self, x)
+
+    monkeypatch.setattr(Derivation, "orbit", counted)
+    c = load_spec(spec(name + ".json")).conformal
+    assert coeff_assoc_check(c.base, c.der, seed=1)["ok"]
+    assert check_axioms(c, seed=1)["ok"]
+    assert walks and max(walks.values()) == 1
+
+
+def test_a_symbol_outside_a_table_is_refused_at_every_power():
+    """t^0 b reads the orbit of b like every other power, so on a table
+    derivation a symbol outside the coverage is refused at p = 0 too, as
+    the closed form refuses it at order 0."""
+    c = conformal("table_ddx_plus_ad_e12")
+    base, der = c.base, c.der
+    outside = base.parse_key("x^5*e12")
+    e11 = base.parse_key("e11")
+    for p in (0, 1, -1):
+        with pytest.raises(AlgebraError, match="outside the covered span: x\\^5\\*e12"):
+            der.ore_monomial(e11, p, outside)
+    with pytest.raises(AlgebraError, match="outside the covered span: x\\^5\\*e12"):
+        c.nprod(c.tilde(base.basis_element(e11)), c.tilde(base.basis_element(outside)), 0)
+    assert not der.ore_table and not der.key_orbits
 
 
 def test_ore_associativity_spot_checks():

@@ -339,6 +339,9 @@ def test_check_axioms_sees_each_job_separately(monkeypatch, name, order):
 
 
 SPEC_FILES = sorted(os.listdir(spec("")))
+# the sampled degree per description: 4, the default, except where products
+# of degree 4 leave a table derivation's coverage and are refused
+SPEC_DEGREES = {"table_ddx_plus_ad_e12.json": 3}
 
 
 def negated(cs):
@@ -372,9 +375,10 @@ def test_check_axioms_routes_agree(filename, seed, samples, sabotage):
     """The kernel's sums compared in place and the same kernel read through
     nprod's elements give the same report, the first violation included."""
     c = load_spec(spec(filename)).conformal
+    degree = SPEC_DEGREES.get(filename, 4)
     with kernel_order_changed(*sabotage) if sabotage else nullcontext():
-        assert check_axioms(c, samples=samples, seed=seed) == check_axioms(
-            c, samples=samples, seed=seed, product=c.nprod
+        assert check_axioms(c, samples=samples, seed=seed, degree=degree) == check_axioms(
+            c, samples=samples, seed=seed, degree=degree, product=c.nprod
         )
 
 
@@ -401,13 +405,17 @@ def test_delta_is_applied_once_per_orbit_entry(make):
     random.Random(1).shuffle(order)
     for k in order:
         nil = c.nilp_key(k)
-        b = c.base.basis_element(k)
+        orbit = c.der.key_orbit(k)
+        assert len(orbit) == nil
+        expected = c.base.basis_element(k)
         for m in range(nil + 2):
-            expected = b
-            for _ in range(m):
-                expected = apply(expected)
-            assert c._delta_pow(k, m) == expected
-        assert apply(c._delta_pow(k, nil - 1)).is_zero()
+            if m < nil:
+                assert orbit[m] == expected.items
+            # b_k1 (m) b_k = (-1)^m b_k1 delta^m(b_k), zero past the orbit
+            for k1 in (keys[0], k):
+                got = c.base.basis_element(k1).mul(expected).scale(-1 if m % 2 else 1)
+                assert c.basis_nprod(k1, k, m) == got.items
+            expected = apply(expected)
     # nprod on keys already seen applies delta no further
     rng = random.Random(2)
     for _ in range(10):

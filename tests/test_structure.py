@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from confalg import structure as structure_module
 from confalg.algebra import (
     AlgebraError,
     BaseAlgebra,
@@ -26,6 +27,7 @@ from confalg.constructions import (
     make_current,
     make_differential,
 )
+from confalg.linalg import Echelon
 from confalg.rings import Poly, frac
 from confalg.specfile import load_spec
 from confalg.structure import (
@@ -425,6 +427,49 @@ def test_nilpotency_check_takes_no_conformal_product(monkeypatch):
     c, gens, view = jordan
     with pytest.raises(StructureError, match="module ideal slice is not nilpotent: T_3 is not 0"):
         nilpotency_check(c, gens, degree=0, within=view)
+
+
+def test_the_module_step_is_linearly_independent(monkeypatch):
+    """The module levels multiply by a basis of the delta-orbits of S_1, not
+    by the orbits themselves, which overlap: under d/dx the 29 orbit maps
+    of K's slice at degree 3 span 12 dimensions. J's slice is delta-stable,
+    so that basis is S_1 itself and the module levels are the carrier's."""
+    honest = structure_module._level_index
+    steps = []
+
+    def recorded(c, first, step, last, side, name):
+        steps.append((side, step))
+        return honest(c, first, step, last, side, name)
+
+    monkeypatch.setattr(structure_module, "_level_index", recorded)
+    ddx = load_spec(spec("ideal_triangular3_ddx.json"))
+    for name in ["J", "K"]:
+        report = nilpotency_check(ddx.conformal, ddx.ideals[name], 3, within=ddx.sub)
+        assert (report["base_index"], report["conformal_index"]) == (3, 3)
+    modules = [step for side, step in steps if side == "module"]
+    assert len(steps) == 3 and len(modules) == 1
+    assert len(modules[0]) == Echelon(modules[0]).rank == 12
+
+
+def test_nilpotency_check_builds_no_module_element(monkeypatch):
+    """Both indices are read off carrier item maps, so the lift that
+    nilpotency_check shares with ideal_lift leaves conf_span, the slice's
+    tilde, unbuilt; ideal_lift builds it."""
+    ddx = load_spec(spec("ideal_triangular3_ddx.json"))
+    c, gens = ddx.conformal, ddx.ideals["J"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nilpotency_check built a module element")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ConformalAlgebra, "tilde", refuse)
+        for name in ["J", "K"]:
+            nilpotency_check(c, ddx.ideals[name], 3, within=ddx.sub)
+        m3 = MatrixAlgebra(3)
+        twisted = make_differential(m3, Derivation.ad(m3.parse_element({"e12": "1"})))
+        nilpotency_check(twisted, [m3.parse_element({"e23": "1"})], 0, within=borel(m3, 3))
+    pair = ideal_lift(c, gens, 3, within=ddx.sub)
+    assert pair.conf_span == [c.tilde(u) for u in pair.base_span]
 
 
 def test_nilpotency_check_refuses_a_generator_that_is_not_nilpotent_before_any_level(
