@@ -636,6 +636,14 @@ class Derivation:
             return out
         raise AlgebraError("unknown derivation kind %r" % self.kind)
 
+    def uncovered(self, keys):
+        """The first of keys outside a table's covered span, which d cannot
+        be applied to; None when a table covers them all, and for every
+        other kind, which covers every key."""
+        if self.kind != "table":
+            return None
+        return next((k for k in keys if k not in self.images), None)
+
     def iteration_bound(self, x):
         """Steps within which a locally nilpotent derivation kills x. ddx
         lowers the x-degree each step. x is central, so ad(r) is Q[x]-linear

@@ -9,7 +9,7 @@ nilpotent derivation delta, with delta = 0 giving the pure current case.
 
 import random
 from itertools import zip_longest
-from math import comb, perm
+from math import ceil, comb, log, perm
 
 from .algebra import AlgebraError, Element, parse_exponent, parse_unit
 from .rings import Poly, frac, normal
@@ -342,18 +342,79 @@ def _randbelow(rng, width):
     return u
 
 
+def _sample(rng, population, k):
+    """rng.sample(population, k), read from the same getrandbits stream as
+    CPython's Random.sample reads it, without its per-draw calls. Up to
+    setsize keys (21, more once k > 5) it picks from a pool: each pick a
+    draw below the pool's size, the picked slot refilled from the pool's
+    end. Past setsize each pick is a draw below n, redrawn while already
+    picked. A k outside [0, n] is refused before any draw, with ValueError
+    as sample refuses it."""
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(population)
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        selected = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result.append(population[j])
+    return result
+
+
 def sample_celement(c, rng, keys, pdeg=2):
-    """An element on up to 3 of the basis keys, each with a random
-    D-polynomial of degree at most pdeg and coefficients in [-5, 5]; a
-    check passes c.base.basis_upto(degree) as keys, built once for all its
-    draws."""
-    picked = rng.sample(keys, min(1 + _randbelow(rng, 3), len(keys)))
+    """An element on up to 3 of keys, each with a random D-polynomial of
+    degree at most pdeg and coefficients in [-5, 5]; a check passes
+    c.base.basis_upto(degree) as keys, built once for all its draws. Every
+    integer is drawn as _randbelow draws it, inline: the key count below 3
+    and each coefficient below 11 from getrandbits(2) and getrandbits(4)
+    until in range, the keys by _sample."""
+    getrandbits = rng.getrandbits
+    count = getrandbits(2)
+    while count >= 3:
+        count = getrandbits(2)
     items = {}
-    for k in picked:
-        coeffs = normal([_randbelow(rng, 11) - 5 for _ in range(pdeg + 1)])
+    for k in _sample(rng, keys, min(1 + count, len(keys))):
+        coeffs = []
+        for _ in range(pdeg + 1):
+            u = getrandbits(4)
+            while u >= 11:
+                u = getrandbits(4)
+            coeffs.append(u - 5)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
         if coeffs:
-            items[k] = Poly._trusted(coeffs)
+            items[k] = Poly._trusted(tuple(coeffs))
     return CElement._trusted(c, items)
+
+
+def _refuse_uncovered(der, keys, degree, error, reach="draws %s"):
+    """Refuse, with error, a degree whose keys hold a symbol outside a table
+    derivation's covered span: a product reads the orbit of every symbol of
+    its right factor, so some seed would fail on it."""
+    key = der.uncovered(keys)
+    if key is not None:
+        raise error(
+            "--degree %d %s, outside the table derivation's covered span"
+            % (degree, reach % der.alg.key_name(key))
+        )
 
 
 def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
@@ -379,7 +440,8 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
     calls, or 3 at n = 0. Returns a report dict; ok is False with the first
     failing sample when a violation is found. A check of no samples, or of
     samples that are all zero (degree or pdeg below 0), is refused, not
-    reported ok."""
+    reported ok; so is a degree whose keys a table derivation does not all
+    cover, before any draw."""
     for name, value, least in (("samples", samples, 1), ("degree", degree, 0), ("pdeg", pdeg, 0)):
         if value < least:
             raise ConformalError("%s must be >= %d, got %d" % (name, least, value))
@@ -398,6 +460,7 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
             return out
 
     keys = c.base.basis_upto(degree)
+    _refuse_uncovered(c.der, keys, degree, ConformalError)
     rng = random.Random(seed)
     report = {
         "ok": True,

@@ -21,7 +21,7 @@ from math import comb, perm
 from operator import sub
 
 from .algebra import AlgebraError, Element, OreElement, normal_map
-from .conformal import _randbelow, sample_celement
+from .conformal import _refuse_uncovered, _sample, sample_celement
 from .rings import falling
 
 
@@ -196,7 +196,9 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
     families agree at every n. On a mismatch both become Distributions, and
     the violation's index is the first n >= -window where the values
     differ. A check of no samples, of samples that are all zero (degree or
-    pdeg below 0) or on no window is refused, not reported ok."""
+    pdeg below 0) or on no window is refused, not reported ok; so is a
+    degree whose keys a table derivation does not all cover, before any
+    draw."""
     for name, value, least in (
         ("samples", samples, 1),
         ("window", window, 0),
@@ -206,6 +208,7 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
         if value < least:
             raise OracleError("%s must be >= %d, got %d" % (name, least, value))
     keys = c.base.basis_upto(degree)
+    _refuse_uncovered(c.der, keys, degree, OracleError)
     rng = random.Random(seed)
     report = {
         "ok": True,
@@ -242,27 +245,70 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
     return report
 
 
-def sample_ore(base, der, rng, degree=3, power=2):
+def sample_ore(base, der, rng, keys, power=2):
     """A sum of one or two terms e t^p, p in [-power, power], each e on one
-    or two basis keys of degree at most degree with coefficients in [-5, 5]."""
-    keys = base.basis_upto(degree)
+    or two of keys with coefficients in [-5, 5]; a check passes
+    base.basis_upto(degree) as keys, built once for all its draws. Every
+    integer is drawn as conformal._randbelow draws it, inline, and the keys
+    by conformal._sample; terms of one power are summed as they are drawn."""
+    getrandbits = rng.getrandbits
+    width = 2 * power + 1
+    bits = width.bit_length()
+    terms = getrandbits(2)
+    while terms >= 2:
+        terms = getrandbits(2)
     items = {}
-    for _ in range(1 + _randbelow(rng, 2)):
-        p = _randbelow(rng, 2 * power + 1) - power
-        picked = rng.sample(keys, min(1 + _randbelow(rng, 2), len(keys)))
-        el = Element(base, {k: _randbelow(rng, 11) - 5 for k in picked})
-        items[p] = items[p].add(el) if p in items else el
-    return OreElement(base, der, items)
+    for _ in range(1 + terms):
+        p = getrandbits(bits)
+        while p >= width:
+            p = getrandbits(bits)
+        count = getrandbits(2)
+        while count >= 2:
+            count = getrandbits(2)
+        acc = items.setdefault(p - power, {})
+        for k in _sample(rng, keys, min(1 + count, len(keys))):
+            u = getrandbits(4)
+            while u >= 11:
+                u = getrandbits(4)
+            if u != 5:
+                v = acc.get(k, 0) + u - 5
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+    return OreElement._trusted(
+        base, der, {p: Element._trusted(base, acc) for p, acc in items.items() if acc}
+    )
+
+
+def _product_keys(der, keys, power):
+    """The keys a coefficient of y z can carry for samples y, z on keys:
+    key_product(k1, kk) for kk in the orbit of k2 (t^p b_k2 reads the whole
+    orbit at p < 0, only b_k2 itself at power 0), in a fixed order."""
+    orbits = (der.key_orbit(k2) if power else ({k2: 1},) for k2 in keys)
+    reach = dict.fromkeys(kk for orbit in orbits for v in orbit for kk in v)
+    key_product = der.alg.key_product
+    out = dict.fromkeys(key_product(k1, kk) for k1 in keys for kk in reach)
+    out.pop(None, None)
+    return list(out)
 
 
 def coeff_assoc_check(base, der, samples=100, seed=0, degree=3, power=2, mul=None):
     """Randomized associativity check for the twisted Laurent ring, mixing
     positive and negative powers of t. mul may override the product. A
     check of no samples, or of samples that are all zero (degree below 0),
-    is refused, not reported ok, and so is a power below 0."""
+    is refused, not reported ok, and so is a power below 0. So is, before
+    any draw, a degree whose keys, or the keys of a product y z of two
+    samples (whose orbits x (y z) reads), a table derivation does not all
+    cover."""
     for name, value, least in (("samples", samples, 1), ("degree", degree, 0), ("power", power, 0)):
         if value < least:
             raise OracleError("%s must be >= %d, got %d" % (name, least, value))
+    keys = base.basis_upto(degree)
+    _refuse_uncovered(der, keys, degree, OracleError)
+    if der.kind == "table":
+        reach = _product_keys(der, keys, power)
+        _refuse_uncovered(der, reach, degree, OracleError, "reaches %s in a product y z")
     if mul is None:
         mul = OreElement.mul
     rng = random.Random(seed)
@@ -275,9 +321,9 @@ def coeff_assoc_check(base, der, samples=100, seed=0, degree=3, power=2, mul=Non
         "violation": None,
     }
     for _ in range(samples):
-        x = sample_ore(base, der, rng, degree, power)
-        y = sample_ore(base, der, rng, degree, power)
-        z = sample_ore(base, der, rng, degree, power)
+        x = sample_ore(base, der, rng, keys, power)
+        y = sample_ore(base, der, rng, keys, power)
+        z = sample_ore(base, der, rng, keys, power)
         lhs = mul(mul(x, y), z)
         rhs = mul(x, mul(y, z))
         if lhs != rhs:

@@ -503,7 +503,7 @@ def test_every_reader_leaves_the_orbit_table_as_it_was_filled(monkeypatch, name)
         a, b = sample_celement(c, rng, keys, 2), sample_celement(c, rng, keys, 2)
         c.nprod_all(a, b)
         dist_nprod(to_distribution(a), to_distribution(b), 3)
-        sample_ore(base, der, rng).mul(sample_ore(base, der, rng))
+        sample_ore(base, der, rng, keys).mul(sample_ore(base, der, rng, keys))
     assert check_axioms(c, samples=20, seed=1, degree=3)["ok"]
     assert filled and der.key_orbits.keys() == filled.keys()
     for key, orbit in der.key_orbits.items():
@@ -551,12 +551,11 @@ def test_ore_associativity_spot_checks():
     a = MatrixPolyAlgebra(2)
     d = Derivation.ddx(a)
     rng = random.Random(3)
-    from confalg.oracle import sample_ore
-
+    keys = a.basis_upto(3)
     for _ in range(20):
-        u = sample_ore(a, d, rng)
-        v = sample_ore(a, d, rng)
-        w = sample_ore(a, d, rng)
+        u = sample_ore(a, d, rng, keys)
+        v = sample_ore(a, d, rng, keys)
+        w = sample_ore(a, d, rng, keys)
         assert u.mul(v).mul(w) == u.mul(v.mul(w))
 
 

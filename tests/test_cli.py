@@ -401,3 +401,18 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys):
     code, out, _ = run(capsys, "product", cend1, "L1", "1", "L1")
     assert code == 0
     assert recorded_reports.fresh(["product", cend1, "L1", "1", "L1"]) == (0, out, "")
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "7"])
+def test_checks_past_a_table_exit_2_at_every_seed(capsys, seed):
+    """Past the table derivation's degree 3 each sampled check exits 2
+    whatever the seed, with the degree and the uncovered symbol named."""
+    table = spec("table_ddx_plus_ad_e12.json")
+    for argv, message in (
+        (("check-axioms", table, "--samples", "1"), "--degree 4 draws x^4*e11"),
+        (("oracle-check", table, "--samples", "1"), "--degree 4 draws x^4*e11"),
+        (("assoc-check", table, "--samples", "1"), "--degree 3 reaches x^4*e11"),
+    ):
+        code, out, err = run(capsys, *argv, "--seed", seed)
+        assert (code, out) == (2, "")
+        assert message in err

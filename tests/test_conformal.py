@@ -12,6 +12,7 @@ from confalg.conformal import (
     ConformalAlgebra,
     ConformalError,
     _randbelow,
+    _sample,
     check_axioms,
     locality_degree,
     sample_celement,
@@ -177,14 +178,18 @@ def test_sample_celement_deterministic():
 
 
 # keyword arguments of the randint reference past c, rng (the library takes
-# degree's key list): the default pdeg at two degrees, constants, and long
-# draws
+# degree's key list): the default pdeg at two degrees, constants, long draws,
+# and on cend1 21 keys (the last key count random.sample draws from a pool
+# for), 22 and 31 keys (drawn by index, redrawn while already picked)
 SAMPLER_ARGS = [
     {"degree": 4},
     {"degree": 2},
     {"degree": 0, "pdeg": 0},
     {"degree": 3, "pdeg": 1},
     {"degree": 5, "pdeg": 6},
+    {"degree": 20},
+    {"degree": 21, "pdeg": 1},
+    {"degree": 30},
 ]
 
 
@@ -215,6 +220,36 @@ def test_randbelow_draws_what_randint_draws(width):
         assert rng.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("n", range(1, 65))
+def test_sample_draws_what_random_sample_draws(n):
+    """_sample is Random.sample: the same picks in the same order, and the
+    rng left in the same state, for k = 0-3 on populations of 1-64 keys,
+    drawn from a pool up to 21 keys and by index past them, over seeds
+    0-19."""
+    population = [(n, i) for i in range(n)]
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for k in range(min(n, 3) + 1):
+            assert _sample(rng, population, k) == ref.sample(population, k)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n, k", [(22, 6), (22, 7), (64, 6), (85, 6), (86, 7)])
+def test_sample_of_more_than_five_draws_what_random_sample_draws(n, k):
+    """Past k = 5 the pool serves up to 85 keys at k = 6 and 7."""
+    population = list(range(n))
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert _sample(rng, population, k) == ref.sample(population, k)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_a_sample_larger_than_the_population_is_refused_before_any_draw(k):
+    with pytest.raises(ValueError, match="Sample larger than population"):
+        _sample(CappedRandom(0, 0), ["a", "b"], k)
+
+
 @pytest.mark.parametrize("width", [0, -1])
 def test_an_empty_draw_is_refused_before_any_bits_are_read(width):
     with pytest.raises(ValueError, match="empty range"):
@@ -241,6 +276,21 @@ def test_check_axioms_refuses_samples_that_are_all_zero(monkeypatch, arg):
     monkeypatch.setattr(conformal_module, "sample_celement", refuse)
     with pytest.raises(ConformalError, match="%s must be >= 0, got -1" % arg):
         check_axioms(make_cend(1), samples=3, **{arg: -1})
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_check_axioms_refuses_a_degree_past_a_table_before_any_draw(monkeypatch, seed):
+    """The table derivation covers degree 3, so degree 4 draws right
+    factors whose orbits cannot be read: refused at every seed before any
+    sample is drawn, naming the degree and the first uncovered symbol."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sample may be drawn")
+
+    c = load_spec(spec("table_ddx_plus_ad_e12.json")).conformal
+    monkeypatch.setattr(conformal_module, "sample_celement", refuse)
+    with pytest.raises(ConformalError, match=r"--degree 4 draws x\^4\*e11, outside"):
+        check_axioms(c, samples=1, seed=seed)
 
 
 def drawn_samples(c, samples, seed):

@@ -628,9 +628,9 @@ def test_ore_associativity_check_catches_a_flipped_commutation_sign():
     base = MatrixPolyAlgebra(1)
     der = Derivation.ddx(base)
     honest, flipped = ore_product(-1), ore_product(1)
-    rng = random.Random(2)
+    rng, keys = random.Random(2), base.basis_upto(3)
     for _ in range(10):
-        x, y = sample_ore(base, der, rng), sample_ore(base, der, rng)
+        x, y = sample_ore(base, der, rng, keys), sample_ore(base, der, rng, keys)
         assert honest(x, y) == x.mul(y)
     report = coeff_assoc_check(base, der, samples=50, seed=0, mul=flipped)
     assert not report["ok"]
@@ -645,8 +645,9 @@ def test_ore_associativity_check_catches_a_flipped_commutation_sign():
 def test_sample_ore_deterministic():
     base = MatrixPolyAlgebra(2)
     der = Derivation.ddx(base)
-    assert sample_ore(base, der, random.Random(4)) == sample_ore(
-        base, der, random.Random(4)
+    keys = base.basis_upto(3)
+    assert sample_ore(base, der, random.Random(4), keys) == sample_ore(
+        base, der, random.Random(4), keys
     )
 
 
@@ -658,16 +659,23 @@ def test_sample_ore_deterministic():
         {"degree": 0, "power": 0},
         {"degree": 1, "power": 1},
         {"degree": 4, "power": 7},
+        {"degree": 20},
+        {"degree": 21, "power": 1},
+        {"degree": 30, "power": 3},
     ],
 )
 def test_sample_ore_draws_what_randint_draws(name, kwargs):
     """The library's draws are randint's stream: the same elements, and the
-    rng left in the same state, over seeds 0-49."""
+    rng left in the same state, over seeds 0-49; on cend1 the last three
+    degrees hold 21, 22 and 31 keys, either side of the count up to which
+    random.sample draws from a pool."""
     c = load_spec(spec(name + ".json")).conformal
+    rest = dict(kwargs)
+    keys = c.base.basis_upto(rest.pop("degree", 3))
     for seed in range(50):
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(3):
-            got = sample_ore(c.base, c.der, rng, **kwargs)
+            got = sample_ore(c.base, c.der, rng, keys, **rest)
             assert got == randint_sample_ore(c.base, c.der, ref, **kwargs)
         assert rng.getstate() == ref.getstate()
 
@@ -684,6 +692,47 @@ def test_coeff_assoc_check_refuses_an_argument_below_zero(monkeypatch, arg):
     monkeypatch.setattr(oracle_module, "sample_ore", refuse)
     with pytest.raises(OracleError, match="%s must be >= 0, got -1" % arg):
         coeff_assoc_check(c.base, c.der, samples=10, **{arg: -1})
+
+
+def test_oracle_checks_refuse_a_degree_past_a_table_before_any_draw(monkeypatch):
+    """The table derivation covers degree 3. Degree 4 draws right factors
+    outside it, and from degree 2 on a product y z of two Ore samples
+    reaches x^4 keys, whose orbits x (y z) reads: each refused before any
+    sample is drawn, naming the degree and the first uncovered symbol."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sample may be drawn")
+
+    c = load_spec(spec("table_ddx_plus_ad_e12.json")).conformal
+    monkeypatch.setattr(oracle_module, "sample_celement", refuse)
+    monkeypatch.setattr(oracle_module, "sample_ore", refuse)
+    with pytest.raises(OracleError, match=r"--degree 4 draws x\^4\*e11, outside"):
+        oracle_check(c, samples=1)
+    for degree in (2, 3, 4):
+        for power in (0, 2):
+            with pytest.raises(OracleError, match=r"--degree %d .*x\^4\*e11" % degree):
+                coeff_assoc_check(c.base, c.der, samples=1, degree=degree, power=power)
+    with pytest.raises(OracleError, match=r"--degree 2 reaches x\^4\*e11 in a product y z"):
+        coeff_assoc_check(c.base, c.der, samples=1, degree=2)
+
+
+def test_product_keys_follow_the_orbits_of_the_right_factor():
+    """Under ad(x e12) the orbit of e21 reaches x*e11 and x^2*e12, so at
+    power >= 1 a product y z of degree-0 samples carries keys of degree up
+    to 2; at power 0, with no t to commute past, only degree-0 keys."""
+    base = MatrixPolyAlgebra(2)
+    der = Derivation.ad(base.parse_element({"x*e12": "1"}))
+    keys = base.basis_upto(0)
+    for power, degrees in ((0, {0}), (1, {0, 1, 2}), (2, {0, 1, 2})):
+        assert {base.key_degree(k) for k in oracle_module._product_keys(der, keys, power)} == degrees
+
+
+@pytest.mark.parametrize("power", [0, 1, 2])
+def test_assoc_check_below_the_refused_degree_runs_on_a_table(power):
+    """Degree 1 keeps every product y z inside the table's coverage."""
+    c = load_spec(spec("table_ddx_plus_ad_e12.json")).conformal
+    for seed in range(5):
+        assert coeff_assoc_check(c.base, c.der, samples=20, seed=seed, degree=1, power=power)["ok"]
 
 
 @pytest.mark.parametrize("samples", [0, -3])
