@@ -8,6 +8,7 @@ a verified property violation, 2 for usage and description errors.
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .algebra import MAX_DEGREE, AlgebraError, kernel_decompose, kernel_reconstruct
@@ -384,7 +385,16 @@ def main(argv=None):
     except (SpecError, CommandError, AlgebraError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    _emit(report, args)
+    try:
+        _emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; the report still concluded, so
+        # its own exit code stands, and stdout is pointed at the null device
+        # so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -405,16 +405,39 @@ def sample_celement(c, rng, keys, pdeg=2):
     return CElement._trusted(c, items)
 
 
-def _refuse_uncovered(der, keys, degree, error, reach="draws %s"):
-    """Refuse, with error, a degree whose keys hold a symbol outside a table
-    derivation's covered span: a product reads the orbit of every symbol of
-    its right factor, so some seed would fail on it."""
-    key = der.uncovered(keys)
+def open_check(base, der, error, seed, reach=None, **counted):
+    """What every sampled check does before its first draw, in this order.
+    Refuse, with error, each counted argument name=(value, least) whose
+    value is below least, in the order given. Build the key window
+    base.basis_upto(degree) once, and refuse a degree with a key that a
+    table derivation does not cover: a product reads the orbit of every
+    symbol of its right factor, so some seed would fail on it. On a table
+    only, and only once those keys pass, refuse the keys reach = (where,
+    keys_of) adds: keys_of(keys) walks the keys' orbits, which an uncovered
+    key does not have. Returns the keys, the seeded stream and the report
+    head, which names the samples, seed and degree a failing check replays
+    from."""
+    for name, (value, least) in counted.items():
+        if value < least:
+            raise error("%s must be >= %d, got %d" % (name, least, value))
+    degree = counted["degree"][0]
+    keys = base.basis_upto(degree)
+    key, what = der.uncovered(keys), "draws %s"
+    if key is None and reach is not None and der.kind == "table":
+        key, what = der.uncovered(reach[1](keys)), "reaches %s in " + reach[0]
     if key is not None:
         raise error(
             "--degree %d %s, outside the table derivation's covered span"
-            % (degree, reach % der.alg.key_name(key))
+            % (degree, what % der.alg.key_name(key))
         )
+    report = {
+        "ok": True,
+        "samples": counted["samples"][0],
+        "seed": seed,
+        "degree": degree,
+        "violation": None,
+    }
+    return keys, random.Random(seed), report
 
 
 def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
@@ -442,9 +465,11 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
     samples that are all zero (degree or pdeg below 0), is refused, not
     reported ok; so is a degree whose keys a table derivation does not all
     cover, before any draw."""
-    for name, value, least in (("samples", samples, 1), ("degree", degree, 0), ("pdeg", pdeg, 0)):
-        if value < least:
-            raise ConformalError("%s must be >= %d, got %d" % (name, least, value))
+    keys, rng, report = open_check(
+        c.base, c.der, ConformalError, seed,
+        samples=(samples, 1), degree=(degree, 0), pdeg=(pdeg, 0),
+    )
+    report["checked"] = ["leibniz", "shift"]
     if product is None:
         products = c._products
     else:
@@ -459,17 +484,6 @@ def check_axioms(c, samples=200, seed=0, degree=4, pdeg=2, product=None):
                 out.append(acc)
             return out
 
-    keys = c.base.basis_upto(degree)
-    _refuse_uncovered(c.der, keys, degree, ConformalError)
-    rng = random.Random(seed)
-    report = {
-        "ok": True,
-        "samples": samples,
-        "seed": seed,
-        "degree": degree,
-        "checked": ["leibniz", "shift"],
-        "violation": None,
-    }
     for _ in range(samples):
         a = sample_celement(c, rng, keys, pdeg)
         b = sample_celement(c, rng, keys, pdeg)

@@ -16,12 +16,11 @@ orders, both read as coefficient maps on the family basis; a Distribution
 is built only for a mismatch.
 """
 
-import random
 from math import comb, perm
 from operator import sub
 
 from .algebra import AlgebraError, Element, OreElement, normal_map
-from .conformal import _refuse_uncovered, _sample, sample_celement
+from .conformal import _sample, open_check, sample_celement
 from .rings import falling
 
 
@@ -199,26 +198,11 @@ def oracle_check(c, samples=100, seed=0, window=8, degree=4, pdeg=2):
     pdeg below 0) or on no window is refused, not reported ok; so is a
     degree whose keys a table derivation does not all cover, before any
     draw."""
-    for name, value, least in (
-        ("samples", samples, 1),
-        ("window", window, 0),
-        ("degree", degree, 0),
-        ("pdeg", pdeg, 0),
-    ):
-        if value < least:
-            raise OracleError("%s must be >= %d, got %d" % (name, least, value))
-    keys = c.base.basis_upto(degree)
-    _refuse_uncovered(c.der, keys, degree, OracleError)
-    rng = random.Random(seed)
-    report = {
-        "ok": True,
-        "samples": samples,
-        "seed": seed,
-        "window": window,
-        "degree": degree,
-        "orders_checked": 0,
-        "violation": None,
-    }
+    keys, rng, report = open_check(
+        c.base, c.der, OracleError, seed,
+        samples=(samples, 1), window=(window, 0), degree=(degree, 0), pdeg=(pdeg, 0),
+    )
+    report.update(window=window, orders_checked=0)
     for _ in range(samples):
         a = sample_celement(c, rng, keys, pdeg)
         b = sample_celement(c, rng, keys, pdeg)
@@ -301,25 +285,14 @@ def coeff_assoc_check(base, der, samples=100, seed=0, degree=3, power=2, mul=Non
     any draw, a degree whose keys, or the keys of a product y z of two
     samples (whose orbits x (y z) reads), a table derivation does not all
     cover."""
-    for name, value, least in (("samples", samples, 1), ("degree", degree, 0), ("power", power, 0)):
-        if value < least:
-            raise OracleError("%s must be >= %d, got %d" % (name, least, value))
-    keys = base.basis_upto(degree)
-    _refuse_uncovered(der, keys, degree, OracleError)
-    if der.kind == "table":
-        reach = _product_keys(der, keys, power)
-        _refuse_uncovered(der, reach, degree, OracleError, "reaches %s in a product y z")
+    keys, rng, report = open_check(
+        base, der, OracleError, seed,
+        reach=("a product y z", lambda keys: _product_keys(der, keys, power)),
+        samples=(samples, 1), degree=(degree, 0), power=(power, 0),
+    )
+    report["power"] = power
     if mul is None:
         mul = OreElement.mul
-    rng = random.Random(seed)
-    report = {
-        "ok": True,
-        "samples": samples,
-        "seed": seed,
-        "degree": degree,
-        "power": power,
-        "violation": None,
-    }
     for _ in range(samples):
         x = sample_ore(base, der, rng, keys, power)
         y = sample_ore(base, der, rng, keys, power)

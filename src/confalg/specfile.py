@@ -20,7 +20,7 @@ from .algebra import (
     MatrixPolyAlgebra,
     Subalgebra,
 )
-from .constructions import make_cend, make_current, make_differential
+from .conformal import ConformalAlgebra
 
 # Most basis keys a table derivation may cover. Its Leibniz check multiplies
 # every pair of covered keys, so the work grows with the square of this count;
@@ -297,21 +297,20 @@ def load_spec_text(text):
                 path="$.construction",
                 token="construction",
             )
-        conf = make_current(carrier)
-    elif construction == "differential":
-        conf = make_differential(carrier, der)
     elif construction == "cend":
         if carrier.kind != "matrix_poly":
             ctx.fail(
                 "cend needs a matrix_poly carrier", path="$.base.kind", token="kind"
             )
-        conf = make_cend(carrier.n)
-    else:
+        if der.kind == "zero":
+            der = Derivation.ddx(carrier)
+    elif construction != "differential":
         ctx.fail(
             "unknown construction %r" % construction,
             path="$.construction",
             token="construction",
         )
+    conf = ConformalAlgebra(carrier, der)
 
     base_elements = {}
     for name, m in _want(doc.get("base_elements", {}), "$.base_elements", ctx).items():

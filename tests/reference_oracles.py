@@ -6,7 +6,9 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
+from confalg import conformal
 from confalg.algebra import AlgebraError, Element, OreElement
 from confalg.conformal import CElement
 from confalg.linalg import Echelon, solve_right
@@ -66,6 +68,14 @@ class CappedRandom(random.Random):
             raise AssertionError("more than the allowed getrandbits calls")
         self.left -= 1
         return super().getrandbits(k)
+
+
+def streams_fail_on_first_draw(monkeypatch):
+    """Give every sampled check a stream whose first getrandbits fails: the
+    checks draw only from the stream conformal.open_check opens, so a
+    refusal raised under this patch came before any draw."""
+    stream = SimpleNamespace(Random=lambda seed: CappedRandom(seed, 0))
+    monkeypatch.setattr(conformal, "random", stream)
 
 
 def randint_sample_celement(c, rng, degree, pdeg=2):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,8 @@ from confalg.cli import main
 
 import recorded_reports
 from recorded_reports import spec
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(confalg.cli.__file__)))
 
 
 def run(capsys, *argv):
@@ -416,3 +420,33 @@ def test_checks_past_a_table_exit_2_at_every_seed(capsys, seed):
         code, out, err = run(capsys, *argv, "--seed", seed)
         assert (code, out) == (2, "")
         assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "cend1.json"),
+        ("table", "cend1.json", "--text"),
+        ("check-axioms", "table_ddx_plus_ad_e12.json", "--degree", "3", "--samples", "5"),
+    ],
+)
+def test_a_closed_stdout_ends_without_a_traceback(argv):
+    """A reader that closes the pipe before the report is written, as
+    `| head -1` may, leaves the command's own exit code and no traceback.
+    The read end is closed before the command starts, so the first write
+    fails on every run."""
+    argv = (argv[0], spec(argv[1]), *argv[2:])
+    code, _, _ = recorded_reports.fresh(list(argv))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "confalg.cli", *argv],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+    finally:
+        os.close(w)
+    assert "Traceback" not in proc.stderr.decode("utf-8")
+    assert proc.returncode == code == 0

@@ -24,6 +24,7 @@ from reference_oracles import (
     CappedRandom,
     cscale,
     randint_sample_celement,
+    streams_fail_on_first_draw,
 )
 from stock_structures import conformal
 
@@ -257,25 +258,35 @@ def test_an_empty_draw_is_refused_before_any_bits_are_read(width):
 
 
 @pytest.mark.parametrize("samples", [0, -3])
-def test_check_axioms_refuses_an_empty_sample(samples):
+def test_check_axioms_refuses_an_empty_sample(monkeypatch, samples):
+    """Refused before any draw, and ahead of a degree and pdeg that are
+    refused too."""
+
     def product(a, b, n):
         raise AssertionError("no product may run")
 
+    streams_fail_on_first_draw(monkeypatch)
     with pytest.raises(ConformalError, match="samples"):
         check_axioms(make_cend(1), samples=samples, product=product)
+    with pytest.raises(ConformalError, match="samples must be >= 1, got %d" % samples):
+        check_axioms(make_cend(1), samples=samples, degree=-1, pdeg=-1, product=product)
 
 
 @pytest.mark.parametrize("arg", ["degree", "pdeg"])
 def test_check_axioms_refuses_samples_that_are_all_zero(monkeypatch, arg):
     """Below 0, degree or pdeg makes every sampled element zero, so both
-    rules would hold on nothing: refused before any sample is drawn."""
+    rules would hold on nothing: refused before any sample is drawn, the
+    arguments in the order samples, degree, pdeg."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("no sample may be drawn")
 
     monkeypatch.setattr(conformal_module, "sample_celement", refuse)
+    streams_fail_on_first_draw(monkeypatch)
     with pytest.raises(ConformalError, match="%s must be >= 0, got -1" % arg):
         check_axioms(make_cend(1), samples=3, **{arg: -1})
+    with pytest.raises(ConformalError, match="%s must be >= 0, got -1" % arg):
+        check_axioms(make_cend(1), samples=3, **{"pdeg": -1, arg: -1})
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -289,6 +300,7 @@ def test_check_axioms_refuses_a_degree_past_a_table_before_any_draw(monkeypatch,
 
     c = load_spec(spec("table_ddx_plus_ad_e12.json")).conformal
     monkeypatch.setattr(conformal_module, "sample_celement", refuse)
+    streams_fail_on_first_draw(monkeypatch)
     with pytest.raises(ConformalError, match=r"--degree 4 draws x\^4\*e11, outside"):
         check_axioms(c, samples=1, seed=seed)
 

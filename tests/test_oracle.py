@@ -35,6 +35,7 @@ from reference_oracles import (
     naive_value,
     ore_product,
     randint_sample_ore,
+    streams_fail_on_first_draw,
 )
 from stock_structures import conformal
 
@@ -680,18 +681,48 @@ def test_sample_ore_draws_what_randint_draws(name, kwargs):
         assert rng.getstate() == ref.getstate()
 
 
-@pytest.mark.parametrize("arg", ["degree", "power"])
+# each check's counted arguments and their least values, in the order the
+# check refuses them
+ORACLE_COUNTED = {"samples": 1, "window": 0, "degree": 0, "pdeg": 0}
+ASSOC_COUNTED = {"samples": 1, "degree": 0, "power": 0}
+
+
+def below_least(counted, arg):
+    """arg and every argument after it set one below its least value."""
+    names = list(counted)
+    return {name: counted[name] - 1 for name in names[names.index(arg):]}
+
+
+@pytest.mark.parametrize("arg", list(ASSOC_COUNTED))
 def test_coeff_assoc_check_refuses_an_argument_below_zero(monkeypatch, arg):
-    """Below 0, degree makes every sampled element zero and power leaves no
-    power to draw: refused before any sample is drawn."""
+    """Below 1, samples leaves nothing to check; below 0, degree makes
+    every sampled element zero and power leaves no power to draw: refused
+    before any sample is drawn, ahead of every later argument."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("no sample may be drawn")
 
     c = make_cend(1)
     monkeypatch.setattr(oracle_module, "sample_ore", refuse)
-    with pytest.raises(OracleError, match="%s must be >= 0, got -1" % arg):
-        coeff_assoc_check(c.base, c.der, samples=10, **{arg: -1})
+    streams_fail_on_first_draw(monkeypatch)
+    least = ASSOC_COUNTED[arg]
+    message = "%s must be >= %d, got %d" % (arg, least, least - 1)
+    with pytest.raises(OracleError, match=message):
+        coeff_assoc_check(c.base, c.der, **{"samples": 10, arg: least - 1})
+    with pytest.raises(OracleError, match=message):
+        coeff_assoc_check(c.base, c.der, **below_least(ASSOC_COUNTED, arg))
+
+
+def test_assoc_check_walks_no_orbit_for_the_reach_off_a_table(monkeypatch):
+    """Only a table derivation can leave a key uncovered, so on d/dx the
+    keys a product y z reaches are never computed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reach of y z may not be computed")
+
+    c = conformal("cend1")
+    monkeypatch.setattr(oracle_module, "_product_keys", refuse)
+    assert coeff_assoc_check(c.base, c.der, samples=5)["ok"]
 
 
 def test_oracle_checks_refuse_a_degree_past_a_table_before_any_draw(monkeypatch):
@@ -706,6 +737,7 @@ def test_oracle_checks_refuse_a_degree_past_a_table_before_any_draw(monkeypatch)
     c = load_spec(spec("table_ddx_plus_ad_e12.json")).conformal
     monkeypatch.setattr(oracle_module, "sample_celement", refuse)
     monkeypatch.setattr(oracle_module, "sample_ore", refuse)
+    streams_fail_on_first_draw(monkeypatch)
     with pytest.raises(OracleError, match=r"--degree 4 draws x\^4\*e11, outside"):
         oracle_check(c, samples=1)
     for degree in (2, 3, 4):
@@ -748,14 +780,20 @@ def test_oracle_checks_refuse_an_empty_sample(samples):
         coeff_assoc_check(c.base, c.der, samples=samples, mul=mul)
 
 
-@pytest.mark.parametrize("arg", ["window", "degree", "pdeg"])
+@pytest.mark.parametrize("arg", list(ORACLE_COUNTED))
 def test_oracle_check_refuses_an_argument_below_zero(monkeypatch, arg):
-    """Below 0, degree or pdeg makes every sampled element zero and window
-    leaves no index to read: refused before any sample is drawn."""
+    """Below 1, samples leaves nothing to check; below 0, degree or pdeg
+    makes every sampled element zero and window leaves no index to read:
+    refused before any sample is drawn, ahead of every later argument."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("no sample may be drawn")
 
     monkeypatch.setattr(oracle_module, "sample_celement", refuse)
-    with pytest.raises(OracleError, match="%s must be >= 0, got -1" % arg):
-        oracle_check(make_cend(1), samples=3, **{arg: -1})
+    streams_fail_on_first_draw(monkeypatch)
+    least = ORACLE_COUNTED[arg]
+    message = "%s must be >= %d, got %d" % (arg, least, least - 1)
+    with pytest.raises(OracleError, match=message):
+        oracle_check(make_cend(1), **{"samples": 3, arg: least - 1})
+    with pytest.raises(OracleError, match=message):
+        oracle_check(make_cend(1), **below_least(ORACLE_COUNTED, arg))

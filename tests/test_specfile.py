@@ -27,6 +27,15 @@ def test_shipped_descriptions_load(path):
     assert data.name
 
 
+@pytest.mark.parametrize("path", spec_paths(), ids=lambda p: os.path.basename(p))
+def test_a_description_builds_one_carrier_and_one_derivation(path):
+    """The structure is built on the loader's own carrier, cend included,
+    so the derivation, the elements and the carrier share one basis table."""
+    data = load_spec(path)
+    assert data.carrier is data.conformal.base
+    assert data.conformal.der.alg is data.carrier
+
+
 def test_rank_one_endomorphism_description_contents():
     data = load_spec(os.path.join(SPEC_DIR, "cend1.json"))
     assert data.conformal == make_cend(1)
