@@ -233,8 +233,6 @@ def _cmd_unital_split(data, args):
 
 
 def _cmd_kernel_decompose(data, args):
-    if data.conformal.der.kind != "ddx":
-        raise CommandError("kernel decomposition needs a ddx derivation")
     a = _resolve_base(data, args.element)
     comps = kernel_decompose(a, data.conformal.der)
     rebuilt = kernel_reconstruct(data.carrier, comps)

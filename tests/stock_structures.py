@@ -6,7 +6,7 @@ the conformal structure. A structure is its carrier and its derivation, so
 make_differential builds the current and cend ones too: cur_matrix2 equals
 make_current(MatrixAlgebra(2)), and cend<n> equals make_cend(n)."""
 
-from confalg.algebra import Derivation, MatrixAlgebra, MatrixPolyAlgebra
+from confalg.algebra import Derivation, DirectSum, MatrixAlgebra, MatrixPolyAlgebra
 from confalg.constructions import make_differential
 
 
@@ -42,6 +42,10 @@ STOCK = {
     "dif_matrix2_ad_e12": lambda: _ad_e12(MatrixAlgebra(2)),
     "dif_matrix_poly2_ad_e12": lambda: _ad_e12(MatrixPolyAlgebra(2)),
     "table_ddx_plus_ad_e12": table_ddx_plus_ad_e12,
+    # d/dx acts summand by summand on Q[x] + M_2(Q[x])
+    "sum_poly_matrix_poly2_ddx": lambda: _ddx(
+        DirectSum([MatrixPolyAlgebra(1), MatrixPolyAlgebra(2)])
+    ),
 }
 
 

@@ -224,6 +224,23 @@ def test_ddx_derivation_on_polynomials():
     assert len(d.key_orbit((3, 1, 1))) == 4
 
 
+def test_ddx_on_a_direct_sum_acts_summand_by_summand():
+    a = DirectSum([MatrixPolyAlgebra(1), MatrixPolyAlgebra(2)])
+    d = Derivation.ddx(a)
+    # x^3 e12, 3x^2 e12, 6x e12, 6 e12, all in summand 1
+    assert d.key_orbit((1, (3, 1, 2))) == [
+        {(1, (3, 1, 2)): 1},
+        {(1, (2, 1, 2)): 3},
+        {(1, (1, 1, 2)): 6},
+        {(1, (0, 1, 2)): 6},
+    ]
+    assert d.key_orbit((0, (2, 1, 1))) == [
+        {(0, (2, 1, 1)): 1},
+        {(0, (1, 1, 1)): 2},
+        {(0, (0, 1, 1)): 2},
+    ]
+
+
 def test_ad_derivation_and_its_nilpotency():
     m = MatrixAlgebra(2)
     d = Derivation.ad(m.basis_element((1, 2)))

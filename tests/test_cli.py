@@ -144,6 +144,26 @@ def test_is_current_needs_a_subalgebra(capsys):
     assert "no subalgebra" in err
 
 
+@pytest.mark.parametrize(
+    "path,element",
+    [("dif_matrix2_ad_e12.json", "e11"), ("sum_matrix2_scalar_ad.json", "0:e11")],
+    ids=["matrix", "direct_sum"],
+)
+def test_kernel_decompose_needs_ddx_on_matrix_poly(path, element, capsys):
+    code, out, err = run(capsys, "kernel-decompose", spec(path), element)
+    assert code == 2
+    assert out == ""
+    assert "needs ddx on matrix_poly" in err
+
+
+@pytest.mark.parametrize("command", ["table", "gk"])
+def test_table_and_gk_need_generators(command, capsys):
+    code, out, err = run(capsys, command, spec("ideal_triangular.json"))
+    assert code == 2
+    assert out == ""
+    assert "the description declares no generators" in err
+
+
 def test_dual_identity_consistent_pair(capsys):
     code, out, _ = run(
         capsys, "dual-identity", spec("dif_matrix2_ad_e12.json"), "ePrime", "companion"

@@ -37,7 +37,12 @@ def dif_m2():
     return conformal("cend2")
 
 
-STRUCTURES = [cur_m2, dif_m2, lambda: conformal("cend1")]
+STRUCTURES = [
+    cur_m2,
+    dif_m2,
+    lambda: conformal("cend1"),
+    lambda: conformal("sum_poly_matrix_poly2_ddx"),
+]
 
 
 def _ref_term(c, k1, i, k2, j, n):

@@ -110,10 +110,17 @@ def test_current_distributions_collapse_above_order_zero():
     assert got[1:] == [{}, {}, {}]
 
 
-# criterion 3's three structures, plus a table derivation
+# criterion 3's three structures, plus a table derivation and d/dx on a
+# direct sum
 STRUCTURES = {
     name: partial(conformal, name)
-    for name in ["cend1", "cur_matrix2", "dif_matrix_poly2_ad_e12", "table_ddx_plus_ad_e12"]
+    for name in [
+        "cend1",
+        "cur_matrix2",
+        "dif_matrix_poly2_ad_e12",
+        "table_ddx_plus_ad_e12",
+        "sum_poly_matrix_poly2_ddx",
+    ]
 }
 
 

@@ -281,6 +281,80 @@ def test_a_degree_just_above_the_cap_is_refused(extra, path):
     assert exc.value.path == path
 
 
+def subalgebra_base(**fields):
+    node = {"kind": "subalgebra", "parent": {"kind": "poly"}, "spanning": [{"1": "1"}]}
+    node.update(fields)
+    return node
+
+
+@pytest.mark.parametrize(
+    "doc,path,message",
+    [
+        (
+            {"base": {"kind": "matrix_poly", "n": 10}},
+            "$.base.n",
+            "matrix size must be between 1 and 9",
+        ),
+        (
+            {"base": {"kind": "direct_sum", "summands": []}},
+            "$.base.summands",
+            "direct_sum needs a summand list",
+        ),
+        (
+            {"base": {"kind": "direct_sum", "summands": [subalgebra_base()]}},
+            "$.base.summands[0]",
+            "subalgebra cannot nest here",
+        ),
+        (
+            {"base": subalgebra_base(parent=subalgebra_base())},
+            "$.base.parent",
+            "subalgebra cannot nest here",
+        ),
+        (
+            {"base": subalgebra_base(spanning=None)},
+            "$.base.spanning",
+            "subalgebra needs a spanning list",
+        ),
+        (
+            {"base": subalgebra_base(degree=-1)},
+            "$.base.degree",
+            "degree must be a nonnegative integer",
+        ),
+        (
+            {"derivation": {"kind": "table", "images": {}}},
+            "$.derivation.degree",
+            "table derivation needs a degree",
+        ),
+        (
+            {"base": {"kind": "matrix", "n": 2}, "derivation": {"kind": "ddx"}},
+            "$.derivation",
+            "ddx is not defined on kind 'matrix'",
+        ),
+        ({"generators": "x"}, "$.generators", "generators must be a list"),
+    ],
+    ids=[
+        "matrix_size",
+        "empty_summands",
+        "subalgebra_summand",
+        "subalgebra_parent",
+        "no_spanning",
+        "negative_degree",
+        "table_without_degree",
+        "ddx_on_matrix",
+        "generators_not_a_list",
+    ],
+)
+def test_malformed_structures_are_refused_at_their_path(doc, path, message, tmp_path, capsys):
+    text = scalar_poly_spec(**doc)
+    with pytest.raises(SpecError, match=message) as exc:
+        load_spec_text(text)
+    assert exc.value.path == path
+    spec = tmp_path / "malformed.json"
+    spec.write_text(text)
+    assert main(["table", str(spec)]) == 2
+    assert path in capsys.readouterr().err
+
+
 def test_a_d_power_at_the_cap_loads():
     data = load_spec_text(scalar_poly_spec(elements={"a": {"x": {str(MAX_DEGREE): "1"}}}))
     assert data.elements["a"].pdeg() == MAX_DEGREE
